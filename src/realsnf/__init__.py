@@ -5,7 +5,6 @@ the norm-Euclidean real quadratic integer rings.  All arithmetic is exact;
 there is no floating point anywhere in the decision paths.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .matrices import (
     Matrix,
     MinorGcdProfile,
@@ -66,7 +65,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Conclusion",
     "CounterexampleRecipe",
     "DivResult",
@@ -100,7 +98,6 @@ __all__ = [
     "is_nonneg_on_reals",
     "is_psd_on_spectrum",
     "is_real_irreducible",
-    "kernel_backend",
     "minor_gcd_profile",
     "parse_ring",
     "pnri_holds",

@@ -38,14 +38,14 @@ def _load_input(text: str | None, default: object = None) -> object:
     if stripped and stripped[0] in "[{\"":
         try:
             return json.loads(stripped)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise ParseError(f"inline JSON is malformed: {exc}") from None
     path = Path(text)
     if not path.exists():
         raise ParseError(f"input {text!r} is neither inline JSON nor an existing file")
     try:
         return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"file {text} is not valid JSON: {exc}") from None
 
 
@@ -172,6 +172,15 @@ def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     ring = _require_ring(args)
+    for flag, value, low, high in (
+        ("--size", args.size, 1, verify.MAX_TRIAL_SIZE),
+        ("--trials", args.trials, 0, None),
+        ("--height", args.height, 1, None),
+        ("--degree", args.degree, 0, None),
+    ):
+        if value < low or (high is not None and value > high):
+            bound = f"between {low} and {high}" if high is not None else f"at least {low}"
+            raise ParseError(f"flag {flag}: must be {bound}, got {value}")
     cfg = verify.TrialConfig(
         ring=ring,
         matrix_size=args.size,

@@ -145,11 +145,7 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
             ring = declared_ring
         if ring is None:
             raise ParseError("field 'ring': missing and no ring was requested")
-        entries = data.get("entries")
-        if not isinstance(entries, list):
-            raise ParseError("field 'entries': expected a 2D array")
-        rows = [[rings.parse_element(v, ring) for v in row] for row in entries]
-        m = Matrix.from_rows(rows, ring)
+        m = Matrix.from_rows(_parse_entries(data.get("entries"), ring), ring)
         for field in ("rows", "cols"):
             if field in data and data[field] != (m.n_rows if field == "rows" else m.n_cols):
                 raise ParseError(f"field {field!r}: does not match 'entries'")
@@ -157,9 +153,26 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
     if isinstance(data, list):
         if ring is None:
             raise ParseError("a bare entry array needs an explicit ring")
-        rows = [[rings.parse_element(v, ring) for v in row] for row in data]
-        return Matrix.from_rows(rows, ring)
+        return Matrix.from_rows(_parse_entries(data, ring), ring)
     raise ParseError(f"matrix must be an object or 2D array, got {data!r}")
+
+
+def _parse_entries(entries: object, ring: RingSpec) -> list[list[Element]]:
+    """Rows of parsed elements; errors name the offending entries[i] or entries[i][j]."""
+    if not isinstance(entries, list):
+        raise ParseError("field 'entries': expected a 2D array")
+    rows = []
+    for i, row in enumerate(entries):
+        if not isinstance(row, list):
+            raise ParseError(f"field 'entries[{i}]': expected an array, got {row!r}")
+        parsed = []
+        for j, v in enumerate(row):
+            try:
+                parsed.append(rings.parse_element(v, ring))
+            except ParseError as exc:
+                raise ParseError(f"field 'entries[{i}][{j}]': {exc}") from None
+        rows.append(parsed)
+    return rows
 
 
 # -- determinants ---------------------------------------------------------------
@@ -203,7 +216,8 @@ def determinant(m: Matrix) -> Element:
 
     def div(a: Element, b: Element) -> Element:
         q = rings.exact_divide(a, b, ring)
-        assert q is not None, "Bareiss division must be exact"
+        if q is None:
+            raise ArithmeticError("Bareiss division was not exact")
         return q
 
     return _bareiss(
@@ -418,7 +432,8 @@ def _bezout_blocks(
     g, s, t_coef = rings.xgcd(a, b, ring)
     ag = rings.exact_divide(a, g, ring)
     bg = rings.exact_divide(b, g, ring)
-    assert ag is not None and bg is not None
+    if ag is None or bg is None:
+        raise ArithmeticError("gcd does not divide its arguments")
     zero = rings.zero(ring)
     block = [[s, t_coef], [zero - bg, ag]]
     inverse = [[ag, zero - t_coef], [bg, s]]
@@ -464,7 +479,8 @@ def _clear_pivot_row_col(red: _Reduction, t: int) -> None:
         row_clean = all(rings.is_zero(red.d[t][j]) for j in range(t + 1, red.m))
         if col_clean and row_clean:
             return
-        assert used_bezout, "pivot clearing made no progress"
+        if not used_bezout:
+            raise ArithmeticError("pivot clearing made no progress")
 
 
 def smith_normal_form(m: Matrix) -> SnfResult:
@@ -527,7 +543,8 @@ def _enforce_divisibility(red: _Reduction, limit: int) -> None:
         g, s, t_coef = rings.xgcd(a, b, ring)
         ag = rings.exact_divide(a, g, ring)
         bg = rings.exact_divide(b, g, ring)
-        assert ag is not None and bg is not None
+        if ag is None or bg is None:
+            raise ArithmeticError("gcd does not divide its arguments")
         one = rings.one(ring)
         # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with unimodular
         # L = [[s, t], [-b/g, a/g]] and R = [[1, -t*b/g], [1, s*a/g]].
@@ -548,7 +565,8 @@ def _canonicalize_diagonal(red: _Reduction, limit: int) -> None:
         canon = rings.canonicalize(v, ring)
         if canon != v:
             u = rings.exact_divide(canon, v, ring)
-            assert u is not None and rings.is_unit(u, ring)
+            if u is None or not rings.is_unit(u, ring):
+                raise ArithmeticError("canonical associate is not a unit multiple")
             red.scale_row(k, u)
 
 

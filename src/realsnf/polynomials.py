@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
 from .errors import (
     NotCertifiedIrreducibleError,
     NotSquareFreeError,
@@ -22,6 +21,32 @@ from .errors import (
 )
 
 Coefficient = Fraction | int
+
+
+def eval_sign_int(coeffs: list[int], u: int, v: int) -> int:
+    """Sign of p(u/v) where p has the given integer coefficients, constant first.
+
+    Requires v > 0.  Computed as the sign of sum(c[i] * u**i * v**(d-i)),
+    which equals v**d * p(u/v) and shares its sign, so no Fraction is built.
+    """
+    acc, vp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * u + c * vp
+        vp *= v
+    return (acc > 0) - (acc < 0)
+
+
+def sign_variations(signs: list[int]) -> int:
+    """Number of sign changes in a sequence, zeros skipped."""
+    count = 0
+    prev = 0
+    for s in signs:
+        if s == 0:
+            continue
+        if prev != 0 and s != prev:
+            count += 1
+        prev = s
+    return count
 
 
 class RatPoly:
@@ -207,12 +232,20 @@ class RatPoly:
     def sign_at(self, t: Coefficient) -> int:
         t = Fraction(t)
         coeffs, _ = self.int_coefficients()
-        return _kernels.eval_sign_int(coeffs, t.numerator, t.denominator)
+        return eval_sign_int(coeffs, t.numerator, t.denominator)
 
     def signs_at(self, numerators: list[int], denominator: int) -> list[int]:
         """Signs at the rational points numerators[i] / denominator (> 0)."""
         coeffs, _ = self.int_coefficients()
-        return _kernels.batch_eval_signs(coeffs, numerators, denominator)
+        d = len(coeffs) - 1
+        scaled = [c * denominator ** (d - i) for i, c in enumerate(coeffs)]
+        out = []
+        for u in numerators:
+            acc = 0
+            for c in reversed(scaled):
+                acc = acc * u + c
+            out.append((acc > 0) - (acc < 0))
+        return out
 
     def sign_at_infinity(self, direction: int) -> int:
         """Sign of p(t) as t -> +oo (direction=+1) or t -> -oo (direction=-1)."""
@@ -268,11 +301,11 @@ def sturm_chain(p: RatPoly) -> SturmChain:
 
 
 def _variations_at_infinity(chain: SturmChain, direction: int) -> int:
-    return _kernels.sign_variations([q.sign_at_infinity(direction) for q in chain.chain])
+    return sign_variations([q.sign_at_infinity(direction) for q in chain.chain])
 
 
 def _variations_at(chain: SturmChain, t: Fraction) -> int:
-    return _kernels.sign_variations([q.sign_at(t) for q in chain.chain])
+    return sign_variations([q.sign_at(t) for q in chain.chain])
 
 
 def is_squarefree(p: RatPoly) -> bool:
@@ -576,6 +609,9 @@ def format_poly(p: RatPoly) -> str:
     return " ".join(parts)
 
 
+# A few characters of text must not allocate gigabytes of coefficients.
+MAX_PARSED_DEGREE = 10_000
+
 _TERM_RE = re.compile(
     r"^(?P<coef>\d+(?:/\d+)?)?(?P<star>\*)?(?P<var>x(?:\^(?P<exp>\d+))?)?$"
 )
@@ -606,18 +642,22 @@ def parse_poly(text: str) -> RatPoly:
             raise ParseError(f"bad polynomial term {term!r} in {text!r}")
         if star and (coef_text is None or var is None):
             raise ParseError(f"bad polynomial term {term!r} in {text!r}")
-        coef = sign * (Fraction(coef_text) if coef_text else Fraction(1))
-        exp = int(m.group("exp") or 1) if var else 0
+        try:
+            coef = sign * (Fraction(coef_text) if coef_text else Fraction(1))
+            exp = int(m.group("exp") or 1) if var else 0
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in polynomial term {term!r} of {text!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"bad polynomial term {term!r} in {text!r}: {exc}") from None
+        if exp > MAX_PARSED_DEGREE:
+            raise ParseError(
+                f"exponent in polynomial term {term!r} exceeds the limit {MAX_PARSED_DEGREE}"
+            )
         coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
     out = [Fraction(0)] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         out[e] = c
     return RatPoly(out)
-
-
-def poly_to_json(p: RatPoly) -> list[str]:
-    """Array of coefficient strings, constant term first."""
-    return [str(c) for c in p.coefficients]
 
 
 def poly_from_json(data: object) -> RatPoly:

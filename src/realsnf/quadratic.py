@@ -102,10 +102,6 @@ class SignPattern:
     def is_totally_positive(self) -> bool:
         return self.at_plus > 0 and self.at_minus > 0
 
-    @property
-    def is_mixed(self) -> bool:
-        return self.at_plus * self.at_minus < 0
-
     def __mul__(self, other: "SignPattern") -> "SignPattern":
         return SignPattern(self.at_plus * other.at_plus, self.at_minus * other.at_minus)
 
@@ -128,18 +124,11 @@ class QuadElem:
 
     # -- basic structure ---------------------------------------------------
 
-    @classmethod
-    def from_int(cls, n: int, ring: RingSpec) -> "QuadElem":
-        return cls(n, 0, ring)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 
     def is_unit(self) -> bool:
         return abs(self.norm()) == 1
-
-    def is_rational_int(self) -> bool:
-        return self.y == 0
 
     def height(self) -> int:
         return max(abs(self.x), abs(self.y))
@@ -357,7 +346,8 @@ def positive_associate(a: QuadElem) -> QuadElem | None:
         return None
     u = fundamental_unit(a.ring).unit  # pattern (+, -) since N(u) = -1
     candidate = a * u if pattern.at_plus > 0 else a * (-u)
-    assert candidate.sign_pattern().is_totally_positive
+    if not candidate.sign_pattern().is_totally_positive:
+        raise ArithmeticError("unit of norm -1 did not flip the sign pattern")
     return candidate
 
 
@@ -401,7 +391,8 @@ def canonical_associate(a: QuadElem, prefer_totally_positive: bool = False) -> Q
     pool = [c for c in candidates if c.sign_pattern().at_plus > 0]
     if prefer_totally_positive and positive_associate(a) is not None:
         pool = [c for c in candidates if c.sign_pattern().is_totally_positive]
-    assert pool, "orbit window missed every admissible associate"
+    if not pool:
+        raise ArithmeticError("orbit window missed every admissible associate")
     return min(pool, key=lambda c: (c.height(), abs(c.y), -c.x, -c.y))
 
 

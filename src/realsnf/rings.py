@@ -210,33 +210,6 @@ def pnri(ring: RingSpec) -> bool:
     return True
 
 
-def factor_element(a: Element, ring: RingSpec) -> list[tuple[Element, int]]:
-    """Factor into canonical irreducibles times a unit (Z and quadratic only)."""
-    a = coerce(a, ring)
-    if is_zero(a):
-        raise ZeroElementError("cannot factor zero")
-    if is_unit(a, ring):
-        raise UnitInputError("cannot factor a unit")
-    if ring.family is RingFamily.INTEGERS:
-        out: list[tuple[Element, int]] = []
-        n = abs(a)
-        f = 2
-        while f * f <= n:
-            if n % f == 0:
-                m = 0
-                while n % f == 0:
-                    n //= f
-                    m += 1
-                out.append((f, m))
-            f += 1 if f == 2 else 2
-        if n > 1:
-            out.append((n, 1))
-        return out
-    if ring.family is RingFamily.QUADRATIC_INTEGERS:
-        return quadratic.factor(a)
-    raise UnsupportedRingError("factorization over Q[x] is out of scope")
-
-
 # -- textual and JSON element forms -------------------------------------------
 
 

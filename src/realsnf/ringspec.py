@@ -50,12 +50,6 @@ class RingSpec:
         """True when the integral basis is {1, (1+sqrt(d))/2} (d = 1 mod 4)."""
         return self.family is RingFamily.QUADRATIC_INTEGERS and self.d % 4 == 1
 
-    @property
-    def omega_symbol(self) -> str:
-        if self.uses_half_basis:
-            return f"(1+sqrt({self.d}))/2"
-        return f"sqrt({self.d})"
-
     def __str__(self) -> str:
         if self.family is RingFamily.INTEGERS:
             return "Z"
@@ -76,6 +70,8 @@ def quadratic_ring(d: int) -> RingSpec:
 
 def parse_ring(text: str) -> RingSpec:
     """Parse "Z", "Q[x]", "Zsqrt:<d>" or "Zhalf:<d>"."""
+    if not isinstance(text, str):
+        raise ParseError(f"ring must be a string, got {text!r}")
     text = text.strip()
     if text == "Z":
         return INTEGERS

@@ -336,6 +336,9 @@ def derive_seed(master_seed: int, index: int) -> int:
     return _mix64((master_seed + (index + 1) * _GOLDEN) & _MASK)
 
 
+MAX_TRIAL_SIZE = 5
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """Deterministic generation parameters; equal configs give equal data.
@@ -352,8 +355,8 @@ class TrialConfig:
     max_degree: int = 2
 
     def __post_init__(self) -> None:
-        if not (1 <= self.matrix_size <= 5):
-            raise ValueError("matrix_size must be between 1 and 5")
+        if not (1 <= self.matrix_size <= MAX_TRIAL_SIZE):
+            raise ValueError(f"matrix_size must be between 1 and {MAX_TRIAL_SIZE}")
         if self.entry_height_bound < 1 or self.trial_count < 0:
             raise ValueError("bad trial configuration")
 

@@ -207,6 +207,41 @@ class TestInputErrors:
         assert code == 2
         assert "2.5" in err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["snf", "--ring", "Z", "--input", '["12","34"]'], "entries[0]"),
+            (["snf", "--ring", "Z", "--input", "[1,2]"], "entries[0]"),
+            (["snf", "--input", '{"ring": "Z", "entries": [[1], 2]}'], "entries[1]"),
+            (["suite", "--ring", "Z", "--size", "9"], "--size"),
+            (["suite", "--ring", "Z", "--trials", "-1"], "--trials"),
+            (["suite", "--ring", "Z", "--height", "0"], "--height"),
+            (["suite", "--ring", "Q[x]", "--degree", "-1"], "--degree"),
+            (["snf", "--ring", "Q[x]", "--input", '[["x", "1/0"]]'], "entries[0][1]"),
+            (["snf", "--ring", "Q[x]", "--input", '[["x^100000"]]'], "x^100000"),
+            (["snf", "--ring", "Z", "--input", "[[" + "9" * 5000 + "]]"], "malformed"),
+        ],
+        ids=[
+            "row-is-string",
+            "row-is-number",
+            "object-row-is-number",
+            "suite-size",
+            "suite-trials",
+            "suite-height",
+            "suite-degree",
+            "zero-denominator",
+            "huge-exponent",
+            "overlong-integer",
+        ],
+    )
+    def test_bad_input_names_field(self, capsys, argv, field):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert field in err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err and "Fraction(" not in err
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "snf", "--ring", "Z")
         assert code == 2

@@ -13,6 +13,7 @@ from realsnf.polynomials import (
     RatPoly,
     certify_irreducible,
     count_real_roots,
+    eval_sign_int,
     find_negative_point,
     format_poly,
     is_nonneg_on_reals,
@@ -20,6 +21,7 @@ from realsnf.polynomials import (
     parse_poly,
     poly_gcd,
     positive_associate,
+    sign_variations,
     squarefree_decomposition,
     sturm_chain,
     valuation,
@@ -60,6 +62,39 @@ class TestArithmetic:
             value = p(t)
             sign = (value > 0) - (value < 0)
             assert p.sign_at(t) == sign
+
+
+class TestSignKernels:
+    def test_against_fraction_reference(self):
+        rng = random.Random(1)
+        for _ in range(300):
+            coeffs = [rng.randint(-50, 50) for _ in range(rng.randint(1, 9))]
+            u = rng.randint(-30, 30)
+            v = rng.randint(1, 12)
+            value = sum(c * Fraction(u, v) ** i for i, c in enumerate(coeffs))
+            expected = (value > 0) - (value < 0)
+            assert eval_sign_int(coeffs, u, v) == expected
+
+    def test_batch_matches_single(self):
+        rng = random.Random(2)
+        for _ in range(50):
+            p = rand_poly(rng, max_degree=6, height=9)
+            numerators = [rng.randint(-100, 100) for _ in range(20)]
+            v = rng.randint(1, 999)
+            batch = p.signs_at(numerators, v)
+            assert batch == [p.sign_at(Fraction(u, v)) for u in numerators]
+
+    def test_zero_polynomial(self):
+        assert eval_sign_int([], 3, 2) == 0
+        assert RatPoly.zero().sign_at(Fraction(3, 2)) == 0
+        assert RatPoly.zero().signs_at([1, 2, 3], 1) == [0, 0, 0]
+
+    def test_sign_variations(self):
+        assert sign_variations([]) == 0
+        assert sign_variations([1, 1, 1]) == 0
+        assert sign_variations([1, -1, 1]) == 2
+        assert sign_variations([1, 0, -1, 0, -1, 1]) == 2
+        assert sign_variations([0, 0, -1]) == 0
 
 
 class TestSturm:
@@ -258,3 +293,7 @@ class TestTextForms:
         for bad in ("", "x^-1", "3*", "x**2", "2//3", "y+1"):
             with pytest.raises(ParseError):
                 parse_poly(bad)
+
+    def test_zero_denominator_names_the_term(self):
+        with pytest.raises(ParseError, match=r"term '\+1/0\*x'"):
+            parse_poly("x^2 + 1/0*x")
