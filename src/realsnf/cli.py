@@ -14,11 +14,11 @@ import traceback
 from pathlib import Path
 from typing import Sequence
 
-from . import matrices, polynomials, quadratic, rings, spectrum, verify
+from . import matrices, quadratic, rings, spectrum, verify
 from .errors import ParseError, RealSnfError, TheoremConsistencyError
 from .matrices import matrix_from_json, smith_normal_form
 from .polynomials import poly_from_json
-from .ringspec import RingFamily, RingSpec, parse_ring
+from .ringspec import RATIONAL_POLYNOMIALS, RingFamily, RingSpec, parse_ring
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -163,8 +163,8 @@ def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
     holds = verify.check_valuation_lemma(a, b, p)
     payload = {
         "holds": holds,
-        "valuation_a": None if a.is_zero() else str(polynomials.valuation(p, a)),
-        "valuation_b": None if b.is_zero() else str(polynomials.valuation(p, b)),
+        "valuation_a": None if a.is_zero() else str(rings.valuation(p, a, RATIONAL_POLYNOMIALS)),
+        "valuation_b": None if b.is_zero() else str(rings.valuation(p, b, RATIONAL_POLYNOMIALS)),
     }
     _emit(payload, args.pretty)
     return EXIT_OK

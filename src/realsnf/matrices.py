@@ -1,11 +1,13 @@
 """Matrices over the supported rings: Smith reduction, minors, determinants.
 
-The Smith routine runs the classical pivot-to-smallest-size reduction with
-row and column operations mirrored into transforms P and Q so that
-M = P * D * Q exactly, then enforces the divisibility chain with the
-gcd/lcm fix-up on diagonal pairs, and finally scales each diagonal entry to
-its canonical associate.  Determinants use fraction-free (Bareiss)
-elimination, which stays inside the ring.
+The Smith routine runs the classical pivot-to-smallest-size reduction and
+keeps M = P * D * Q exact throughout.  It has row operations only: each one
+applied to D is mirrored on the matching rows of a companion (P^T for the
+rows of D, Q for its columns), and column work is done as row work on the
+transpose, since M^T = Q^T * D^T * P^T.  The divisibility chain is then
+enforced by the gcd/lcm fix-up on diagonal pairs, and each diagonal entry
+is scaled to its canonical associate.  Determinants use fraction-free
+(Bareiss) elimination, which stays inside the ring.
 """
 
 from __future__ import annotations
@@ -146,9 +148,13 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
         if ring is None:
             raise ParseError("field 'ring': missing and no ring was requested")
         m = Matrix.from_rows(_parse_entries(data.get("entries"), ring), ring)
-        for field in ("rows", "cols"):
-            if field in data and data[field] != (m.n_rows if field == "rows" else m.n_cols):
-                raise ParseError(f"field {field!r}: does not match 'entries'")
+        for field, size in (("rows", m.n_rows), ("cols", m.n_cols)):
+            value = data.get(field, size)
+            if type(value) is not int or value != size:  # bool and float are not JSON integers
+                raise ParseError(
+                    f"field {field!r}: expected the integer {size} to match 'entries', "
+                    f"got {value!r}"
+                )
         return m
     if isinstance(data, list):
         if ring is None:
@@ -159,12 +165,17 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
 
 def _parse_entries(entries: object, ring: RingSpec) -> list[list[Element]]:
     """Rows of parsed elements; errors name the offending entries[i] or entries[i][j]."""
-    if not isinstance(entries, list):
-        raise ParseError("field 'entries': expected a 2D array")
+    if not isinstance(entries, list) or not entries:
+        raise ParseError(f"field 'entries': expected a nonempty 2D array, got {entries!r}")
     rows = []
     for i, row in enumerate(entries):
-        if not isinstance(row, list):
-            raise ParseError(f"field 'entries[{i}]': expected an array, got {row!r}")
+        if not isinstance(row, list) or not row:
+            raise ParseError(f"field 'entries[{i}]': expected a nonempty array, got {row!r}")
+        if len(row) != len(entries[0]):
+            raise ParseError(
+                f"field 'entries[{i}]': expected {len(entries[0])} entries like "
+                f"entries[0], got {len(row)}"
+            )
         parsed = []
         for j, v in enumerate(row):
             try:
@@ -287,7 +298,16 @@ class SnfResult:
 
 
 class _Reduction:
-    """Mutable state for the reduction: D plus the inverse-tracking P and Q."""
+    """Mutable state for the reduction: D and the two transform companions.
+
+    M = P * D * Q is kept invariant.  Row i of D is paired with row i of
+    ``row_companion`` (row i of P^T), column j of D with row j of
+    ``col_companion`` (row j of Q).  A row operation D <- E * D is mirrored
+    by applying (E^-1)^T to the same companion rows, which leaves P * D * Q
+    unchanged.  There are no column operations: since M^T = Q^T * D^T * P^T,
+    ``transpose`` turns columns of D into rows and swaps the companions, and
+    a second ``transpose`` restores the original frame.
+    """
 
     def __init__(self, m: Matrix):
         self.ring = m.ring
@@ -295,120 +315,69 @@ class _Reduction:
         self.n = m.n_rows
         self.m = m.n_cols
         one, zero = rings.one(self.ring), rings.zero(self.ring)
-        self.p = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.q = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
+        self.row_companion = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
+        self.col_companion = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
         self._scalable = self.ring.family is RingFamily.RATIONAL_POLYNOMIALS
         for i in range(self.n):
-            self.normalize_row(i)
+            self.normalize(i)
 
-    # D <- E*D is mirrored by P <- P*E^(-1); column ops mirror into Q rows.
+    def transpose(self) -> None:
+        """D <- D^T; the companions trade places, so P * D * Q stays M (or M^T)."""
+        self.d = [list(col) for col in zip(*self.d)]
+        self.n, self.m = self.m, self.n
+        self.row_companion, self.col_companion = self.col_companion, self.row_companion
 
-    # Over Q[x] every nonzero constant is a unit, so rows and columns can be
-    # rescaled to primitive integer coefficients after each operation; without
-    # this the naive reduction suffers hyper-exponential fraction growth.
-
-    def _primitive_scale(self, values: list) -> Fraction | None:
-        denoms = []
-        numers = []
-        for v in values:
-            for c in v.coefficients:
-                denoms.append(c.denominator)
-                numers.append(c.numerator)
-        if not numers:
-            return None
-        common = int_lcm(*denoms)
-        content = int_gcd(*(abs(n * (common // d)) for n, d in zip(numers, denoms)))
-        scale = Fraction(common, content)
-        return None if scale == 1 else scale
-
-    def normalize_row(self, i: int) -> None:
+    def normalize(self, i: int) -> None:
+        """Over Q[x] every nonzero constant is a unit, so row i is rescaled to
+        primitive integer coefficients; without this the naive reduction
+        suffers hyper-exponential fraction growth."""
         if not self._scalable:
             return
-        scale = self._primitive_scale([v for v in self.d[i] if not rings.is_zero(v)])
-        if scale is not None:
-            self.scale_row(i, RatPoly.constant(scale))
-
-    def normalize_col(self, j: int) -> None:
-        if not self._scalable:
+        coefficients = [c for v in self.d[i] for c in v.coefficients]
+        if not coefficients:
             return
-        col = [self.d[r][j] for r in range(self.n)]
-        scale = self._primitive_scale([v for v in col if not rings.is_zero(v)])
-        if scale is not None:
-            self.scale_col(j, RatPoly.constant(scale))
+        common = int_lcm(*(c.denominator for c in coefficients))
+        content = int_gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
+        if common != content:
+            self.scale(i, RatPoly.constant(Fraction(common, content)))
 
-    def swap_rows(self, i: int, j: int) -> None:
+    def swap(self, i: int, j: int) -> None:
         if i == j:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        for r in range(self.n):
-            self.p[r][i], self.p[r][j] = self.p[r][j], self.p[r][i]
+        comp = self.row_companion
+        comp[i], comp[j] = comp[j], comp[i]
 
-    def swap_cols(self, i: int, j: int) -> None:
-        if i == j:
-            return
-        for r in range(self.n):
-            self.d[r][i], self.d[r][j] = self.d[r][j], self.d[r][i]
-        self.q[i], self.q[j] = self.q[j], self.q[i]
-
-    def add_row_multiple(self, dst: int, src: int, c: Element) -> None:
-        """row_dst += c * row_src on D; P gets column_src -= c * column_dst."""
+    def add_multiple(self, dst: int, src: int, c: Element) -> None:
+        """row_dst += c * row_src; the companion gets row_src -= c * row_dst."""
         if rings.is_zero(c):
             return
         self.d[dst] = [a + c * b for a, b in zip(self.d[dst], self.d[src])]
-        for r in range(self.n):
-            self.p[r][src] = self.p[r][src] - self.p[r][dst] * c
-        self.normalize_row(dst)
+        comp = self.row_companion
+        comp[src] = [a - c * b for a, b in zip(comp[src], comp[dst])]
+        self.normalize(dst)
 
-    def add_col_multiple(self, dst: int, src: int, c: Element) -> None:
-        """col_dst += c * col_src on D; Q gets row_src -= c * row_dst."""
-        if rings.is_zero(c):
-            return
-        for r in range(self.n):
-            self.d[r][dst] = self.d[r][dst] + self.d[r][src] * c
-        self.q[src] = [a - c * b for a, b in zip(self.q[src], self.q[dst])]
-        self.normalize_col(dst)
-
-    def scale_row(self, i: int, u: Element) -> None:
-        """row_i *= u for a unit u; P column i picks up the inverse."""
+    def scale(self, i: int, u: Element) -> None:
+        """row_i *= u for a unit u; companion row i picks up the inverse."""
         inv = rings.unit_inverse(u, self.ring)
         self.d[i] = [u * a for a in self.d[i]]
-        for r in range(self.n):
-            self.p[r][i] = self.p[r][i] * inv
+        self.row_companion[i] = [inv * a for a in self.row_companion[i]]
 
-    def scale_col(self, j: int, u: Element) -> None:
-        """col_j *= u for a unit u; Q row j picks up the inverse."""
-        inv = rings.unit_inverse(u, self.ring)
-        for r in range(self.n):
-            self.d[r][j] = self.d[r][j] * u
-        self.q[j] = [inv * a for a in self.q[j]]
+    def apply_pair(self, i: int, j: int, block: list[list[Element]]) -> None:
+        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1.
 
-    def apply_row_pair(self, i: int, j: int, block: list[list[Element]], inverse: list[list[Element]]) -> None:
-        """Rows (i, j) of D <- block * (rows i, j); P columns get the inverse."""
-        (a11, a12), (a21, a22) = block
+        The companion rows get (block^-1)^T = [[d, -c], [-b, a]].
+        """
+        (a, b), (c, d) = block
         ri, rj = self.d[i], self.d[j]
-        self.d[i] = [a11 * x + a12 * y for x, y in zip(ri, rj)]
-        self.d[j] = [a21 * x + a22 * y for x, y in zip(ri, rj)]
-        (b11, b12), (b21, b22) = inverse
-        for r in range(self.n):
-            pi, pj = self.p[r][i], self.p[r][j]
-            self.p[r][i] = pi * b11 + pj * b21
-            self.p[r][j] = pi * b12 + pj * b22
-        self.normalize_row(i)
-        self.normalize_row(j)
-
-    def apply_col_pair(self, i: int, j: int, block: list[list[Element]], inverse: list[list[Element]]) -> None:
-        """Columns (i, j) of D <- (cols i, j) * block; Q rows get the inverse."""
-        (a11, a12), (a21, a22) = block
-        for r in range(self.n):
-            ci, cj = self.d[r][i], self.d[r][j]
-            self.d[r][i] = ci * a11 + cj * a21
-            self.d[r][j] = ci * a12 + cj * a22
-        (b11, b12), (b21, b22) = inverse
-        qi, qj = self.q[i], self.q[j]
-        self.q[i] = [b11 * x + b12 * y for x, y in zip(qi, qj)]
-        self.q[j] = [b21 * x + b22 * y for x, y in zip(qi, qj)]
-        self.normalize_col(i)
-        self.normalize_col(j)
+        self.d[i] = [a * x + b * y for x, y in zip(ri, rj)]
+        self.d[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        comp = self.row_companion
+        ci, cj = comp[i], comp[j]
+        comp[i] = [d * x - c * y for x, y in zip(ci, cj)]
+        comp[j] = [a * y - b * x for x, y in zip(ci, cj)]
+        self.normalize(i)
+        self.normalize(j)
 
 
 def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
@@ -425,59 +394,50 @@ def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
     return best
 
 
-def _bezout_blocks(
-    ring: RingSpec, a: Element, b: Element
-) -> tuple[Element, list[list[Element]], list[list[Element]]]:
-    """(g, L, L_inverse) with L * (a, b)^T = (g, 0)^T and det(L) = 1."""
+def _bezout_block(ring: RingSpec, a: Element, b: Element) -> list[list[Element]]:
+    """L = [[s, t], [-b/g, a/g]] with L * (a, b)^T = (g, 0)^T and det(L) = 1."""
     g, s, t_coef = rings.xgcd(a, b, ring)
     ag = rings.exact_divide(a, g, ring)
     bg = rings.exact_divide(b, g, ring)
     if ag is None or bg is None:
         raise ArithmeticError("gcd does not divide its arguments")
-    zero = rings.zero(ring)
-    block = [[s, t_coef], [zero - bg, ag]]
-    inverse = [[ag, zero - t_coef], [bg, s]]
-    return g, block, inverse
+    return [[s, t_coef], [rings.zero(ring) - bg, ag]]
 
 
-def _clear_pivot_row_col(red: _Reduction, t: int) -> None:
-    """Zero out column t and row t beyond the pivot.
+def _clear_column(red: _Reduction, t: int) -> bool:
+    """Zero column t below the pivot by row operations; True if a Bezout step ran.
 
     Entries divisible by the pivot go by plain shears; the rest by a
-    unimodular Bezout block that lands the gcd on the pivot.  A Bezout step
-    shrinks the pivot strictly, so the outer loop terminates, and a full
-    shear-only pass leaves everything clean.
+    unimodular Bezout block that lands the gcd on the pivot.
     """
     ring = red.ring
+    used_bezout = False
+    for i in range(t + 1, red.n):
+        if rings.is_zero(red.d[i][t]):
+            continue
+        quotient = rings.exact_divide(red.d[i][t], red.d[t][t], ring)
+        if quotient is not None:
+            red.add_multiple(i, t, -quotient)
+        else:
+            red.apply_pair(t, i, _bezout_block(ring, red.d[t][t], red.d[i][t]))
+            used_bezout = True
+    return used_bezout
+
+
+def _clear_pivot(red: _Reduction, t: int) -> None:
+    """Zero out column t and row t beyond the pivot.
+
+    Row t is cleared as column t of the transpose.  A Bezout step shrinks
+    the pivot strictly, so the loop terminates, and a pass without one
+    leaves everything clean.
+    """
     while True:
-        used_bezout = False
-        for i in range(t + 1, red.n):
-            if rings.is_zero(red.d[i][t]):
-                continue
-            quotient = rings.exact_divide(red.d[i][t], red.d[t][t], ring)
-            if quotient is not None:
-                red.add_row_multiple(i, t, -quotient)
-            else:
-                _, block, inverse = _bezout_blocks(ring, red.d[t][t], red.d[i][t])
-                red.apply_row_pair(t, i, block, inverse)
-                used_bezout = True
-        for j in range(t + 1, red.m):
-            if rings.is_zero(red.d[t][j]):
-                continue
-            quotient = rings.exact_divide(red.d[t][j], red.d[t][t], ring)
-            if quotient is not None:
-                red.add_col_multiple(j, t, -quotient)
-            else:
-                g, block, inverse = _bezout_blocks(ring, red.d[t][t], red.d[t][j])
-                # transposed arrangement: columns (t, j) <- (cols) * F
-                (s, t_coef), (neg_bg, ag) = block
-                col_block = [[s, neg_bg], [t_coef, ag]]
-                col_inverse = [[ag, rings.zero(ring) - neg_bg], [rings.zero(ring) - t_coef, s]]
-                red.apply_col_pair(t, j, col_block, col_inverse)
-                used_bezout = True
-        col_clean = all(rings.is_zero(red.d[i][t]) for i in range(t + 1, red.n))
-        row_clean = all(rings.is_zero(red.d[t][j]) for j in range(t + 1, red.m))
-        if col_clean and row_clean:
+        used_bezout = _clear_column(red, t)
+        red.transpose()
+        used_bezout = _clear_column(red, t) or used_bezout
+        red.transpose()
+        rest = [red.d[i][t] for i in range(t + 1, red.n)] + red.d[t][t + 1 :]
+        if all(rings.is_zero(v) for v in rest):
             return
         if not used_bezout:
             raise ArithmeticError("pivot clearing made no progress")
@@ -487,87 +447,69 @@ def smith_normal_form(m: Matrix) -> SnfResult:
     """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
     red = _Reduction(m)
     ring = red.ring
-    limit = min(red.n, red.m)
-
-    t = 0
-    while t < limit:
-        pos = _min_size_position(red, t)
+    # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
+    # so the nonzero diagonal entries form the prefix d_1..d_rank.
+    rank = 0
+    while rank < min(red.n, red.m):
+        pos = _min_size_position(red, rank)
         if pos is None:
             break
-        red.swap_rows(t, pos[0])
-        red.swap_cols(t, pos[1])
-        _clear_pivot_row_col(red, t)
-        t += 1
+        red.swap(rank, pos[0])
+        red.transpose()
+        red.swap(rank, pos[1])
+        red.transpose()
+        _clear_pivot(red, rank)
+        rank += 1
 
-    _sort_zeros_last(red, limit)
-    _enforce_divisibility(red, limit)
-    _canonicalize_diagonal(red, limit)
+    _enforce_divisibility(red, rank)
+    _canonicalize_diagonal(red, rank)
 
-    d_matrix = Matrix.from_rows(red.d, ring)
-    diagonals = tuple(
-        red.d[k][k] for k in range(limit) if not rings.is_zero(red.d[k][k])
-    )
     return SnfResult(
-        P=Matrix.from_rows(red.p, ring),
-        D=d_matrix,
-        Q=Matrix.from_rows(red.q, ring),
-        diagonals=diagonals,
+        P=Matrix.from_rows(list(zip(*red.row_companion)), ring),
+        D=Matrix.from_rows(red.d, ring),
+        Q=Matrix.from_rows(red.col_companion, ring),
+        diagonals=tuple(red.d[k][k] for k in range(rank)),
     )
 
 
-def _sort_zeros_last(red: _Reduction, limit: int) -> None:
-    nonzero = [k for k in range(limit) if not rings.is_zero(red.d[k][k])]
-    for target, source in enumerate(nonzero):
-        if source != target:
-            red.swap_rows(target, source)
-            red.swap_cols(target, source)
-
-
-def _enforce_divisibility(red: _Reduction, limit: int) -> None:
+def _enforce_divisibility(red: _Reduction, rank: int) -> None:
     """gcd/lcm fix-up: repeatedly replace (d_i, d_j) by (g, d_i*d_j/g)."""
     ring = red.ring
-    rank = sum(1 for k in range(limit) if not rings.is_zero(red.d[k][k]))
+    one = rings.one(ring)
     while True:
-        violation = None
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                if not rings.divides(red.d[i][i], red.d[j][j], ring):
-                    violation = (i, j)
-                    break
-            if violation:
-                break
+        violation = next(
+            (
+                (i, j)
+                for i in range(rank)
+                for j in range(i + 1, rank)
+                if not rings.divides(red.d[i][i], red.d[j][j], ring)
+            ),
+            None,
+        )
         if violation is None:
             return
         i, j = violation
-        a, b = red.d[i][i], red.d[j][j]
-        g, s, t_coef = rings.xgcd(a, b, ring)
-        ag = rings.exact_divide(a, g, ring)
-        bg = rings.exact_divide(b, g, ring)
-        if ag is None or bg is None:
-            raise ArithmeticError("gcd does not divide its arguments")
-        one = rings.one(ring)
-        # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with unimodular
-        # L = [[s, t], [-b/g, a/g]] and R = [[1, -t*b/g], [1, s*a/g]].
-        row_block = [[s, t_coef], [rings.zero(ring) - bg, ag]]
-        row_inverse = [[ag, rings.zero(ring) - t_coef], [bg, s]]
-        col_block = [[one, rings.zero(ring) - t_coef * bg], [one, s * ag]]
-        col_inverse = [[s * ag, t_coef * bg], [rings.zero(ring) - one, one]]
-        red.apply_row_pair(i, j, row_block, row_inverse)
-        red.apply_col_pair(i, j, col_block, col_inverse)
+        # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
+        # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
+        # on columns, applied as the row operation R^T on the transpose.
+        block = _bezout_block(ring, red.d[i][i], red.d[j][j])
+        (s, t_coef), (neg_bg, ag) = block
+        red.apply_pair(i, j, block)
+        red.transpose()
+        red.apply_pair(i, j, [[one, one], [t_coef * neg_bg, s * ag]])
+        red.transpose()
 
 
-def _canonicalize_diagonal(red: _Reduction, limit: int) -> None:
+def _canonicalize_diagonal(red: _Reduction, rank: int) -> None:
     ring = red.ring
-    for k in range(limit):
+    for k in range(rank):
         v = red.d[k][k]
-        if rings.is_zero(v):
-            continue
         canon = rings.canonicalize(v, ring)
         if canon != v:
             u = rings.exact_divide(canon, v, ring)
             if u is None or not rings.is_unit(u, ring):
                 raise ArithmeticError("canonical associate is not a unit multiple")
-            red.scale_row(k, u)
+            red.scale(k, u)
 
 
 # -- verification ------------------------------------------------------------------

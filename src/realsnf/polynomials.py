@@ -566,23 +566,6 @@ def is_real_irreducible(p: RatPoly, certify: bool = False) -> bool:
     return count_real_roots(p) > 0
 
 
-def valuation(p: RatPoly, a: RatPoly) -> int:
-    """Largest k with p**k dividing a; p irreducible (caller-asserted), a != 0."""
-    if a.is_zero():
-        raise ZeroPolynomialError("valuation of the zero polynomial")
-    if p.is_zero() or p.degree < 1:
-        raise ZeroPolynomialError("valuation base must have degree at least 1")
-    k = 0
-    while True:
-        q, r = divmod(a, p)
-        if not r.is_zero():
-            return k
-        a = q
-        k += 1
-        if a.is_zero():
-            return k
-
-
 # -- text and JSON forms ---------------------------------------------------------
 
 

@@ -38,7 +38,7 @@ from .matrices import Matrix, SnfResult, smith_normal_form
 from .polynomials import RatPoly
 from .quadratic import QuadElem
 from .rings import Element
-from .ringspec import RingFamily, RingSpec, quadratic_ring
+from .ringspec import RATIONAL_POLYNOMIALS, RingFamily, RingSpec, quadratic_ring
 
 
 class Conclusion(str, Enum):
@@ -292,7 +292,8 @@ def check_valuation_lemma(a: RatPoly, b: RatPoly, p: RatPoly) -> bool:
         )
     if a.is_zero() or b.is_zero():
         return True
-    return polynomials.valuation(p, a) <= 2 * polynomials.valuation(p, b)
+    nu_a = rings.valuation(p, a, RATIONAL_POLYNOMIALS)
+    return nu_a <= 2 * rings.valuation(p, b, RATIONAL_POLYNOMIALS)
 
 
 # -- seeded pseudo-random generation -----------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,18 @@ def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
+GOLDEN_SNF = json.loads((Path(__file__).parent / "data" / "snf_golden.json").read_text())
+
+
 class TestSnfCommand:
+    @pytest.mark.parametrize("case", GOLDEN_SNF, ids=[c["name"] for c in GOLDEN_SNF])
+    def test_golden_output(self, capsys, case):
+        """The full JSON, transforms included, is pinned byte for byte."""
+        argv = ["snf", "--ring", case["ring"], "--input", json.dumps(case["input"])]
+        code, out, _ = run(capsys, *argv)
+        assert code == case["exit"]
+        assert out == json.dumps(case["output"]) + "\n"
+
     def test_integer_example(self, capsys):
         code, out, _ = run(capsys, "snf", "--ring", "Z", "--input", "[[2,4],[4,2]]")
         assert code == 0
@@ -220,6 +232,12 @@ class TestInputErrors:
             (["snf", "--ring", "Q[x]", "--input", '[["x", "1/0"]]'], "entries[0][1]"),
             (["snf", "--ring", "Q[x]", "--input", '[["x^100000"]]'], "x^100000"),
             (["snf", "--ring", "Z", "--input", "[[" + "9" * 5000 + "]]"], "malformed"),
+            (["snf", "--ring", "Z", "--input", "[]"], "entries"),
+            (["snf", "--ring", "Z", "--input", "[[]]"], "entries[0]"),
+            (["snf", "--ring", "Z", "--input", "[[1,2],[3]]"], "entries[1]"),
+            (["snf", "--input", '{"ring":"Z","rows":true,"cols":1,"entries":[[3]]}'], "'rows'"),
+            (["snf", "--input", '{"ring":"Z","rows":1.0,"cols":1,"entries":[[3]]}'], "'rows'"),
+            (["snf", "--input", '{"ring":"Z","rows":1,"cols":true,"entries":[[3]]}'], "'cols'"),
         ],
         ids=[
             "row-is-string",
@@ -232,6 +250,12 @@ class TestInputErrors:
             "zero-denominator",
             "huge-exponent",
             "overlong-integer",
+            "empty-entries",
+            "empty-row",
+            "ragged-row",
+            "rows-is-bool",
+            "rows-is-float",
+            "cols-is-bool",
         ],
     )
     def test_bad_input_names_field(self, capsys, argv, field):

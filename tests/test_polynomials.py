@@ -24,7 +24,6 @@ from realsnf.polynomials import (
     sign_variations,
     squarefree_decomposition,
     sturm_chain,
-    valuation,
 )
 
 X = RatPoly.x()
@@ -249,19 +248,6 @@ class TestIrreducibility:
         with pytest.raises(NotCertifiedIrreducibleError):
             is_real_irreducible(parse_poly("x^4+4"), certify=True)
         assert is_real_irreducible(parse_poly("x^2-2"), certify=True)
-
-
-class TestValuation:
-    def test_examples(self):
-        assert valuation(X, parse_poly("x^3+x^2")) == 2
-        assert valuation(parse_poly("x^2+1"), parse_poly("x^2+1") ** 3 * X) == 3
-        assert valuation(X, RatPoly([5])) == 0
-
-    def test_errors(self):
-        with pytest.raises(ZeroPolynomialError):
-            valuation(X, RatPoly([]))
-        with pytest.raises(ZeroPolynomialError):
-            valuation(RatPoly([3]), X)
 
 
 class TestTextForms:

@@ -182,11 +182,25 @@ class TestValuation:
         a = QuadElem(20, 10, ring)
         assert rings.valuation(QuadElem(1, 1, ring), a, ring) == 2
 
+    def test_qx_examples(self):
+        x = parse_poly("x")
+        assert rings.valuation(x, parse_poly("x^3+x^2"), RATIONAL_POLYNOMIALS) == 2
+        p = parse_poly("x^2+1")
+        assert rings.valuation(p, p**3 * x, RATIONAL_POLYNOMIALS) == 3
+        assert rings.valuation(x, RatPoly([5]), RATIONAL_POLYNOMIALS) == 0
+
     def test_errors(self):
         with pytest.raises(ZeroElementError):
             rings.valuation(2, 0, INTEGERS)
         with pytest.raises(UnitInputError):
             rings.valuation(1, 12, INTEGERS)
+
+    def test_qx_errors(self):
+        x = parse_poly("x")
+        with pytest.raises(ZeroElementError):
+            rings.valuation(x, RatPoly([]), RATIONAL_POLYNOMIALS)
+        with pytest.raises(UnitInputError):
+            rings.valuation(RatPoly([3]), x, RATIONAL_POLYNOMIALS)
 
     @pytest.mark.parametrize("ring", [INTEGERS, quadratic_ring(3)], ids=str)
     def test_additivity(self, ring):
