@@ -43,7 +43,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], ring: RingSpec) -> "Matrix":
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
+        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
             raise ShapeMismatchError("rows must be nonempty and of equal length")
         coerced = tuple(tuple(rings.coerce(v, ring) for v in row) for row in rows)
         return cls(len(coerced), len(coerced[0]), coerced, ring)
@@ -236,13 +236,33 @@ def determinant(m: Matrix) -> Element:
     )
 
 
-def determinant_fractions(rows: list[list]) -> object:
-    """Determinant of a matrix of Fractions (or anything with exact division)."""
-    from fractions import Fraction
+def principal_minor_sums(rows: Sequence[Sequence], zero, one) -> list:
+    """[e_1, ..., e_n]: e_k is the sum of all k x k principal minors.
 
-    return _bareiss(
-        [list(r) for r in rows], Fraction(1), lambda v: v == 0, lambda a, b: a / b
-    )
+    Division-free Berkowitz charpoly (Inf. Process. Lett. 18, 1984): the
+    coefficients of det(t*I - A_r) for the leading r x r block A_r follow from
+    those of A_{r-1} by a Toeplitz product, using ring +, - and * only.  The
+    coefficient of t^(n-k) is (-1)^k * e_k.
+    """
+
+    def dot(u, v):
+        return sum((a * b for a, b in zip(u, v)), zero)
+
+    coeffs = [one]
+    for r in range(len(rows)):
+        # A_{r+1} = [[A_r, C], [R, a]]: C is column r above the diagonal, R is
+        # row r left of it (zip truncates rows[i] to its first r entries).
+        column = [rows[i][r] for i in range(r)]
+        toeplitz = [one, zero - rows[r][r]]
+        for k in range(r):  # -R * A_r^k * C
+            if k:
+                column = [dot(rows[i], column) for i in range(r)]
+            toeplitz.append(zero - dot(rows[r], column))
+        coeffs = [
+            sum((toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1)), zero)
+            for i in range(r + 2)
+        ]
+    return [c if k % 2 == 0 else zero - c for k, c in enumerate(coeffs) if k > 0]
 
 
 # -- minor ideals -----------------------------------------------------------------
@@ -427,15 +447,17 @@ def _clear_column(red: _Reduction, t: int) -> bool:
 def _clear_pivot(red: _Reduction, t: int) -> None:
     """Zero out column t and row t beyond the pivot.
 
-    Row t is cleared as column t of the transpose.  A Bezout step shrinks
-    the pivot strictly, so the loop terminates, and a pass without one
-    leaves everything clean.
+    Row t is cleared as column t of the transpose; that pass and its two
+    transposes are skipped when row t is already clear.  A Bezout step
+    shrinks the pivot strictly, so the loop terminates, and a pass without
+    one leaves everything clean.
     """
     while True:
         used_bezout = _clear_column(red, t)
-        red.transpose()
-        used_bezout = _clear_column(red, t) or used_bezout
-        red.transpose()
+        if not all(rings.is_zero(v) for v in red.d[t][t + 1 :]):
+            red.transpose()
+            used_bezout = _clear_column(red, t) or used_bezout
+            red.transpose()
         rest = [red.d[i][t] for i in range(t + 1, red.n)] + red.d[t][t + 1 :]
         if all(rings.is_zero(v) for v in rest):
             return
@@ -455,9 +477,10 @@ def smith_normal_form(m: Matrix) -> SnfResult:
         if pos is None:
             break
         red.swap(rank, pos[0])
-        red.transpose()
-        red.swap(rank, pos[1])
-        red.transpose()
+        if pos[1] != rank:
+            red.transpose()
+            red.swap(rank, pos[1])
+            red.transpose()
         _clear_pivot(red, rank)
         rank += 1
 

@@ -2,10 +2,15 @@
 
 For Z there is a single ordering; for Q[x] positivity means pointwise
 nonnegativity of polynomial functions on R; for a real quadratic ring it
-means nonnegativity under both real embeddings.  A symmetric matrix is
-positive semidefinite when every principal minor is nonnegative in that
-sense, and every minor is computed exactly in the ring, so no embedding is
-ever evaluated with floating point.
+means nonnegativity under both real embeddings.  A symmetric matrix over an
+ordered field is positive semidefinite exactly when e_k >= 0 for k = 1..n,
+where e_k is the sum of its k x k principal minors: up to sign the e_k are
+the coefficients of the characteristic polynomial, whose roots are all real.
+That holds at each ordering separately, so the matrix is PSD at every
+ordering exactly when each e_k is nonnegative in the sense above.  The e_k
+come from one division-free charpoly computed exactly in the ring, so no
+embedding is ever evaluated with floating point.  The principal minors are
+enumerated only on a not-PSD verdict, to name the witness.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 
 from . import polynomials, rings
 from .errors import NotSymmetricError, SizeLimitError
-from .matrices import Matrix, determinant, determinant_fractions
+from .matrices import Matrix, determinant, principal_minor_sums
 from .rings import Element
 from .ringspec import RingFamily, RingSpec
 
@@ -73,14 +78,20 @@ def _principal_index_sets(n: int):
 def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     """Positive semidefiniteness over the whole real spectrum, exactly.
 
-    Checks every principal minor; the first violating one (smallest size,
-    then lexicographic) is reported as the witness.
+    PSD is decided by e_k >= 0 at every ordering for k = 1..n (e_k the sum
+    of the k x k principal minors).  Only when that fails are the principal
+    minors enumerated, to report the first negative one (smallest size, then
+    lexicographic) as the witness.  The size cap stays because that witness
+    search is exponential.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
     ring = m.ring
+    sums = principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
+    if all(element_is_nonneg(e, ring) for e in sums):
+        return PsdReport(True, None)
     for idx in _principal_index_sets(m.n_rows):
         minor = determinant(m.submatrix(idx, idx))
         rows = tuple(i + 1 for i in idx)
@@ -97,13 +108,14 @@ def is_psd_on_spectrum(m: Matrix) -> PsdReport:
                 return PsdReport(False, PsdWitness(rows, embedding="plus"))
             if pattern.at_minus < 0:
                 return PsdReport(False, PsdWitness(rows, embedding="minus"))
-    return PsdReport(True, None)
+    raise ArithmeticError("a principal minor sum is negative but no principal minor is")
 
 
 def psd_exact_ordered(rows: list[list[Fraction | int]]) -> bool:
     """PSD test for a symmetric matrix over an ordered exact field (Q here).
 
-    All 2**n - 1 principal minors must be nonnegative; n is capped at 8.
+    Decided by e_k >= 0 for k = 1..n, e_k the sum of the k x k principal
+    minors; n is capped at 8 like ``is_psd_on_spectrum``.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -115,11 +127,7 @@ def psd_exact_ordered(rows: list[list[Fraction | int]]) -> bool:
                 raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
     if n > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    for idx in _principal_index_sets(n):
-        sub = [[mat[i][j] for j in idx] for i in idx]
-        if determinant_fractions(sub) < 0:
-            return False
-    return True
+    return all(e >= 0 for e in principal_minor_sums(mat, Fraction(0), Fraction(1)))
 
 
 def evaluate_poly_matrix(m: Matrix, t: Fraction) -> list[list[Fraction]]:

@@ -17,6 +17,7 @@ def last_json(out):
 
 
 GOLDEN_SNF = json.loads((Path(__file__).parent / "data" / "snf_golden.json").read_text())
+GOLDEN_PSD = json.loads((Path(__file__).parent / "data" / "psd_golden.json").read_text())
 
 
 class TestSnfCommand:
@@ -97,6 +98,14 @@ class TestPnriAndUnit:
 
 
 class TestPsdAndVerify:
+    @pytest.mark.parametrize("case", GOLDEN_PSD, ids=[c["name"] for c in GOLDEN_PSD])
+    def test_psd_golden_output(self, capsys, case):
+        """Not-PSD verdicts with their witnesses are pinned byte for byte."""
+        argv = ["psd", "--ring", case["ring"], "--input", json.dumps(case["input"])]
+        code, out, _ = run(capsys, *argv)
+        assert code == case["exit"]
+        assert out == json.dumps(case["output"]) + "\n"
+
     def test_psd_true(self, capsys):
         code, out, _ = run(capsys, "psd", "--ring", "Z", "--input", "[[2,1],[1,2]]")
         assert code == 0

@@ -36,6 +36,11 @@ class TestFixedInstances:
             assert result.diagonals == tuple([rings.one(ring)] * 3)
             assert verify_snf(m, result)
 
+    @pytest.mark.parametrize("rows", [[[]], [[], []]])
+    def test_zero_width_rows_rejected(self, rows):
+        with pytest.raises(ShapeMismatchError):
+            Matrix.from_rows(rows, INTEGERS)
+
     def test_poly_diagonal_stays(self):
         m = Matrix.from_rows(
             [[parse_poly("x"), RatPoly([])], [RatPoly([]), parse_poly("x^2")]],

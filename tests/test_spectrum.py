@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring, rings, spectrum
 from realsnf.errors import NotSymmetricError, SizeLimitError
-from realsnf.matrices import Matrix, determinant
+from realsnf.matrices import Matrix, determinant, principal_minor_sums
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
+from realsnf.ringspec import RingFamily, parse_ring
 from helpers import rand_matrix, random_unimodular
 from realsnf.spectrum import (
     element_is_nonneg,
@@ -18,6 +20,47 @@ from realsnf.spectrum import (
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
+RING_NAMES = ["Z", "Q[x]", "Zsqrt:2", "Zsqrt:3", "Zsqrt:6", "Zsqrt:7", "Zsqrt:11", "Zhalf:5", "Zhalf:13"]
+
+
+def max_size(ring):
+    """Largest n the oracle tests use: each Q[x] minor costs a Sturm chain."""
+    return 3 if ring is RATIONAL_POLYNOMIALS else 4
+
+
+def minor_sums(m):
+    ring = m.ring
+    return principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
+
+
+def charpoly_says_psd(m):
+    return all(element_is_nonneg(e, m.ring) for e in minor_sums(m))
+
+
+def every_minor_nonneg(m):
+    """The oracle: all 2**n - 1 principal minors, one by one."""
+    return all(
+        element_is_nonneg(determinant(m.submatrix(idx, idx)), m.ring)
+        for k in range(1, m.n_rows + 1)
+        for idx in itertools.combinations(range(m.n_rows), k)
+    )
+
+
+def invertible_square(rng, ring, n):
+    while True:
+        m = rand_matrix(rng, ring, n, n, height=3)
+        if not rings.is_zero(determinant(m)):
+            return m
+
+
+def negative_somewhere(ring, embedding):
+    """Negative at the named ordering only: -1 over Z, x over Q[x] (x < 0),
+    and +-w over a quadratic ring (w > 0 at "plus", w < 0 at "minus")."""
+    if ring.family is RingFamily.INTEGERS:
+        return -1
+    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        return parse_poly("x")
+    return QuadElem(0, 1 if embedding == "minus" else -1, ring)
 
 
 class TestElementNonneg:
@@ -104,6 +147,122 @@ class TestPsdOnSpectrum:
                 assert is_psd_on_spectrum(m @ m.transpose()).is_psd
 
 
+class TestPrincipalMinorSums:
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_trace_and_determinant(self, name):
+        ring = parse_ring(name)
+        rng = random.Random(20)
+        for n in range(1, max_size(ring) + 1):
+            m = rand_matrix(rng, ring, n, n, height=3)  # not symmetric
+            sums = minor_sums(m)
+            assert len(sums) == n
+            assert sums[0] == sum((m[i, i] for i in range(n)), rings.zero(ring))
+            assert sums[-1] == determinant(m)
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zhalf:13"])
+    def test_every_sum_matches_enumeration(self, name):
+        ring = parse_ring(name)
+        rng = random.Random(21)
+        for n in range(1, 5):
+            m = rand_matrix(rng, ring, n, n, height=3)
+            for k, e in enumerate(minor_sums(m), start=1):
+                expected = rings.zero(ring)
+                for idx in itertools.combinations(range(n), k):
+                    expected = expected + determinant(m.submatrix(idx, idx))
+                assert e == expected
+
+    def test_diag_minus_one_two(self):
+        # e_1 = 1 passes although the 1x1 minor -1 does not
+        assert principal_minor_sums([[-1, 0], [0, 2]], 0, 1) == [1, -2]
+
+
+class TestCharpolyDecision:
+    """The e_k >= 0 decision agrees with the minor enumeration it replaced."""
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_full_rank_psd(self, name):
+        ring = parse_ring(name)
+        rng = random.Random(30)
+        for n in range(1, max_size(ring) + 1):
+            a = invertible_square(rng, ring, n)
+            m = a @ a.transpose()
+            assert charpoly_says_psd(m) and every_minor_nonneg(m)
+            assert is_psd_on_spectrum(m).is_psd
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_rank_deficient_psd(self, name):
+        ring = parse_ring(name)
+        rng = random.Random(31)
+        for n in range(2, max_size(ring) + 1):
+            a = rand_matrix(rng, ring, n, n - 1, height=3)
+            m = a @ a.transpose()
+            assert rings.is_zero(minor_sums(m)[-1])  # e_n = det, rank < n
+            assert charpoly_says_psd(m) and every_minor_nonneg(m)
+            assert is_psd_on_spectrum(m).is_psd
+
+    @pytest.mark.parametrize(
+        "name, embedding",
+        [("Z", None), ("Q[x]", None)]
+        + [(name, e) for name in RING_NAMES[2:] for e in ("plus", "minus")],
+    )
+    def test_broken_at_one_ordering(self, name, embedding):
+        # A * diag(1, .., 1, s, .., s) * A^T with 1 or 2 entries s that are
+        # negative at one ordering only; with two, e_n = det stays >= 0 there
+        ring = parse_ring(name)
+        rng = random.Random(32)
+        s = rings.coerce(negative_somewhere(ring, embedding), ring)
+        for n in range(1, max_size(ring) + 1):
+            for negatives in range(1, min(n, 2) + 1):
+                a = invertible_square(rng, ring, n)
+                diag = [[rings.zero(ring)] * n for _ in range(n)]
+                for i in range(n):
+                    diag[i][i] = s if i >= n - negatives else rings.one(ring)
+                m = a @ Matrix.from_rows(diag, ring) @ a.transpose()
+                assert not charpoly_says_psd(m) and not every_minor_nonneg(m)
+                report = is_psd_on_spectrum(m)
+                assert not report.is_psd
+                assert report.witness.embedding == embedding
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_broken_by_a_two_by_two_minor(self, name):
+        # the diagonal of a Gram matrix is nonnegative everywhere; an
+        # off-diagonal pair set to m_ii + m_jj + 1 breaks the 2x2 minor on
+        # rows i, j at every ordering
+        ring = parse_ring(name)
+        rng = random.Random(33)
+        for n in range(2, max_size(ring) + 1):
+            a = rand_matrix(rng, ring, n, n, height=3)
+            rows = [list(r) for r in (a @ a.transpose()).entries]
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rows[i][i] + rows[j][j] + rings.one(ring)
+            m = Matrix.from_rows(rows, ring)
+            assert not charpoly_says_psd(m) and not every_minor_nonneg(m)
+            report = is_psd_on_spectrum(m)
+            assert not report.is_psd and len(report.witness.minor_rows) == 2
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_zero_matrix_is_psd(self, name):
+        ring = parse_ring(name)
+        m = Matrix.from_rows([[rings.zero(ring)] * 3 for _ in range(3)], ring)
+        assert is_psd_on_spectrum(m) == spectrum.PsdReport(True, None)
+
+    def test_witness_is_the_smallest_minor_not_the_first_failing_sum(self):
+        report = is_psd_on_spectrum(Matrix.from_rows([[-1, 0], [0, 2]], INTEGERS))
+        assert not report.is_psd
+        assert report.witness.minor_rows == (1,)
+
+    def test_only_a_middle_sum_fails(self):
+        m = Matrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 5]], INTEGERS)
+        assert minor_sums(m) == [3, -9, 5]
+        assert is_psd_on_spectrum(m).witness.minor_rows == (1,)
+        assert not psd_exact_ordered([list(r) for r in m.entries])
+
+    def test_disagreement_with_the_enumeration_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "principal_minor_sums", lambda rows, zero, one: [-1])
+        with pytest.raises(ArithmeticError):
+            is_psd_on_spectrum(Matrix.from_rows([[1]], INTEGERS))
+
+
 class TestExactOrderedPsd:
     def test_examples(self):
         assert not psd_exact_ordered([[1, 2], [2, 1]])  # det = -3
@@ -120,6 +279,18 @@ class TestExactOrderedPsd:
             psd_exact_ordered([[1, 2, 3], [1, 2, 3]])
         with pytest.raises(SizeLimitError):
             psd_exact_ordered([[1 if i == j else 0 for j in range(9)] for i in range(9)])
+
+    def test_agrees_with_minor_enumeration(self):
+        rng = random.Random(34)
+        for _ in range(60):
+            n = rng.randint(1, 5)
+            a = rand_matrix(rng, INTEGERS, n, n, height=3)
+            rows = [list(r) for r in (a @ a.transpose()).entries]
+            i = rng.randrange(n)
+            rows[i][i] -= rng.randint(0, 4)
+            m = Matrix.from_rows(rows, INTEGERS)
+            scaled = [[Fraction(v, 7) for v in row] for row in rows]
+            assert psd_exact_ordered(scaled) == every_minor_nonneg(m)
 
     def test_needs_all_principal_minors(self):
         # leading minors alone would pass this one: PSD fails only on the
