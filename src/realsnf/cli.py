@@ -129,12 +129,18 @@ def _cmd_unit(args: argparse.Namespace) -> int:
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     ring = _ring_of(args)
     data = _load_input(args.input)
+    builtin = verify.builtin_counterexample_recipe()
     if data is None:
-        recipe = verify.builtin_counterexample_recipe(ring)
+        if ring is not None and ring != builtin.ring:
+            raise ParseError(
+                f"--ring {ring}: the built-in recipe is over {builtin.ring}; "
+                f"pass --input with a recipe over {ring}"
+            )
+        recipe = builtin
     else:
         if not isinstance(data, dict):
             raise ParseError("counterexample input must be a JSON object")
-        recipe = verify.recipe_from_json(data, ring or verify.builtin_counterexample_recipe().ring)
+        recipe = verify.recipe_from_json(data, ring or builtin.ring)
     matrix = verify.build_counterexample(recipe)
     report = verify.verify_main_theorem(matrix)
     _emit(

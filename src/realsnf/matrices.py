@@ -1,13 +1,15 @@
 """Matrices over the supported rings: Smith reduction, minors, determinants.
 
-The Smith routine runs the classical pivot-to-smallest-size reduction and
-keeps M = P * D * Q exact throughout.  It has row operations only: each one
-applied to D is mirrored on the matching rows of a companion (P^T for the
-rows of D, Q for its columns), and column work is done as row work on the
-transpose, since M^T = Q^T * D^T * P^T.  The divisibility chain is then
+The Smith routine runs the classical pivot-to-smallest-size reduction on D
+alone.  It has row operations only, and column work is done as row work on
+the transpose, since M^T = Q^T * D^T * P^T.  The divisibility chain is then
 enforced by the gcd/lcm fix-up on diagonal pairs, and each diagonal entry
-is scaled to its canonical associate.  Determinants use fraction-free
-(Bareiss) elimination, which stays inside the ring.
+is scaled to its canonical associate.  Every step is appended to a log;
+:func:`smith_diagonals` reads the diagonals and discards it, while
+:func:`smith_normal_form` replays it on two identities, mirroring each row
+operation E on D by (E^-1)^T on the matching transform rows, to build P and
+Q with M = P * D * Q.  Determinants use fraction-free (Bareiss) elimination,
+which stays inside the ring.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import rings
 from .errors import (
@@ -189,20 +191,19 @@ def _parse_entries(entries: object, ring: RingSpec) -> list[list[Element]]:
 # -- determinants ---------------------------------------------------------------
 
 
-def _bareiss(
-    rows: list[list],
-    one,
-    is_zero: Callable,
-    exact_div: Callable,
-):
-    """Fraction-free determinant; exact_div must be exact division in the domain."""
+def determinant(m: Matrix) -> Element:
+    """Exact determinant via fraction-free (Bareiss) elimination."""
+    if not m.is_square():
+        raise NotSquareError(f"determinant of a {m.n_rows}x{m.n_cols} matrix")
+    ring = m.ring
+    rows = [list(row) for row in m.entries]
     n = len(rows)
     sign_flip = False
-    prev = one
+    prev = rings.one(ring)
     for k in range(n - 1):
-        if is_zero(rows[k][k]):
+        if rings.is_zero(rows[k][k]):
             pivot_row = next(
-                (i for i in range(k + 1, n) if not is_zero(rows[i][k])), None
+                (i for i in range(k + 1, n) if not rings.is_zero(rows[i][k])), None
             )
             if pivot_row is None:
                 return rows[k][k]  # a zero column below the diagonal: det = 0
@@ -210,30 +211,16 @@ def _bareiss(
             sign_flip = not sign_flip
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                rows[i][j] = exact_div(
-                    rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j], prev
+                q = rings.exact_divide(
+                    rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j], prev, ring
                 )
+                if q is None:
+                    raise ArithmeticError("Bareiss division was not exact")
+                rows[i][j] = q
             rows[i][k] = rows[k][k] - rows[k][k]  # typed zero
         prev = rows[k][k]
     det = rows[n - 1][n - 1]
     return -det if sign_flip else det
-
-
-def determinant(m: Matrix) -> Element:
-    """Exact determinant via Bareiss elimination."""
-    if not m.is_square():
-        raise NotSquareError(f"determinant of a {m.n_rows}x{m.n_cols} matrix")
-    ring = m.ring
-
-    def div(a: Element, b: Element) -> Element:
-        q = rings.exact_divide(a, b, ring)
-        if q is None:
-            raise ArithmeticError("Bareiss division was not exact")
-        return q
-
-    return _bareiss(
-        [list(row) for row in m.entries], rings.one(ring), rings.is_zero, div
-    )
 
 
 def principal_minor_sums(rows: Sequence[Sequence], zero, one) -> list:
@@ -318,15 +305,14 @@ class SnfResult:
 
 
 class _Reduction:
-    """Mutable state for the reduction: D and the two transform companions.
+    """Mutable state for the reduction: D and the log of operations applied to it.
 
-    M = P * D * Q is kept invariant.  Row i of D is paired with row i of
-    ``row_companion`` (row i of P^T), column j of D with row j of
-    ``col_companion`` (row j of Q).  A row operation D <- E * D is mirrored
-    by applying (E^-1)^T to the same companion rows, which leaves P * D * Q
-    unchanged.  There are no column operations: since M^T = Q^T * D^T * P^T,
-    ``transpose`` turns columns of D into rows and swaps the companions, and
-    a second ``transpose`` restores the original frame.
+    There are no column operations: since M^T = Q^T * D^T * P^T, ``transpose``
+    turns the columns of D into rows, and a second ``transpose`` restores the
+    original frame.  Each row primitive applies an elementary E to D
+    (D <- E * D) and appends one entry to ``log``; no transform is built
+    during elimination.  :func:`_replay` rebuilds P and Q from the log on
+    request, so M = P * D * Q holds at the end.
     """
 
     def __init__(self, m: Matrix):
@@ -334,18 +320,16 @@ class _Reduction:
         self.d = [list(row) for row in m.entries]
         self.n = m.n_rows
         self.m = m.n_cols
-        one, zero = rings.one(self.ring), rings.zero(self.ring)
-        self.row_companion = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
-        self.col_companion = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
+        self.log: list[tuple] = []
         self._scalable = self.ring.family is RingFamily.RATIONAL_POLYNOMIALS
         for i in range(self.n):
             self.normalize(i)
 
     def transpose(self) -> None:
-        """D <- D^T; the companions trade places, so P * D * Q stays M (or M^T)."""
+        """D <- D^T: the rows of D now pair with the columns of the input."""
         self.d = [list(col) for col in zip(*self.d)]
         self.n, self.m = self.m, self.n
-        self.row_companion, self.col_companion = self.col_companion, self.row_companion
+        self.log.append(("transpose",))
 
     def normalize(self, i: int) -> None:
         """Over Q[x] every nonzero constant is a unit, so row i is rescaled to
@@ -365,39 +349,65 @@ class _Reduction:
         if i == j:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        comp = self.row_companion
-        comp[i], comp[j] = comp[j], comp[i]
+        self.log.append(("swap", i, j))
 
     def add_multiple(self, dst: int, src: int, c: Element) -> None:
-        """row_dst += c * row_src; the companion gets row_src -= c * row_dst."""
+        """row_dst += c * row_src."""
         if rings.is_zero(c):
             return
         self.d[dst] = [a + c * b for a, b in zip(self.d[dst], self.d[src])]
-        comp = self.row_companion
-        comp[src] = [a - c * b for a, b in zip(comp[src], comp[dst])]
+        self.log.append(("add_multiple", dst, src, c))
         self.normalize(dst)
 
     def scale(self, i: int, u: Element) -> None:
-        """row_i *= u for a unit u; companion row i picks up the inverse."""
-        inv = rings.unit_inverse(u, self.ring)
+        """row_i *= u for a unit u."""
         self.d[i] = [u * a for a in self.d[i]]
-        self.row_companion[i] = [inv * a for a in self.row_companion[i]]
+        self.log.append(("scale", i, u))
 
     def apply_pair(self, i: int, j: int, block: list[list[Element]]) -> None:
-        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1.
-
-        The companion rows get (block^-1)^T = [[d, -c], [-b, a]].
-        """
+        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1."""
         (a, b), (c, d) = block
         ri, rj = self.d[i], self.d[j]
         self.d[i] = [a * x + b * y for x, y in zip(ri, rj)]
         self.d[j] = [c * x + d * y for x, y in zip(ri, rj)]
-        comp = self.row_companion
-        ci, cj = comp[i], comp[j]
-        comp[i] = [d * x - c * y for x, y in zip(ci, cj)]
-        comp[j] = [a * y - b * x for x, y in zip(ci, cj)]
+        self.log.append(("apply_pair", i, j, block))
         self.normalize(i)
         self.normalize(j)
+
+
+def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
+    """Rows of P^T and of Q, rebuilt from ``red.log``.
+
+    Two companions start as identities: one is paired with the rows of D
+    (rows of P^T), the other with its columns (rows of Q).  Each logged
+    D <- E * D is mirrored by applying (E^-1)^T to the same rows of the
+    companion paired with the rows of D, which leaves P * D * Q unchanged; a
+    logged ``transpose`` swaps the companions.  The log leaves D in the
+    input's frame, so the companions end in theirs.
+    """
+    ring = red.ring
+    one, zero = rings.one(ring), rings.zero(ring)
+    rows = [[one if i == j else zero for j in range(red.n)] for i in range(red.n)]
+    cols = [[one if i == j else zero for j in range(red.m)] for i in range(red.m)]
+    for kind, *args in red.log:
+        if kind == "transpose":
+            rows, cols = cols, rows
+        elif kind == "swap":
+            i, j = args
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "add_multiple":
+            dst, src, c = args
+            rows[src] = [a - c * b for a, b in zip(rows[src], rows[dst])]
+        elif kind == "scale":
+            i, u = args
+            inv = rings.unit_inverse(u, ring)
+            rows[i] = [inv * a for a in rows[i]]
+        else:  # apply_pair: (block^-1)^T = [[d, -c], [-b, a]]
+            i, j, ((a, b), (c, d)) = args
+            ri, rj = rows[i], rows[j]
+            rows[i] = [d * x - c * y for x, y in zip(ri, rj)]
+            rows[j] = [a * y - b * x for x, y in zip(ri, rj)]
+    return rows, cols
 
 
 def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
@@ -465,10 +475,9 @@ def _clear_pivot(red: _Reduction, t: int) -> None:
             raise ArithmeticError("pivot clearing made no progress")
 
 
-def smith_normal_form(m: Matrix) -> SnfResult:
-    """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
+def _reduce(m: Matrix) -> tuple[_Reduction, tuple[Element, ...]]:
+    """Bring M to Smith form D, logging every step; also return d_1, ..., d_rank."""
     red = _Reduction(m)
-    ring = red.ring
     # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
     # so the nonzero diagonal entries form the prefix d_1..d_rank.
     rank = 0
@@ -486,12 +495,23 @@ def smith_normal_form(m: Matrix) -> SnfResult:
 
     _enforce_divisibility(red, rank)
     _canonicalize_diagonal(red, rank)
+    return red, tuple(red.d[k][k] for k in range(rank))
 
+
+def smith_diagonals(m: Matrix) -> tuple[Element, ...]:
+    """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q."""
+    return _reduce(m)[1]
+
+
+def smith_normal_form(m: Matrix) -> SnfResult:
+    """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
+    red, diagonals = _reduce(m)
+    rows, cols = _replay(red)
     return SnfResult(
-        P=Matrix.from_rows(list(zip(*red.row_companion)), ring),
-        D=Matrix.from_rows(red.d, ring),
-        Q=Matrix.from_rows(red.col_companion, ring),
-        diagonals=tuple(red.d[k][k] for k in range(rank)),
+        P=Matrix.from_rows(list(zip(*rows)), m.ring),
+        D=Matrix.from_rows(red.d, m.ring),
+        Q=Matrix.from_rows(cols, m.ring),
+        diagonals=diagonals,
     )
 
 

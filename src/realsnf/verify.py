@@ -34,7 +34,7 @@ from .errors import (
     TheoremConsistencyError,
     ZeroElementError,
 )
-from .matrices import Matrix, SnfResult, smith_normal_form
+from .matrices import Matrix, SnfResult, smith_diagonals
 from .polynomials import RatPoly
 from .quadratic import QuadElem
 from .rings import Element
@@ -104,9 +104,7 @@ def verify_main_theorem(m: Matrix, snf: SnfResult | None = None) -> TheoremRepor
         raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
     psd = spectrum.is_psd_on_spectrum(m).is_psd
-    if snf is None:
-        snf = smith_normal_form(m)
-    diagonals = snf.diagonals
+    diagonals = smith_diagonals(m) if snf is None else snf.diagonals
     associates = tuple(_positive_associate(d, ring) for d in diagonals)
     positivizable = tuple(a is not None for a in associates)
     sign_data = tuple(_sign_info(d, ring) for d in diagonals)

@@ -247,6 +247,8 @@ class TestInputErrors:
             (["snf", "--input", '{"ring":"Z","rows":true,"cols":1,"entries":[[3]]}'], "'rows'"),
             (["snf", "--input", '{"ring":"Z","rows":1.0,"cols":1,"entries":[[3]]}'], "'rows'"),
             (["snf", "--input", '{"ring":"Z","rows":1,"cols":true,"entries":[[3]]}'], "'cols'"),
+            (["counterexample", "--ring", "Z"], "--ring Z: the built-in recipe is over Zsqrt:3"),
+            (["counterexample", "--ring", "Zsqrt:2"], "--ring Zsqrt:2: the built-in recipe"),
         ],
         ids=[
             "row-is-string",
@@ -265,6 +267,8 @@ class TestInputErrors:
             "rows-is-bool",
             "rows-is-float",
             "cols-is-bool",
+            "counterexample-builtin-over-Z",
+            "counterexample-builtin-over-Zsqrt2",
         ],
     )
     def test_bad_input_names_field(self, capsys, argv, field):

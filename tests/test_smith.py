@@ -8,6 +8,7 @@ from realsnf.matrices import (
     Matrix,
     determinant,
     minor_gcd_profile,
+    smith_diagonals,
     smith_normal_form,
     verify_snf,
 )
@@ -125,6 +126,7 @@ class TestVerifySnf:
             result = smith_normal_form(m)
             check = verify_snf(m, result)
             assert check, check.failures
+            assert smith_diagonals(m) == result.diagonals
 
 
 class TestUniqueness:

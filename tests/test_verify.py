@@ -11,6 +11,7 @@ from realsnf.errors import (
     PreconditionFailedError,
     ZeroElementError,
 )
+from realsnf import matrices
 from realsnf.matrices import Matrix, smith_normal_form
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem, positive_associate
@@ -54,6 +55,25 @@ class TestVerifyMainTheorem:
         report = verify_main_theorem(Matrix.from_rows([[-1, 0], [0, 1]], INTEGERS))
         assert report.conclusion is Conclusion.NOT_APPLICABLE_NOT_PSD
         assert not report.input_psd
+
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
+    def test_verdict_does_not_replay_the_transforms(self, ring, monkeypatch):
+        n = rand_matrix(random.Random(5), ring, 3, 3, height=3)
+        m = n @ n.transpose()
+        expected = smith_normal_form(m).diagonals
+
+        class Replayed(Exception):
+            pass
+
+        def refuse(red):
+            raise Replayed
+
+        monkeypatch.setattr(matrices, "_replay", refuse)
+        with pytest.raises(Replayed):
+            smith_normal_form(m)
+        report = verify_main_theorem(m)
+        assert report.input_psd
+        assert report.snf_diagonals == expected
 
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetricError):
