@@ -16,18 +16,28 @@ def last_json(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
-GOLDEN_SNF = json.loads((Path(__file__).parent / "data" / "snf_golden.json").read_text())
-GOLDEN_PSD = json.loads((Path(__file__).parent / "data" / "psd_golden.json").read_text())
+def load_golden(name):
+    return json.loads((Path(__file__).parent / "data" / f"{name}_golden.json").read_text())
+
+
+def run_golden(capsys, command, case):
+    """Run one golden case and compare its whole stdout byte for byte."""
+    argv = [command, "--ring", case["ring"], "--input", json.dumps(case["input"])]
+    code, out, _ = run(capsys, *argv)
+    assert code == case["exit"]
+    assert out == json.dumps(case["output"]) + "\n"
+
+
+GOLDEN_SNF = load_golden("snf")
+GOLDEN_PSD = load_golden("psd")
+GOLDEN_VERIFY = load_golden("verify")
 
 
 class TestSnfCommand:
     @pytest.mark.parametrize("case", GOLDEN_SNF, ids=[c["name"] for c in GOLDEN_SNF])
     def test_golden_output(self, capsys, case):
         """The full JSON, transforms included, is pinned byte for byte."""
-        argv = ["snf", "--ring", case["ring"], "--input", json.dumps(case["input"])]
-        code, out, _ = run(capsys, *argv)
-        assert code == case["exit"]
-        assert out == json.dumps(case["output"]) + "\n"
+        run_golden(capsys, "snf", case)
 
     def test_integer_example(self, capsys):
         code, out, _ = run(capsys, "snf", "--ring", "Z", "--input", "[[2,4],[4,2]]")
@@ -101,10 +111,12 @@ class TestPsdAndVerify:
     @pytest.mark.parametrize("case", GOLDEN_PSD, ids=[c["name"] for c in GOLDEN_PSD])
     def test_psd_golden_output(self, capsys, case):
         """Not-PSD verdicts with their witnesses are pinned byte for byte."""
-        argv = ["psd", "--ring", case["ring"], "--input", json.dumps(case["input"])]
-        code, out, _ = run(capsys, *argv)
-        assert code == case["exit"]
-        assert out == json.dumps(case["output"]) + "\n"
+        run_golden(capsys, "psd", case)
+
+    @pytest.mark.parametrize("case", GOLDEN_VERIFY, ids=[c["name"] for c in GOLDEN_VERIFY])
+    def test_verify_golden_output(self, capsys, case):
+        """Every verdict, with diagonals, signs and associates, is pinned byte for byte."""
+        run_golden(capsys, "verify", case)
 
     def test_psd_true(self, capsys):
         code, out, _ = run(capsys, "psd", "--ring", "Z", "--input", "[[2,1],[1,2]]")
