@@ -69,7 +69,7 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     _emit(
         {
             "ring": str(m.ring),
-            "diagonals": [rings.element_to_json(d, m.ring) for d in result.diagonals],
+            "diagonals": [rings.element_to_text(d, m.ring) for d in result.diagonals],
             "rank": len(result.diagonals),
             "D": result.D.to_json(),
             "P": result.P.to_json(),

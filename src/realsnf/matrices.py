@@ -66,9 +66,6 @@ class Matrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[Element, ...]:
-        return self.entries[i]
-
     def transpose(self) -> "Matrix":
         return Matrix.from_rows(
             [[self.entries[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
@@ -122,7 +119,7 @@ class Matrix:
             "rows": self.n_rows,
             "cols": self.n_cols,
             "entries": [
-                [rings.element_to_json(v, self.ring) for v in row] for row in self.entries
+                [rings.element_to_text(v, self.ring) for v in row] for row in self.entries
             ],
         }
 

@@ -16,11 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (
-    UnitInputError,
-    UnsupportedRingError,
-    ZeroElementError,
-)
+from .errors import UnsupportedRingError, ZeroElementError
 from .ringspec import RingFamily, RingSpec
 
 _PELL_SEARCH_LIMIT = 1_000_000
@@ -375,22 +371,18 @@ def _orbit_window(a: QuadElem) -> list[QuadElem]:
     return out
 
 
-def canonical_associate(a: QuadElem, prefer_totally_positive: bool = False) -> QuadElem:
+def canonical_associate(a: QuadElem) -> QuadElem:
     """Deterministic representative of the associate class of a.
 
     The representative is positive at the plus embedding and of minimal
-    coordinate height; with ``prefer_totally_positive`` it is additionally
-    positive at both embeddings whenever the class allows that.  Ties on
-    height prefer the smallest |y| (so rational integers represent their own
-    class), then the largest x, then the largest y.
+    coordinate height.  Ties on height prefer the smallest |y| (so rational
+    integers represent their own class), then the largest x, then the
+    largest y.
     """
     if a.is_zero():
         return a
     window = _orbit_window(a)
-    candidates = window + [-c for c in window]
-    pool = [c for c in candidates if c.sign_pattern().at_plus > 0]
-    if prefer_totally_positive and positive_associate(a) is not None:
-        pool = [c for c in candidates if c.sign_pattern().is_totally_positive]
+    pool = [c for c in window + [-c for c in window] if c.sign_pattern().at_plus > 0]
     if not pool:
         raise ArithmeticError("orbit window missed every admissible associate")
     return min(pool, key=lambda c: (c.height(), abs(c.y), -c.x, -c.y))
@@ -405,151 +397,3 @@ def exact_divide(a: QuadElem, b: QuadElem) -> QuadElem | None:
     if num.x % nb or num.y % nb:
         return None
     return QuadElem(num.x // nb, num.y // nb, a.ring)
-
-
-def gcd_raw(a: QuadElem, b: QuadElem) -> QuadElem:
-    """Some generator of (a, b), not canonicalized.  Not both zero."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a
-
-
-# -- factorization ----------------------------------------------------------
-
-
-def _sqrt_mod_prime(n: int, p: int) -> int | None:
-    """x with x*x = n mod p, or None.  p must be an odd prime (Tonelli-Shanks)."""
-    n %= p
-    if n == 0:
-        return 0
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
-    return r
-
-
-def _minimal_poly_roots_mod(p: int, ring: RingSpec) -> list[int]:
-    """Roots modulo p of the minimal polynomial of w, in ascending order."""
-    d = ring.d
-    if ring.uses_half_basis:
-        # w**2 - w - (d-1)/4; discriminant d
-        if p == 2:
-            c = (d - 1) // 4
-            return [t for t in (0, 1) if (t * t - t - c) % 2 == 0]
-        s = _sqrt_mod_prime(d, p)
-        if s is None:
-            return []
-        inv2 = pow(2, p - 2, p)
-        roots = {(1 + s) * inv2 % p, (1 - s) * inv2 % p}
-        return sorted(roots)
-    # w**2 - d
-    if p == 2:
-        return [d % 2]  # (t - d) doubles mod 2: single root d mod 2
-    s = _sqrt_mod_prime(d, p)
-    if s is None:
-        return []
-    return sorted({s % p, (p - s) % p})
-
-
-def primes_above(p: int, ring: RingSpec) -> list[QuadElem]:
-    """Canonical irreducibles of the ring dividing the rational prime p."""
-    _require_quadratic(ring)
-    roots = _minimal_poly_roots_mod(p, ring)
-    if not roots:
-        return [canonical_associate(QuadElem(p, 0, ring), prefer_totally_positive=True)]
-    out: list[QuadElem] = []
-    seen: set[QuadElem] = set()
-    for t in roots:
-        g = gcd_raw(QuadElem(p, 0, ring), QuadElem(-t, 1, ring))
-        if abs(g.norm()) != p:
-            raise ArithmeticError(f"prime splitting failed above p={p} in {ring}")
-        g = canonical_associate(g, prefer_totally_positive=True)
-        if g not in seen:
-            seen.add(g)
-            out.append(g)
-    return out
-
-
-def _distinct_prime_factors(n: int) -> list[int]:
-    out = []
-    m = n
-    f = 2
-    while f * f <= m:
-        if m % f == 0:
-            out.append(f)
-            while m % f == 0:
-                m //= f
-        f += 1 if f == 2 else 2
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def factor(a: QuadElem) -> list[tuple[QuadElem, int]]:
-    """Factor a into canonical irreducibles; the cofactor left over is a unit.
-
-    The returned list is ordered by the rational prime below each factor.
-    """
-    if a.is_zero():
-        raise ZeroElementError("cannot factor zero")
-    if a.is_unit():
-        raise UnitInputError("cannot factor a unit")
-    remaining = a
-    out: list[tuple[QuadElem, int]] = []
-    for p in _distinct_prime_factors(abs(a.norm())):
-        for pi in primes_above(p, a.ring):
-            mult = 0
-            while True:
-                q = exact_divide(remaining, pi)
-                if q is None:
-                    break
-                remaining = q
-                mult += 1
-            if mult:
-                out.append((pi, mult))
-    if not remaining.is_unit():
-        raise ArithmeticError("factorization left a non-unit cofactor")
-    return out
-
-
-def certify_irreducible(p: QuadElem) -> bool:
-    """Standard splitting criterion: |N(p)| prime, or q**2 with d a non-residue mod q."""
-    if p.is_zero() or p.is_unit():
-        return False
-    n = abs(p.norm())
-    factors = _distinct_prime_factors(n)
-    if len(factors) != 1:
-        return False
-    q = factors[0]
-    if n == q:
-        return True
-    if n != q * q:
-        return False
-    return not _minimal_poly_roots_mod(q, p.ring)  # inert: p associated to q
-
-
-def is_real_prime(p: QuadElem) -> bool:
-    """Whether the residue ring modulo an irreducible admits an ordering.
-
-    It never does: the quotient by a nonzero prime is a finite field, where
-    -1 is a sum of squares.
-    """
-    if p.is_zero():
-        raise ZeroElementError("zero is not an irreducible")
-    return False

@@ -72,8 +72,6 @@ def coerce(value: "Element | Fraction", ring: RingSpec) -> Element:
 def is_zero(a: Element) -> bool:
     if isinstance(a, int):
         return a == 0
-    if isinstance(a, RatPoly):
-        return a.is_zero()
     return a.is_zero()
 
 
@@ -214,12 +212,8 @@ def pnri(ring: RingSpec) -> bool:
 
 
 def element_to_text(a: Element, ring: RingSpec) -> str:
-    a = coerce(a, ring)
-    if ring.family is RingFamily.INTEGERS:
-        return str(a)
-    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return polynomials.format_poly(a)
-    return str(a)
+    """Text form of one element, also its JSON value: never a native number."""
+    return str(coerce(a, ring))
 
 
 _QUAD_TEXT = re.compile(r"^(?P<x>[+-]?\d+)(?P<y>[+-]\d+)w$")
@@ -265,8 +259,3 @@ def parse_element(data: object, ring: RingSpec) -> Element:
                 f"bad quadratic element {data!r}; expected '<x>+<y>w' or an integer"
             ) from None
     raise ParseError(f"bad quadratic element {data!r}")
-
-
-def element_to_json(a: Element, ring: RingSpec) -> object:
-    """JSON value for one element; always strings, never native numbers."""
-    return element_to_text(a, ring)

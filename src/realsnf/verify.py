@@ -34,7 +34,7 @@ from .errors import (
     TheoremConsistencyError,
     ZeroElementError,
 )
-from .matrices import Matrix, SnfResult, smith_diagonals
+from .matrices import Matrix, smith_diagonals
 from .polynomials import RatPoly
 from .quadratic import QuadElem
 from .rings import Element
@@ -85,12 +85,12 @@ class TheoremReport:
             "ring": str(self.ring),
             "input_psd": self.input_psd,
             "snf_diagonals": [
-                rings.element_to_json(d, self.ring) for d in self.snf_diagonals
+                rings.element_to_text(d, self.ring) for d in self.snf_diagonals
             ],
             "sign_data": list(self.sign_data),
             "positivizable": list(self.positivizable),
             "positive_associates": [
-                None if a is None else rings.element_to_json(a, self.ring)
+                None if a is None else rings.element_to_text(a, self.ring)
                 for a in self.positive_associates
             ],
             "pnri": self.pnri,
@@ -98,13 +98,13 @@ class TheoremReport:
         }
 
 
-def verify_main_theorem(m: Matrix, snf: SnfResult | None = None) -> TheoremReport:
+def verify_main_theorem(m: Matrix) -> TheoremReport:
     """Run the full pipeline on a symmetric matrix and assemble the verdict."""
     if not m.is_symmetric():
         raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
     psd = spectrum.is_psd_on_spectrum(m).is_psd
-    diagonals = smith_diagonals(m) if snf is None else snf.diagonals
+    diagonals = smith_diagonals(m)
     associates = tuple(_positive_associate(d, ring) for d in diagonals)
     positivizable = tuple(a is not None for a in associates)
     sign_data = tuple(_sign_info(d, ring) for d in diagonals)
@@ -159,13 +159,13 @@ class CounterexampleRecipe:
         return {
             "ring": str(self.ring),
             **{
-                name: rings.element_to_json(getattr(self, name), self.ring)
+                name: rings.element_to_text(getattr(self, name), self.ring)
                 for name in ("a", "b", "c", "d1", "e1", "epsilon")
             },
         }
 
 
-def builtin_counterexample_recipe(ring: RingSpec | None = None) -> CounterexampleRecipe:
+def builtin_counterexample_recipe() -> CounterexampleRecipe:
     """The stock failing configuration over Z[sqrt(3)].
 
     d1 = a = c = 1+sqrt(3) changes sign at the two embeddings, e1 = epsilon
@@ -173,7 +173,7 @@ def builtin_counterexample_recipe(ring: RingSpec | None = None) -> Counterexampl
     (1+sqrt(3))**2 - (2+sqrt(3)) = 2+sqrt(3) makes the determinant condition
     hold with a genuine unit.
     """
-    ring = ring or quadratic_ring(3)
+    ring = quadratic_ring(3)
     q = QuadElem(1, 1, ring)
     u = QuadElem(2, 1, ring)
     return CounterexampleRecipe(

@@ -4,17 +4,14 @@ import random
 import pytest
 
 from realsnf import quadratic_ring
-from realsnf.errors import UnitInputError, ZeroElementError
+from realsnf.errors import ZeroElementError
 from realsnf.quadratic import (
     QuadElem,
     SignPattern,
     achievable_sign_patterns,
     canonical_associate,
-    certify_irreducible,
     exact_divide,
-    factor,
     fundamental_unit,
-    is_real_prime,
     pnri_holds,
     positive_associate,
 )
@@ -216,60 +213,6 @@ class TestCanonicalAssociate:
                     continue
                 assert canonical_associate(a * u0) == canonical_associate(a)
                 assert canonical_associate(-a) == canonical_associate(a)
-
-
-class TestFactor:
-    def test_two_over_sqrt2_ramifies(self):
-        two = QuadElem(2, 0, R2)
-        [(p, mult)] = factor(two)
-        assert mult == 2
-        # the prime above 2 is an associate of sqrt(2); the canonical
-        # representative is its totally positive associate 2+w
-        assert exact_divide(p, QuadElem(0, 1, R2)) is not None
-        assert p.sign_pattern() == SignPattern(1, 1)
-
-    def test_irreducible_stays_whole(self):
-        q = QuadElem(1, 1, R3)
-        assert factor(q) == [(q, 1)]
-
-    def test_rejects_zero_and_units(self):
-        with pytest.raises(ZeroElementError):
-            factor(QuadElem(0, 0, R3))
-        with pytest.raises(UnitInputError):
-            factor(QuadElem(2, 1, R3))
-
-    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
-    def test_recombination_and_irreducibility(self, ring):
-        rng = random.Random(13)
-        done = 0
-        while done < 15:
-            a = rand_elem(rng, ring, 9)
-            if a.is_zero() or a.is_unit():
-                continue
-            done += 1
-            parts = factor(a)
-            product = QuadElem(1, 0, ring)
-            for p, mult in parts:
-                assert certify_irreducible(p), (ring, a, p)
-                product = product * p**mult
-            cofactor = exact_divide(a, product)
-            assert cofactor is not None and cofactor.is_unit()
-
-    def test_inert_prime(self):
-        # 2 is inert in the half form for d = 5: x^2 - x - 1 is irreducible mod 2
-        [(p, mult)] = factor(QuadElem(2, 0, R5))
-        assert mult == 1
-        assert abs(p.norm()) == 4
-
-
-class TestRealPrimes:
-    def test_always_false(self):
-        assert not is_real_prime(QuadElem(1, 1, R3))
-        assert not is_real_prime(QuadElem(0, 1, R2))
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroElementError):
-            is_real_prime(QuadElem(0, 0, R3))
 
 
 class TestSignAgainstFloats:

@@ -79,6 +79,13 @@ class TestVerifyMainTheorem:
         with pytest.raises(NotSymmetricError):
             verify_main_theorem(Matrix.from_rows([[1, 2], [0, 1]], INTEGERS))
 
+    def test_rejects_a_precomputed_snf(self):
+        # the verdict computes its own diagonals: a Smith form passed in would
+        # be trusted unchecked, whatever matrix it came from
+        m = Matrix.from_rows([[-1, 0], [0, -3]], INTEGERS)
+        with pytest.raises(TypeError):
+            verify_main_theorem(m, snf=smith_normal_form(Matrix.identity(3, INTEGERS)))
+
     def test_counterexample_matrix_fails_as_predicted(self):
         matrix = build_counterexample(builtin_counterexample_recipe())
         report = verify_main_theorem(matrix)
@@ -94,6 +101,12 @@ class TestVerifyMainTheorem:
 
 
 class TestCounterexampleRecipe:
+    def test_builtin_recipe_takes_no_ring(self):
+        # the recipe holds only over Zsqrt:3, so no ring can be passed in
+        with pytest.raises(TypeError):
+            builtin_counterexample_recipe(quadratic_ring(2))
+        assert builtin_counterexample_recipe().ring == R3
+
     def test_builtin_matrix_values(self):
         matrix = build_counterexample(builtin_counterexample_recipe())
         q = QuadElem(1, 1, R3)
