@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic_ring
 from realsnf.errors import NotSquareError, ShapeMismatchError, SizeLimitError
+from realsnf import matrices
 from realsnf.matrices import (
     Matrix,
+    SnfResult,
     determinant,
     minor_gcd_profile,
     smith_diagonals,
@@ -21,6 +23,14 @@ from helpers import rand_matrix, random_unimodular
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
 ALL_RINGS = [INTEGERS, RATIONAL_POLYNOMIALS, R2, R3, quadratic_ring(5)]
+RING_TEXTS = (
+    "Z", "Q[x]", "Zsqrt:2", "Zsqrt:3", "Zsqrt:6", "Zsqrt:7", "Zsqrt:11", "Zhalf:5", "Zhalf:13",
+)
+
+
+def rank_deficient(rng, ring, n_rows, n_cols, rank):
+    left = rand_matrix(rng, ring, n_rows, rank, height=2)
+    return left @ rand_matrix(rng, ring, rank, n_cols, height=2)
 
 
 class TestFixedInstances:
@@ -97,6 +107,64 @@ class TestMinorProfile:
 
 
 class TestVerifySnf:
+    @staticmethod
+    def forged(rows, p_rows, d_rows, diagonals):
+        """An SnfResult with the given P and D, Q = I, over Z."""
+        n_cols = len(rows[0])
+        m = Matrix.from_rows(rows, INTEGERS)
+        result = SnfResult(
+            P=Matrix.from_rows(p_rows, INTEGERS),
+            D=Matrix.from_rows(d_rows, INTEGERS),
+            Q=Matrix.identity(n_cols, INTEGERS),
+            diagonals=diagonals,
+        )
+        assert result.P @ result.D @ result.Q == m  # only unimodularity is forged
+        return m, result
+
+    def test_rejects_diagonals_not_from_d(self):
+        m = Matrix.from_rows([[2, 4], [6, 8]], INTEGERS)
+        honest = smith_normal_form(m)
+        assert verify_snf(m, honest)
+        check = verify_snf(m, SnfResult(P=honest.P, D=honest.D, Q=honest.Q, diagonals=(7,)))
+        assert not check
+        assert check.failures == ("diagonals differ from the nonzero prefix of D's diagonal",)
+
+    def test_nonsingular_rejects_non_unimodular_p(self):
+        m, forged = self.forged([[2, 0], [0, 2]], [[2, 0], [0, 1]], [[1, 0], [0, 2]], (1, 2))
+        check = verify_snf(m, forged)
+        assert not check
+        assert check.failures == ("det(D) is not associated to det(M)",)
+
+    @pytest.mark.parametrize(
+        "rows, d_rows, diagonals",
+        [
+            ([[2, 0], [0, 0]], [[1, 0], [0, 0]], (1,)),
+            ([[2, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0]], (1, 1)),
+        ],
+        ids=["singular", "rectangular"],
+    )
+    def test_fallback_rejects_non_unimodular_p(self, rows, d_rows, diagonals):
+        m, forged = self.forged(rows, [[2, 0], [0, 1]], d_rows, diagonals)
+        check = verify_snf(m, forged)
+        assert not check
+        assert check.failures == ("det(P) is not a unit",)
+
+    def test_never_enumerates_minors(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("verify_snf enumerated minors")
+
+        monkeypatch.setattr(matrices, "minor_gcd_profile", refuse)
+        rng = random.Random(6)
+        inputs = [
+            rand_matrix(rng, INTEGERS, 6, 6),
+            rand_matrix(rng, R2, 6, 6),
+            rand_matrix(rng, RATIONAL_POLYNOMIALS, 6, 6, height=2),
+            rank_deficient(rng, R2, 6, 6, 4),
+        ]
+        for m in inputs:
+            check = verify_snf(m, smith_normal_form(m))
+            assert check, check.failures
+
     def test_rejects_wrong_diagonals(self):
         m = Matrix.from_rows([[2, 0], [0, 2]], INTEGERS)
         honest = smith_normal_form(m)
@@ -127,6 +195,31 @@ class TestVerifySnf:
             check = verify_snf(m, result)
             assert check, check.failures
             assert smith_diagonals(m) == result.diagonals
+
+
+class TestMinorGcdOracle:
+    """d_1 * ... * d_k generates the ideal of the k x k minors, for every k."""
+
+    @pytest.mark.parametrize("ring_text", RING_TEXTS)
+    def test_diagonal_products_match_minor_gcds(self, ring_text):
+        ring = parse_ring(ring_text)
+        rng = random.Random(f"oracle {ring_text}")
+        if ring is RATIONAL_POLYNOMIALS:
+            full = [(4, 4), (3, 4), (4, 2)]
+            deficient = [(4, 4, 2), (4, 3, 2)]
+        else:
+            full = [(5, 6), (4, 4), (2, 3)]
+            deficient = [(6, 5, 3), (3, 4, 2)]
+        inputs = [rand_matrix(rng, ring, r, c, height=3) for r, c in full]
+        inputs += [rank_deficient(rng, ring, r, c, k) for r, c, k in deficient]
+        for m in inputs:
+            result = smith_normal_form(m)
+            check = verify_snf(m, result)
+            assert check, check.failures
+            partial = rings.one(ring)
+            for k, expected in enumerate(minor_gcd_profile(m).per_order):
+                partial = partial * result.D[k, k]
+                assert rings.are_associated(partial, expected, ring), (m.entries, k)
 
 
 class TestUniqueness:
