@@ -34,7 +34,7 @@ class NotSquareFreeError(RealSnfError):
 
 
 class NotCertifiedIrreducibleError(RealSnfError):
-    """Irreducibility certification was requested and could not be produced."""
+    """The polynomial is reducible, or its irreducibility could not be certified."""
 
 
 class NotSymmetricError(RealSnfError):

@@ -283,12 +283,8 @@ def minor_gcd_profile(m: Matrix) -> MinorGcdProfile:
                 if rings.is_zero(minor):
                     continue
                 g = minor if rings.is_zero(g) else rings.gcd(g, minor, ring)
-        out.append(canonical_or_zero(g, ring))
+        out.append(rings.canonicalize(g, ring))
     return MinorGcdProfile(tuple(out))
-
-
-def canonical_or_zero(a: Element, ring: RingSpec) -> Element:
-    return a if rings.is_zero(a) else rings.canonicalize(a, ring)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -343,7 +339,8 @@ class _Reduction:
         common = int_lcm(*(c.denominator for c in coefficients))
         content = int_gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
         if common != content:
-            self.scale(i, RatPoly.constant(Fraction(common, content)))
+            factor = Fraction(common, content)
+            self.scale(i, RatPoly.constant(factor), RatPoly.constant(1 / factor))
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
@@ -359,10 +356,10 @@ class _Reduction:
         self.log.append(("add_multiple", dst, src, c))
         self.normalize(dst)
 
-    def scale(self, i: int, u: Element) -> None:
-        """row_i *= u for a unit u."""
+    def scale(self, i: int, u: Element, inverse: Element) -> None:
+        """row_i *= u for a unit u; the log keeps u's inverse for the replay."""
         self.d[i] = [u * a for a in self.d[i]]
-        self.log.append(("scale", i, u))
+        self.log.append(("scale", i, inverse))
 
     def apply_pair(self, i: int, j: int, block: list[list[Element]]) -> None:
         """Rows (i, j) <- block * (rows i, j) for a block of determinant 1."""
@@ -399,9 +396,8 @@ def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
             dst, src, c = args
             rows[src] = [a - c * b for a, b in zip(rows[src], rows[dst])]
         elif kind == "scale":
-            i, u = args
-            inv = rings.unit_inverse(u, ring)
-            rows[i] = [inv * a for a in rows[i]]
+            i, inverse = args
+            rows[i] = [inverse * a for a in rows[i]]
         else:  # apply_pair: (block^-1)^T = [[d, -c], [-b, a]]
             i, j, ((a, b), (c, d)) = args
             ri, rj = rows[i], rows[j]
@@ -550,9 +546,10 @@ def _canonicalize_diagonal(red: _Reduction, rank: int) -> None:
         canon = rings.canonicalize(v, ring)
         if canon != v:
             u = rings.exact_divide(canon, v, ring)
-            if u is None or not rings.is_unit(u, ring):
+            inverse = rings.exact_divide(v, canon, ring)
+            if u is None or inverse is None:
                 raise ArithmeticError("canonical associate is not a unit multiple")
-            red.scale(k, u)
+            red.scale(k, u, inverse)
 
 
 # -- verification ------------------------------------------------------------------
@@ -582,13 +579,14 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
     if shapes != [(m.n_rows, m.n_rows), (m.n_rows, m.n_cols), (m.n_cols, m.n_cols)]:
         raise ShapeMismatchError("transform shapes do not match the input matrix")
 
-    product = result.P @ result.D @ result.Q
-    if product.entries != m.entries:
+    # With D diagonal, P*D*Q = (P's columns scaled by D's diagonal) * (Q's matching rows).
+    diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
+    pd = Matrix.from_rows([[p * d for p, d in zip(row, diag)] for row in result.P.entries], ring)
+    if (pd @ result.Q.submatrix(range(len(diag)), range(m.n_cols))).entries != m.entries:
         failures.append("P*D*Q does not reproduce the input")
     if not result.D.is_diagonal():
         failures.append("D is not diagonal")
 
-    diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
     det_m = determinant(m) if m.is_square() else rings.zero(ring)
     if not rings.is_zero(det_m):
         # With P*D*Q = M and D diagonal, det P * det Q * prod(d_i) = det M, so

@@ -548,18 +548,18 @@ def certify_irreducible(p: RatPoly) -> bool | None:
     return None
 
 
-def is_real_irreducible(p: RatPoly, certify: bool = False) -> bool:
-    """Whether an irreducible polynomial has a real root (changes sign on R).
+def is_real_irreducible(p: RatPoly) -> bool:
+    """Whether p is irreducible over Q with a real root (changes sign on R).
 
-    Irreducibility is the caller's responsibility unless ``certify`` is set,
-    in which case a failed certification raises.
+    Irreducibility is certified first (see :func:`certify_irreducible`); a
+    reducible p, or one of degree >= 4 with no certificate, raises.
     """
     if p.is_zero() or p.degree < 1:
         raise ZeroPolynomialError("irreducibles have degree at least 1")
-    if certify and certify_irreducible(p) is not True:
-        raise NotCertifiedIrreducibleError(
-            f"cannot certify irreducibility of {p} (degree {p.degree})"
-        )
+    certified = certify_irreducible(p)
+    if certified is not True:
+        status = "is reducible over Q" if certified is False else "cannot be certified irreducible"
+        raise NotCertifiedIrreducibleError(f"{p} {status} (degree {p.degree})")
     if p.degree == 1:
         return True
     # an irreducible of degree >= 2 is automatically square-free

@@ -91,10 +91,6 @@ class SignPattern:
         return (self.at_plus, self.at_minus)
 
     @property
-    def is_nonneg(self) -> bool:
-        return self.at_plus >= 0 and self.at_minus >= 0
-
-    @property
     def is_totally_positive(self) -> bool:
         return self.at_plus > 0 and self.at_minus > 0
 
@@ -122,9 +118,6 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def is_unit(self) -> bool:
-        return abs(self.norm()) == 1
 
     def height(self) -> int:
         return max(abs(self.x), abs(self.y))

@@ -1,9 +1,10 @@
 """Ring-generic Euclidean algorithms over the three supported families.
 
 Elements are plain ``int`` for Z, :class:`RatPoly` for Q[x], and
-:class:`QuadElem` for the quadratic rings.  The functions here dispatch on a
-:class:`RingSpec` and supply the shared contracts: Euclidean division with a
-strictly shrinking remainder, gcd with a canonical representative, testing
+:class:`QuadElem` for the quadratic rings.  Only these facts dispatch on the
+:class:`RingSpec` family: building and parsing elements, the Euclidean size,
+exact division, the canonical associate, and pnri.  The rest is derived from
+them for every family: units (1 / a exists), gcd (the canonical xgcd generator),
 association, and p-adic valuations by repeated exact division.
 """
 
@@ -76,11 +77,8 @@ def is_zero(a: Element) -> bool:
 
 
 def is_unit(a: Element, ring: RingSpec) -> bool:
-    if ring.family is RingFamily.INTEGERS:
-        return a in (1, -1)
-    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return not a.is_zero() and a.degree == 0
-    return a.is_unit()
+    """True when a is nonzero and 1 / a exists in the ring."""
+    return not is_zero(a) and exact_divide(1, a, ring) is not None
 
 
 def euclidean_size(a: Element, ring: RingSpec) -> int:
@@ -139,12 +137,7 @@ def canonicalize(a: Element, ring: RingSpec) -> Element:
 
 def gcd(a: Element, b: Element, ring: RingSpec) -> Element:
     """Canonical generator of the ideal (a, b); raises when both are zero."""
-    a, b = coerce(a, ring), coerce(b, ring)
-    if is_zero(a) and is_zero(b):
-        raise BothZeroError("gcd(0, 0) is undefined")
-    while not is_zero(b):
-        a, b = b, euclidean_div(a, b, ring).remainder
-    return canonicalize(a, ring)
+    return canonicalize(xgcd(a, b, ring)[0], ring)
 
 
 def xgcd(a: Element, b: Element, ring: RingSpec) -> tuple[Element, Element, Element]:
@@ -186,16 +179,6 @@ def valuation(p: Element, a: Element, ring: RingSpec) -> int:
         k += 1
 
 
-def unit_inverse(u: Element, ring: RingSpec) -> Element:
-    if not is_unit(u, ring):
-        raise UnitInputError(f"{element_to_text(u, ring)} is not a unit of {ring}")
-    if ring.family is RingFamily.INTEGERS:
-        return u
-    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return RatPoly.constant(1 / u.leading)
-    return u.inverse()
-
-
 def pnri(ring: RingSpec) -> bool:
     """Whether every non-real irreducible owns a strictly positive associate.
 
@@ -221,11 +204,10 @@ _QUAD_TEXT = re.compile(r"^(?P<x>[+-]?\d+)(?P<y>[+-]\d+)w$")
 
 def parse_element(data: object, ring: RingSpec) -> Element:
     """Parse the per-ring textual / JSON form of one element."""
+    # An int means the same in every ring; a bool falls to its family's error.
+    if isinstance(data, int) and not isinstance(data, bool):
+        return coerce(data, ring)
     if ring.family is RingFamily.INTEGERS:
-        if isinstance(data, bool):
-            raise ParseError(f"bad integer {data!r}")
-        if isinstance(data, int):
-            return data
         if isinstance(data, str):
             try:
                 return int(data.strip())
@@ -235,13 +217,7 @@ def parse_element(data: object, ring: RingSpec) -> Element:
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         if isinstance(data, bool):
             raise ParseError(f"bad polynomial {data!r}")
-        if isinstance(data, int):
-            return RatPoly.constant(data)
         return polynomials.poly_from_json(data)
-    if isinstance(data, bool):
-        raise ParseError(f"bad quadratic element {data!r}")
-    if isinstance(data, int):
-        return QuadElem(data, 0, ring)
     if isinstance(data, dict):
         try:
             return QuadElem(int(str(data["x"])), int(str(data["y"])), ring)

@@ -28,14 +28,23 @@ from .ringspec import RingFamily, RingSpec
 PSD_SIZE_LIMIT = 8
 
 
-def element_is_nonneg(a: Element, ring: RingSpec) -> bool:
-    """a >= 0 at every point of the real spectrum."""
+def negative_ordering(a: Element, ring: RingSpec) -> dict | None:
+    """PsdWitness fields naming where a < 0 (plus embedding first), or None if a >= 0."""
     a = rings.coerce(a, ring)
     if ring.family is RingFamily.INTEGERS:
-        return a >= 0
+        return {} if a < 0 else None
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return polynomials.is_nonneg_on_reals(a)
-    return a.sign_pattern().is_nonneg
+        point = polynomials.find_negative_point(a)
+        return None if point is None else {"point": point}
+    pattern = a.sign_pattern()
+    if pattern.at_plus < 0:
+        return {"embedding": "plus"}
+    return {"embedding": "minus"} if pattern.at_minus < 0 else None
+
+
+def element_is_nonneg(a: Element, ring: RingSpec) -> bool:
+    """a >= 0 at every point of the real spectrum."""
+    return negative_ordering(a, ring) is None
 
 
 @dataclass(frozen=True)
@@ -93,21 +102,9 @@ def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     if all(element_is_nonneg(e, ring) for e in sums):
         return PsdReport(True, None)
     for idx in _principal_index_sets(m.n_rows):
-        minor = determinant(m.submatrix(idx, idx))
-        rows = tuple(i + 1 for i in idx)
-        if ring.family is RingFamily.INTEGERS:
-            if minor < 0:
-                return PsdReport(False, PsdWitness(rows))
-        elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-            if not polynomials.is_nonneg_on_reals(minor):
-                point = polynomials.find_negative_point(minor)
-                return PsdReport(False, PsdWitness(rows, point=point))
-        else:
-            pattern = minor.sign_pattern()
-            if pattern.at_plus < 0:
-                return PsdReport(False, PsdWitness(rows, embedding="plus"))
-            if pattern.at_minus < 0:
-                return PsdReport(False, PsdWitness(rows, embedding="minus"))
+        where = negative_ordering(determinant(m.submatrix(idx, idx)), ring)
+        if where is not None:
+            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
     raise ArithmeticError("a principal minor sum is negative but no principal minor is")
 
 

@@ -47,24 +47,17 @@ class Conclusion(str, Enum):
     NOT_APPLICABLE_NOT_PSD = "NotApplicableNotPsd"
 
 
-def _positive_associate(a: Element, ring: RingSpec) -> Element | None:
+def _positivity(a: Element, ring: RingSpec) -> tuple[dict, Element | None]:
+    """Sign data of a nonzero diagonal and a totally positive associate, if any."""
     if ring.family is RingFamily.INTEGERS:
-        return abs(a)
+        return {"sign": str((a > 0) - (a < 0))}, abs(a)
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return polynomials.positive_associate(a)
-    return quadratic.positive_associate(a)
-
-
-def _sign_info(a: Element, ring: RingSpec) -> dict:
-    if ring.family is RingFamily.INTEGERS:
-        return {"sign": str((a > 0) - (a < 0))}
-    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        return {
-            "nonneg_on_reals": polynomials.is_nonneg_on_reals(a),
-            "negation_nonneg": polynomials.is_nonneg_on_reals(-a),
-        }
+        # a != 0, so a and -a are not both nonnegative on R
+        associate = polynomials.positive_associate(a)
+        return {"nonneg_on_reals": associate == a, "negation_nonneg": associate == -a}, associate
     pattern = a.sign_pattern()
-    return {"at_plus": str(pattern.at_plus), "at_minus": str(pattern.at_minus)}
+    signs = {"at_plus": str(pattern.at_plus), "at_minus": str(pattern.at_minus)}
+    return signs, quadratic.positive_associate(a)
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,10 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     ring = m.ring
     psd = spectrum.is_psd_on_spectrum(m).is_psd
     diagonals = smith_diagonals(m)
-    associates = tuple(_positive_associate(d, ring) for d in diagonals)
+    positivity = [_positivity(d, ring) for d in diagonals]
+    sign_data = tuple(signs for signs, _ in positivity)
+    associates = tuple(associate for _, associate in positivity)
     positivizable = tuple(a is not None for a in associates)
-    sign_data = tuple(_sign_info(d, ring) for d in diagonals)
     has_pnri = rings.pnri(ring)
 
     if not psd:
@@ -274,13 +268,15 @@ def verify_field_identity(r: Fraction | int) -> FieldIdentityReport:
 def check_valuation_lemma(a: RatPoly, b: RatPoly, p: RatPoly) -> bool:
     """For a - b^2 >= 0 on R and p a real irreducible: nu_p(a) <= 2*nu_p(b).
 
-    Both preconditions are checked and reported.  The inequality holds
+    Both preconditions are checked and reported; p must be certified
+    irreducible (see :func:`realsnf.polynomials.is_real_irreducible`), so a
+    reducible or uncertifiable p raises.  The inequality holds
     vacuously when a or b is zero, since nu_p of the zero polynomial is
     +infinity.
     """
     diff = a - b * b
-    if not polynomials.is_nonneg_on_reals(diff):
-        point = polynomials.find_negative_point(diff)
+    point = polynomials.find_negative_point(diff)
+    if point is not None:
         raise PreconditionFailedError(
             f"a - b^2 is negative at t = {point} (it must be nonnegative on R)"
         )

@@ -186,6 +186,18 @@ class TestValuationLemmaCommand:
         assert code == 2
         assert "a - b^2" in err
 
+    def test_reducible_p_exits_2(self, capsys):
+        payload = {"a": "x^4+x^2", "b": "x", "p": "x^3+x"}
+        code, out, err = run(capsys, "valuation-lemma", "--input", json.dumps(payload))
+        assert (code, out) == (2, "")
+        assert "reducible" in err
+
+    def test_uncertifiable_p_exits_2(self, capsys):
+        payload = {"a": "x^2", "b": "x", "p": "x^4-10*x^2+1"}
+        code, out, err = run(capsys, "valuation-lemma", "--input", json.dumps(payload))
+        assert (code, out) == (2, "")
+        assert "cannot be certified" in err
+
 
 class TestSuiteCommand:
     def test_small_run_emits_jsonl_and_summary(self, capsys):

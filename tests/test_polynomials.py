@@ -246,8 +246,16 @@ class TestIrreducibility:
 
     def test_certified_mode_raises_when_unknown(self):
         with pytest.raises(NotCertifiedIrreducibleError):
-            is_real_irreducible(parse_poly("x^4+4"), certify=True)
-        assert is_real_irreducible(parse_poly("x^2-2"), certify=True)
+            is_real_irreducible(parse_poly("x^4+4"))
+        assert is_real_irreducible(parse_poly("x^2-2"))
+
+    def test_reducible_with_real_root_is_refused(self):
+        # x^3 + x = x * (x^2 + 1) has a real root but is not irreducible
+        with pytest.raises(NotCertifiedIrreducibleError, match="reducible"):
+            is_real_irreducible(parse_poly("x^3+x"))
+        # irreducible with real roots, but no rational root test or Eisenstein prime applies
+        with pytest.raises(NotCertifiedIrreducibleError, match="cannot be certified"):
+            is_real_irreducible(parse_poly("x^4-10*x^2+1"))
 
 
 class TestTextForms:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from realsnf.errors import (
 )
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
-from realsnf import rings
+from realsnf import quadratic, rings
 
 ALL_QUADRATIC = [quadratic_ring(d) for d in (2, 3, 5, 6, 7, 11, 13)]
 
@@ -169,6 +170,35 @@ class TestAssociation:
                 for c in sample:
                     if rings.are_associated(a, b, ring) and rings.are_associated(b, c, ring):
                         assert rings.are_associated(a, c, ring)
+
+
+def unit_examples(ring):
+    """(units, non-units) of a ring: the units include the inverses of the others."""
+    if ring is INTEGERS:
+        return [1, -1], [0, 2, -3]
+    if ring is RATIONAL_POLYNOMIALS:
+        units = [RatPoly([c]) for c in (1, -1, Fraction(1, 2), Fraction(-7, 3))]
+        return units, [RatPoly([]), parse_poly("x"), parse_poly("x+1"), parse_poly("2*x")]
+    eps = quadratic.fundamental_unit(ring).unit
+    units = [sign * eps**k for k in range(-2, 3) for sign in (1, -1)]
+    big_norm = QuadElem(3, 1, ring)
+    assert abs(big_norm.norm()) > 1
+    return units, [QuadElem(0, 0, ring), QuadElem(2, 0, ring), big_norm, 2 * eps]
+
+
+class TestIsUnit:
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS] + ALL_QUADRATIC, ids=str)
+    def test_units_and_non_units(self, ring):
+        units, non_units = unit_examples(ring)
+        for u in units:
+            assert rings.is_unit(u, ring), u
+        for a in non_units:
+            assert not rings.is_unit(a, ring), a
+
+    def test_accepts_plain_ints(self):
+        assert rings.is_unit(-1, quadratic_ring(5))
+        assert rings.is_unit(3, RATIONAL_POLYNOMIALS)
+        assert not rings.is_unit(2, quadratic_ring(2))
 
 
 class TestValuation:

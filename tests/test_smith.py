@@ -149,6 +149,21 @@ class TestVerifySnf:
         assert not check
         assert check.failures == ("det(P) is not a unit",)
 
+    @pytest.mark.parametrize(
+        "rows, d_rows, diagonals",
+        [
+            ([[1, 1], [0, 1]], [[1, 1], [0, 1]], (1, 1)),
+            ([[2, 0], [3, 0]], [[2, 0], [3, 0]], (2,)),
+        ],
+        ids=["nonsingular", "singular"],
+    )
+    def test_rejects_non_diagonal_d(self, rows, d_rows, diagonals):
+        # P*D*Q = M holds with P = Q = I, so only D's shape gives the forgery away
+        m, forged = self.forged(rows, [[1, 0], [0, 1]], d_rows, diagonals)
+        check = verify_snf(m, forged)
+        assert not check
+        assert "D is not diagonal" in check.failures
+
     def test_never_enumerates_minors(self, monkeypatch):
         def refuse(m):
             raise AssertionError("verify_snf enumerated minors")

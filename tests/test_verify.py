@@ -7,6 +7,7 @@ from helpers import rand_matrix
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring
 from realsnf.errors import (
     CounterexampleConditionError,
+    NotCertifiedIrreducibleError,
     NotSymmetricError,
     PreconditionFailedError,
     ZeroElementError,
@@ -214,6 +215,13 @@ class TestValuationLemma:
     def test_p_must_be_real(self):
         with pytest.raises(PreconditionFailedError, match="real"):
             check_valuation_lemma(parse_poly("x^2"), parse_poly("x"), parse_poly("x^2+1"))
+
+    def test_reducible_p_is_refused_not_refuted(self):
+        # nu_p(x^4+x^2) = 0 <= 2 * nu_p(x) = 2 would read as a false refutation
+        with pytest.raises(NotCertifiedIrreducibleError, match="reducible"):
+            check_valuation_lemma(parse_poly("x^4+x^2"), parse_poly("x"), parse_poly("x^3+x"))
+        with pytest.raises(NotCertifiedIrreducibleError, match="cannot be certified"):
+            check_valuation_lemma(parse_poly("x^2"), parse_poly("x"), parse_poly("x^4-10*x^2+1"))
 
     def test_zero_cases_hold_vacuously(self):
         assert check_valuation_lemma(RatPoly([]), RatPoly([]), parse_poly("x"))
