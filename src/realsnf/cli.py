@@ -219,27 +219,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_input: bool = False) -> None:
-        p.add_argument("--ring", help="Z, Q[x], Zsqrt:<d> or Zhalf:<d>")
+    def command(
+        name: str, help: str, ring: bool = True, needs_input: bool = True, verdict: bool = False
+    ) -> argparse.ArgumentParser:
+        """A subcommand with only the shared options its handler reads."""
+        p = sub.add_parser(name, help=help)
+        if ring:
+            p.add_argument("--ring", help="Z, Q[x], Zsqrt:<d> or Zhalf:<d>")
         if needs_input:
             p.add_argument("--input", help="inline JSON or a path to a JSON file")
         p.add_argument("--pretty", action="store_true", help="indent the JSON output")
-        p.add_argument(
-            "--expect-holds",
-            action="store_true",
-            help="exit 1 unless the mathematical verdict is fully positive",
-        )
+        if verdict:
+            p.add_argument(
+                "--expect-holds",
+                action="store_true",
+                help="exit 1 unless the mathematical verdict is fully positive",
+            )
+        return p
 
-    common(sub.add_parser("snf", help="Smith Normal Form of a matrix"), True)
-    common(sub.add_parser("psd", help="positive semidefiniteness on the real spectrum"), True)
-    common(sub.add_parser("verify", help="full positivity pipeline on a matrix"), True)
-    common(sub.add_parser("pnri", help="whether units realize every sign pattern"))
-    common(sub.add_parser("unit", help="fundamental unit of a quadratic ring"))
-    common(sub.add_parser("counterexample", help="build and judge a 2x2 recipe"), True)
-    common(sub.add_parser("valuation-lemma", help="check the valuation inequality"), True)
+    command("snf", "Smith Normal Form of a matrix")
+    command("psd", "positive semidefiniteness on the real spectrum", verdict=True)
+    command("verify", "full positivity pipeline on a matrix", verdict=True)
+    command("pnri", "whether units realize every sign pattern", needs_input=False)
+    command("unit", "fundamental unit of a quadratic ring", needs_input=False)
+    command("counterexample", "build and judge a 2x2 recipe", verdict=True)
+    command("valuation-lemma", "check the valuation inequality", ring=False)
 
-    suite = sub.add_parser("suite", help="seeded randomized falsification run")
-    common(suite)
+    suite = command(
+        "suite", "seeded randomized falsification run", needs_input=False, verdict=True
+    )
     suite.add_argument("--trials", type=int, default=100)
     suite.add_argument("--size", type=int, default=4, help="maximum matrix size")
     suite.add_argument("--height", type=int, default=3, help="entry height bound")

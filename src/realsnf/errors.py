@@ -29,10 +29,6 @@ class ZeroPolynomialError(RealSnfError):
     """A nonzero polynomial was required."""
 
 
-class NotSquareFreeError(RealSnfError):
-    """The polynomial shares a factor with its derivative."""
-
-
 class NotCertifiedIrreducibleError(RealSnfError):
     """The polynomial is reducible, or its irreducibility could not be certified."""
 

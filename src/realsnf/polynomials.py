@@ -1,9 +1,13 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Sign questions on the real line are decided without any numerics: Sturm
-chains count distinct real roots, a square-free (Yun) decomposition splits
-off the odd-multiplicity part, and nonnegativity on all of R reduces to
-"even degree, positive leading coefficient, no real root of the odd part".
+Sign questions on the real line are decided without any numerics.  Sturm
+chains count distinct real roots of any nonzero polynomial, square-free or
+not.  Each sign question (nonnegativity on R, a constant-sign associate, a
+negative point) makes one pass: one square-free (Yun) decomposition splits
+off the odd-multiplicity part, whose one Sturm chain says whether p changes
+sign.  Nonnegativity on all of R is then "even degree, positive leading
+coefficient, no real root of the odd part", and the same chain guides the
+bisection to a negative point.
 """
 
 from __future__ import annotations
@@ -13,12 +17,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    NotCertifiedIrreducibleError,
-    NotSquareFreeError,
-    ParseError,
-    ZeroPolynomialError,
-)
+from .errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
 
 Coefficient = Fraction | int
 
@@ -277,7 +276,7 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """p, p', then successive negated Euclidean remainders until a constant."""
+    """p, p', then negated Euclidean remainders until a constant or gcd(p, p')."""
 
     chain: tuple[RatPoly, ...]
 
@@ -300,36 +299,29 @@ def sturm_chain(p: RatPoly) -> SturmChain:
     return SturmChain(tuple(chain))
 
 
-def _variations_at_infinity(chain: SturmChain, direction: int) -> int:
-    return sign_variations([q.sign_at_infinity(direction) for q in chain.chain])
-
-
 def _variations_at(chain: SturmChain, t: Fraction) -> int:
     return sign_variations([q.sign_at(t) for q in chain.chain])
 
 
-def is_squarefree(p: RatPoly) -> bool:
-    if p.is_zero():
-        return False
-    if p.degree <= 1:
-        return True
-    return poly_gcd(p, p.derivative()).is_constant()
+def _roots_on_line(chain: SturmChain) -> int:
+    """Distinct real roots of the chain's polynomial: variations at -oo minus +oo."""
+    minus, plus = ([q.sign_at_infinity(d) for q in chain.chain] for d in (-1, 1))
+    return sign_variations(minus) - sign_variations(plus)
 
 
 def count_real_roots(p: RatPoly) -> int:
-    """Distinct real roots of a square-free polynomial, by Sturm's theorem."""
+    """Distinct real roots of a nonzero polynomial, by Sturm's theorem.
+
+    The chain p, p', -rem, ... ends at gcd(p, p'), and its sign variations
+    count distinct roots whether or not p is square-free.
+    """
     if p.is_zero():
         raise ZeroPolynomialError("root count of the zero polynomial")
-    if not is_squarefree(p):
-        raise NotSquareFreeError("polynomial shares a factor with its derivative")
-    if p.degree == 0:
-        return 0
-    chain = sturm_chain(p)
-    return _variations_at_infinity(chain, -1) - _variations_at_infinity(chain, +1)
+    return _roots_on_line(sturm_chain(p))
 
 
 def _count_roots_between(chain: SturmChain, a: Fraction, b: Fraction) -> int:
-    """Roots of the square-free chain polynomial in (a, b]; endpoints nonzero."""
+    """Distinct roots of the chain polynomial in (a, b]; endpoints nonzero."""
     return _variations_at(chain, a) - _variations_at(chain, b)
 
 
@@ -362,17 +354,26 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
     return constant, factors
 
 
-def odd_multiplicity_part(p: RatPoly) -> RatPoly:
-    """Monic product of the square-free factors of odd multiplicity."""
+# -- positivity on the real line ------------------------------------------------
+
+
+def _sign_change_chain(p: RatPoly) -> SturmChain | None:
+    """Sturm chain of the odd part of a nonzero p when p changes sign on R, else None.
+
+    The odd part is the monic product of the square-free factors of odd
+    multiplicity: p changes sign exactly at its real roots, and p / odd part
+    is a constant times a square.  p and -p share it, so one pass of Yun and
+    one chain answer the sign questions for both.
+    """
     _, factors = squarefree_decomposition(p)
-    out = RatPoly.constant(1)
+    odd = RatPoly.constant(1)
     for q, m in factors:
         if m % 2 == 1:
-            out = out * q
-    return out
-
-
-# -- positivity on the real line ------------------------------------------------
+            odd = odd * q
+    if odd.is_constant():
+        return None
+    chain = sturm_chain(odd)
+    return chain if _roots_on_line(chain) > 0 else None
 
 
 def is_nonneg_on_reals(p: RatPoly) -> bool:
@@ -381,23 +382,16 @@ def is_nonneg_on_reals(p: RatPoly) -> bool:
         return True
     if p.degree % 2 == 1 or p.leading < 0:
         return False
-    if p.degree == 0:
-        return p.leading > 0
-    odd = odd_multiplicity_part(p)
-    if odd.is_constant():
-        return True
-    return count_real_roots(odd) == 0
+    return p.degree == 0 or _sign_change_chain(p) is None
 
 
 def positive_associate(p: RatPoly) -> RatPoly | None:
     """c * p nonnegative on R for some rational c != 0, if that is possible."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial has no positive associate")
-    if is_nonneg_on_reals(p):
-        return p
-    if is_nonneg_on_reals(-p):
-        return -p
-    return None
+    if p.degree % 2 == 1 or (p.degree > 0 and _sign_change_chain(p) is not None):
+        return None
+    return p if p.leading > 0 else -p
 
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:
@@ -408,39 +402,36 @@ def cauchy_root_bound(p: RatPoly) -> Fraction:
     return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
 
 
-def _perturb_to_sign(p: RatPoly, t: Fraction, want: int, lo: Fraction, hi: Fraction) -> Fraction | None:
-    step = (hi - lo) / 4
+def _step_to_negative(
+    p: RatPoly, t: Fraction, step: Fraction, lo: Fraction, hi: Fraction
+) -> Fraction:
+    """The first of t + step, t - step, t + step/2, ... inside (lo, hi) where p < 0."""
     for _ in range(200):
         for cand in (t + step, t - step):
-            if lo < cand < hi and p.sign_at(cand) == want:
+            if lo < cand < hi and p.sign_at(cand) < 0:
                 return cand
         step /= 2
-    return None
+    raise ArithmeticError("failed to certify a negative value")
 
 
-def _point_with_sign(h: RatPoly, want: int) -> Fraction:
-    """A rational t with sign(h(t)) == want; h square-free and known to attain it."""
+def _bisect_to_negative(chain: SturmChain) -> Fraction:
+    """A rational t with h(t) < 0, for h the chain's monic even-degree polynomial.
+
+    Both tails of h are positive, so h has at least two real roots and is
+    negative between some of them.  Bisect, descending into halves that
+    still hold at least two roots.
+    """
+    h = chain.polynomial
     bound = cauchy_root_bound(h) + 1
-    if h.sign_at_infinity(+1) == want:
-        return bound
-    if h.sign_at_infinity(-1) == want:
-        return -bound
-    # Both tails have the other sign, so the wanted region is interior and h
-    # has at least two roots.  Bisect, descending into halves that still hold
-    # at least two sign changes.
-    chain = sturm_chain(h)
     lo, hi = -bound, bound
     for _ in range(10_000):
         mid = (lo + hi) / 2
         s = h.sign_at(mid)
-        if s == want:
+        if s < 0:
             return mid
         if s == 0:
-            # mid is a simple root: the wanted sign appears right next to it
-            found = _perturb_to_sign(h, mid, want, lo, hi)
-            if found is not None:
-                return found
-            raise ArithmeticError("sign search failed to escape a root")
+            # mid is a simple root: h is negative right next to it
+            return _step_to_negative(h, mid, (hi - lo) / 4, lo, hi)
         if _count_roots_between(chain, lo, mid) >= 2:
             hi = mid
         else:
@@ -450,28 +441,22 @@ def _point_with_sign(h: RatPoly, want: int) -> Fraction:
 
 def find_negative_point(p: RatPoly) -> Fraction | None:
     """Some rational t with p(t) < 0, or None when p is nonnegative on R."""
-    if is_nonneg_on_reals(p):
-        return None
     bound = cauchy_root_bound(p) + 1
     if p.sign_at_infinity(+1) < 0:
         return bound
     if p.sign_at_infinity(-1) < 0:
         return -bound
-    # Even degree, positive lead: p dips negative where its odd part crosses.
-    odd = odd_multiplicity_part(p)
-    even_cofactor_sign = (p // odd).sign_at_infinity(+1)
-    t = _point_with_sign(odd, -even_cofactor_sign)
+    chain = None if p.is_constant() else _sign_change_chain(p)
+    if chain is None:
+        return None
+    # Even degree, positive lead: p = odd part * (positive constant * square),
+    # so p < 0 where the odd part is negative, unless the square vanishes there.
+    t = _bisect_to_negative(chain)
     if p.sign_at(t) < 0:
         return t
-    # The even cofactor vanished exactly at t; nudge while staying on the
-    # same side of the odd part's root.
-    step = Fraction(1, 2)
-    for _ in range(200):
-        for cand in (t + step, t - step):
-            if p.sign_at(cand) < 0:
-                return cand
-        step /= 2
-    raise ArithmeticError("failed to certify a negative value")
+    # The square vanished exactly at t: step away from it.  p < 0 only
+    # between its roots, all inside (-bound, bound), so no candidate is lost.
+    return _step_to_negative(p, t, Fraction(1, 2), -bound, bound)
 
 
 # -- irreducibility ----------------------------------------------------------------
@@ -560,9 +545,6 @@ def is_real_irreducible(p: RatPoly) -> bool:
     if certified is not True:
         status = "is reducible over Q" if certified is False else "cannot be certified irreducible"
         raise NotCertifiedIrreducibleError(f"{p} {status} (degree {p.degree})")
-    if p.degree == 1:
-        return True
-    # an irreducible of degree >= 2 is automatically square-free
     return count_real_roots(p) > 0
 
 

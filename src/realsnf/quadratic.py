@@ -176,7 +176,7 @@ class QuadElem:
 
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
-            return self.inverse() ** (-n)
+            raise ValueError("negative power of a quadratic integer")
         result = QuadElem(1, 0, self.ring)
         base = self
         while n:
@@ -199,14 +199,6 @@ class QuadElem:
             c = (self.ring.d - 1) // 4
             return self.x * self.x + self.x * self.y - c * self.y * self.y
         return self.x * self.x - self.ring.d * self.y * self.y
-
-    def inverse(self) -> "QuadElem":
-        n = self.norm()
-        if n == 1:
-            return self.conjugate()
-        if n == -1:
-            return -self.conjugate()
-        raise ZeroDivisionError("only units are invertible in the ring")
 
     # -- embeddings ---------------------------------------------------------
 
@@ -344,7 +336,7 @@ def _orbit_window(a: QuadElem) -> list[QuadElem]:
     """Associates a * u0**k for k around the height minimum of the orbit."""
     u0 = fundamental_unit(a.ring).unit
     out = [a]
-    for step in (u0, u0.inverse()):
+    for step in (u0, exact_divide(QuadElem(1, 0, a.ring), u0)):
         b = a
         best = a.height()
         worse = 0

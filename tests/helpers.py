@@ -3,8 +3,15 @@
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
 from realsnf.matrices import Matrix, determinant
 from realsnf.polynomials import RatPoly
-from realsnf.quadratic import QuadElem, fundamental_unit
+from realsnf.quadratic import QuadElem, exact_divide, fundamental_unit
 from realsnf import rings
+
+
+def unit_power(u, k):
+    """u**k for a quadratic unit u and any integer k; k < 0 raises 1 / u to -k."""
+    if k < 0:
+        u, k = exact_divide(QuadElem(1, 0, u.ring), u), -k
+    return u**k
 
 
 def rand_matrix(rng, ring, n_rows, n_cols, height=4):

@@ -311,6 +311,24 @@ class TestInputErrors:
         with pytest.raises(SystemExit):
             main(["snf", "--ring", "Z", "--frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["snf", "--ring", "Z", "--input", "[[2]]", "--expect-holds"],
+            ["pnri", "--ring", "Zsqrt:3", "--expect-holds"],
+            ["unit", "--ring", "Zsqrt:3", "--expect-holds"],
+            ["valuation-lemma", "--input", '{"a": "x^2", "b": "x", "p": "x"}', "--expect-holds"],
+            ["valuation-lemma", "--ring", "Z", "--input", '{"a": "x^2", "b": "x", "p": "x"}'],
+        ],
+        ids=["snf-expect-holds", "pnri-expect-holds", "unit-expect-holds",
+             "valuation-lemma-expect-holds", "valuation-lemma-ring"],
+    )
+    def test_options_a_command_never_reads_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, "pnri", "--ring", "Z", "--pretty")
         assert code == 0

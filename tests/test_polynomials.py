@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from realsnf.errors import (
-    NotCertifiedIrreducibleError,
-    NotSquareFreeError,
-    ParseError,
-    ZeroPolynomialError,
-)
+from realsnf import polynomials
+from realsnf.errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
 from realsnf.polynomials import (
     RatPoly,
     certify_irreducible,
@@ -114,22 +110,23 @@ class TestSturm:
         assert count_real_roots(parse_poly("x^2+1")) == 0
         assert count_real_roots(X) == 1
 
-    def test_square_free_enforced(self):
-        with pytest.raises(NotSquareFreeError):
-            count_real_roots(parse_poly("x^2"))
+    def test_repeated_roots_count_once(self):
+        assert count_real_roots(parse_poly("x^2")) == 1
+        assert count_real_roots(parse_poly("x-1") ** 3 * parse_poly("x+2") ** 2) == 2
+        assert count_real_roots(parse_poly("x^2+1") ** 2) == 0
 
     def test_root_counts_against_constructions(self):
         rng = random.Random(3)
         for _ in range(60):
             roots = rng.sample(range(-12, 13), rng.randint(0, 4))
-            p = RatPoly.from_roots(roots)
+            p = RatPoly.constant(1)
+            for r in roots:
+                p = p * RatPoly([-r, 1]) ** rng.randint(1, 3)
             for _ in range(rng.randint(0, 2)):
                 # strictly positive definite quadratic factor adds no roots
                 b = rng.randint(-3, 3)
                 c = rng.randint(1, 6) + b * b  # discriminant 4b^2-4c < 0
-                p = p * RatPoly([c, 2 * b, 1])
-            if not poly_gcd(p, p.derivative()).is_constant():
-                continue
+                p = p * RatPoly([c, 2 * b, 1]) ** rng.randint(1, 2)
             assert count_real_roots(p) == len(roots)
 
 
@@ -212,6 +209,57 @@ class TestNonnegativity:
         p = parse_poly("x^2-2") * parse_poly("x^2-3") * parse_poly("x^2+1")
         t = find_negative_point(p)
         assert p(t) < 0
+
+
+def rand_product(rng):
+    """A nonzero product of random factors, each raised to a power 1..3."""
+    p = RatPoly.constant(rng.choice([-2, -1, 1, 3]))
+    for _ in range(rng.randint(0, 4)):
+        factor = rand_poly(rng, max_degree=2, height=4)
+        if not factor.is_zero():
+            p = p * factor ** rng.randint(1, 3)
+    return p
+
+
+class TestOnePassSignQuestions:
+    def test_answers_agree_on_products_with_multiplicities(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            p = rand_product(rng)
+            associate = positive_associate(p)
+            if is_nonneg_on_reals(p):
+                assert associate == p
+            elif is_nonneg_on_reals(-p):
+                assert associate == -p
+            else:
+                assert associate is None
+            t = find_negative_point(p)
+            assert (t is None) == is_nonneg_on_reals(p)
+            if t is not None:
+                assert p(t) < 0
+
+    def test_one_decomposition_and_one_chain_per_question(self, monkeypatch):
+        calls = {"squarefree_decomposition": 0, "sturm_chain": 0}
+        for name in calls:
+            original = getattr(polynomials, name)
+
+            def counted(p, name=name, original=original):
+                calls[name] += 1
+                return original(p)
+
+            monkeypatch.setattr(polynomials, name, counted)
+        rng = random.Random(12)
+        checked = 0
+        while checked < 200:
+            p = rand_product(rng)
+            if p.is_constant():
+                continue
+            for question in (is_nonneg_on_reals, positive_associate, find_negative_point):
+                for name in calls:
+                    calls[name] = 0
+                question(p)
+                assert max(calls.values()) <= 1, (question.__name__, str(p), calls)
+            checked += 1
 
 
 class TestIrreducibility:

@@ -16,6 +16,8 @@ from realsnf.quadratic import (
     positive_associate,
 )
 
+from helpers import unit_power
+
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
 R5 = quadratic_ring(5)
@@ -150,7 +152,7 @@ class TestUnitSigns:
             u0 = fundamental_unit(ring).unit
             for k in range(-3, 4):
                 for sign in (1, -1):
-                    u = u0**k * sign
+                    u = unit_power(u0, k) * sign
                     pattern = u.sign_pattern()
                     assert pattern.at_minus == pattern.at_plus * u.norm()
 
@@ -158,7 +160,7 @@ class TestUnitSigns:
         for ring in ALL_RINGS:
             u0 = fundamental_unit(ring).unit
             for k in range(-3, 2):
-                assert (u0**k).sign_pattern() == (u0 ** (k + 2)).sign_pattern()
+                assert unit_power(u0, k).sign_pattern() == unit_power(u0, k + 2).sign_pattern()
 
 
 class TestPositiveAssociate:
@@ -185,7 +187,7 @@ class TestPositiveAssociate:
         u0 = fundamental_unit(R3).unit
         for k in range(-3, 4):
             for sign in (1, -1):
-                assert (a * u0**k * sign).sign_pattern() != SignPattern(1, 1)
+                assert (a * unit_power(u0, k) * sign).sign_pattern() != SignPattern(1, 1)
 
 
 class TestCanonicalAssociate:

@@ -15,6 +15,8 @@ from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf import quadratic, rings
 
+from helpers import unit_power
+
 ALL_QUADRATIC = [quadratic_ring(d) for d in (2, 3, 5, 6, 7, 11, 13)]
 
 
@@ -180,7 +182,7 @@ def unit_examples(ring):
         units = [RatPoly([c]) for c in (1, -1, Fraction(1, 2), Fraction(-7, 3))]
         return units, [RatPoly([]), parse_poly("x"), parse_poly("x+1"), parse_poly("2*x")]
     eps = quadratic.fundamental_unit(ring).unit
-    units = [sign * eps**k for k in range(-2, 3) for sign in (1, -1)]
+    units = [sign * unit_power(eps, k) for k in range(-2, 3) for sign in (1, -1)]
     big_norm = QuadElem(3, 1, ring)
     assert abs(big_norm.norm()) > 1
     return units, [QuadElem(0, 0, ring), QuadElem(2, 0, ring), big_norm, 2 * eps]
