@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from realsnf import quadratic_ring
-from realsnf.errors import ZeroElementError
+from realsnf import INTEGERS, RingFamily, RingSpec, parse_ring, quadratic_ring, rings
+from realsnf.errors import UnsupportedRingError, ZeroElementError
 from realsnf.quadratic import (
     QuadElem,
     SignPattern,
@@ -27,6 +29,65 @@ ALL_RINGS = [quadratic_ring(d) for d in (2, 3, 5, 6, 7, 11, 13)]
 
 def rand_elem(rng, ring, h=8):
     return QuadElem(rng.randint(-h, h), rng.randint(-h, h), ring)
+
+
+class TestValueSemantics:
+    def test_equality_and_hash_across_separately_built_rings(self):
+        built = RingSpec(RingFamily.QUADRATIC_INTEGERS, 2)
+        parsed = parse_ring("Zsqrt:2")
+        a, b = QuadElem(3, -4, built), QuadElem(3, -4, parsed)
+        assert built == parsed and hash(built) == hash(parsed)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert QuadElem(3, -4, R2) != QuadElem(3, 4, R2)
+        assert QuadElem(3, -4, R2) != QuadElem(-4, 3, R2)
+        assert QuadElem(1, 1, R2) != QuadElem(1, 1, R3)
+        assert a + b == QuadElem(6, -8, parsed)
+
+    def test_never_equal_to_an_int(self):
+        assert (QuadElem(1, 0, R2) == 1) is False
+        assert (1 == QuadElem(1, 0, R2)) is False
+        assert QuadElem(0, 0, R2) != 0
+
+    @pytest.mark.parametrize("name", ["x", "y", "ring"])
+    def test_immutable(self, name):
+        a = QuadElem(1, 2, R2)
+        with pytest.raises(AttributeError):
+            setattr(a, name, R3 if name == "ring" else 7)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        b = a * a  # arithmetic results are just as frozen
+        with pytest.raises(AttributeError):
+            setattr(b, name, R3 if name == "ring" else 7)
+        assert (a.x, a.y, a.ring) == (1, 2, R2)
+
+    def test_non_quadratic_ring_rejected(self):
+        with pytest.raises(UnsupportedRingError):
+            QuadElem(1, 0, INTEGERS)
+
+    def test_mixed_rings_rejected(self):
+        a, b = QuadElem(1, 1, R2), QuadElem(1, 1, R3)
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: divmod(a, b)):
+            with pytest.raises(UnsupportedRingError):
+                op()
+        with pytest.raises(UnsupportedRingError):
+            rings.coerce(a, R3)
+        assert rings.coerce(a, parse_ring("Zsqrt:2")) is a
+
+    def test_int_on_either_side(self):
+        a = QuadElem(2, 3, R5)
+        assert a + 4 == 4 + a == QuadElem(6, 3, R5)
+        assert a - 4 == QuadElem(-2, 3, R5)
+        assert 4 - a == QuadElem(2, -3, R5)
+        assert a * 4 == 4 * a == QuadElem(8, 12, R5)
+        assert divmod(a, 2) == (QuadElem(1, 1, R5), QuadElem(0, 1, R5))
+
+    def test_repr_and_str(self):
+        assert repr(QuadElem(-3, 0, R2)) == "QuadElem(-3, 0, Zsqrt:2)"
+        assert repr(QuadElem(1, -2, R13)) == "QuadElem(1, -2, Zhalf:13)"
+        assert str(QuadElem(-3, 0, R2)) == "-3+0w"
+        assert str(QuadElem(0, 5, R5)) == "0+5w"
+        assert str(QuadElem(7, -1, R5) * 1) == "7-1w"
 
 
 class TestBasicArithmetic:
@@ -272,3 +333,34 @@ class TestEuclideanShells:
             q, r = divmod(a, b)
             assert a == b * q + r
             assert r.is_zero() or abs(r.norm()) < abs(b.norm())
+
+
+_COORD = 10**30
+_coords = st.integers(-_COORD, _COORD)
+
+
+@st.composite
+def _divisors(draw, ring):
+    """A nonzero divisor: general, a rational integer, or a unit +-u0**k."""
+    kind = draw(st.sampled_from(["general", "rational", "unit"]))
+    if kind == "unit":
+        u = unit_power(fundamental_unit(ring).unit, draw(st.integers(-6, 6)))
+        return u if draw(st.booleans()) else -u
+    y = 0 if kind == "rational" else draw(_coords)
+    x = draw(_coords.filter(lambda v: v != 0) if y == 0 else _coords)
+    return QuadElem(x, y, ring)
+
+
+class TestEuclideanProperty:
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_divmod_and_exact_divide(self, ring, data):
+        b = data.draw(_divisors(ring))
+        a = QuadElem(data.draw(_coords), data.draw(_coords), ring)
+        if data.draw(st.booleans()):
+            a = a * b  # an exact multiple
+        q, r = divmod(a, b)
+        assert a == b * q + r
+        assert r.is_zero() or abs(r.norm()) < abs(b.norm())
+        assert exact_divide(a, b) == (q if r.is_zero() else None)
