@@ -13,7 +13,7 @@ turn decides whether every element owns a totally positive associate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from .errors import UnsupportedRingError, ZeroElementError
@@ -102,17 +102,39 @@ class SignPattern:
         return f"({fmt[self.at_plus]},{fmt[self.at_minus]})"
 
 
-@dataclass(frozen=True)
 class QuadElem:
-    """x + y*w in a quadratic integer ring; equality is coordinate equality."""
+    """x + y*w in a quadratic integer ring: an immutable value, equal to another
+    element exactly when (x, y, ring) are equal."""
 
-    x: int
-    y: int
-    ring: RingSpec
+    __slots__ = ("x", "y", "ring")
 
-    def __post_init__(self) -> None:
-        if self.ring.family is not RingFamily.QUADRATIC_INTEGERS:
+    def __init__(self, x: int, y: int, ring: RingSpec) -> None:
+        if ring.family is not RingFamily.QUADRATIC_INTEGERS:
             raise UnsupportedRingError("QuadElem requires a quadratic ring")
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_ring(self, ring)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not QuadElem:
+            return NotImplemented
+        return (
+            self.x == other.x
+            and self.y == other.y
+            and (self.ring is other.ring or self.ring == other.ring)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y, self.ring))
+
+    def __reduce__(self):
+        return QuadElem, (self.x, self.y, self.ring)
 
     # -- basic structure ---------------------------------------------------
 
@@ -123,61 +145,56 @@ class QuadElem:
         return max(abs(self.x), abs(self.y))
 
     def _coerce(self, other: "int | QuadElem") -> "QuadElem":
-        if isinstance(other, int):
-            return QuadElem(other, 0, self.ring)
         if isinstance(other, QuadElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise UnsupportedRingError("mixed quadratic rings")
             return other
+        if isinstance(other, int):
+            return _quad(other, 0, self.ring)
         return NotImplemented  # type: ignore[return-value]
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "int | QuadElem") -> "QuadElem":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.x + other.x, self.y + other.y, self.ring)
+        if other.__class__ is not QuadElem or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _quad(self.x + other.x, self.y + other.y, self.ring)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QuadElem":
-        return QuadElem(-self.x, -self.y, self.ring)
+        return _quad(-self.x, -self.y, self.ring)
 
     def __sub__(self, other: "int | QuadElem") -> "QuadElem":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadElem(self.x - other.x, self.y - other.y, self.ring)
+        if other.__class__ is not QuadElem or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return _quad(self.x - other.x, self.y - other.y, self.ring)
 
     def __rsub__(self, other: "int | QuadElem") -> "QuadElem":
         return (-self) + other
 
     def __mul__(self, other: "int | QuadElem") -> "QuadElem":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if other.__class__ is not QuadElem or other.ring is not self.ring:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        ring = self.ring
         x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        if self.ring.uses_half_basis:
-            # w**2 = w + (d-1)/4
-            c = (self.ring.d - 1) // 4
-            return QuadElem(
-                x1 * x2 + c * y1 * y2,
-                x1 * y2 + y1 * x2 + y1 * y2,
-                self.ring,
-            )
-        return QuadElem(
-            x1 * x2 + self.ring.d * y1 * y2,
-            x1 * y2 + y1 * x2,
-            self.ring,
-        )
+        yy = y1 * y2
+        if ring.uses_half_basis:  # w**2 = w + (d-1)/4
+            return _quad(x1 * x2 + ring.w2_rational * yy, x1 * y2 + y1 * x2 + yy, ring)
+        return _quad(x1 * x2 + ring.w2_rational * yy, x1 * y2 + y1 * x2, ring)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QuadElem":
         if n < 0:
             raise ValueError("negative power of a quadratic integer")
-        result = QuadElem(1, 0, self.ring)
+        result = _quad(1, 0, self.ring)
         base = self
         while n:
             if n & 1:
@@ -190,15 +207,15 @@ class QuadElem:
         """Image under sqrt(d) -> -sqrt(d), in the same basis."""
         if self.ring.uses_half_basis:
             # conj(w) = 1 - w
-            return QuadElem(self.x + self.y, -self.y, self.ring)
-        return QuadElem(self.x, -self.y, self.ring)
+            return _quad(self.x + self.y, -self.y, self.ring)
+        return _quad(self.x, -self.y, self.ring)
 
     def norm(self) -> int:
         """N(a) = a * conjugate(a), an exact rational integer."""
-        if self.ring.uses_half_basis:
-            c = (self.ring.d - 1) // 4
-            return self.x * self.x + self.x * self.y - c * self.y * self.y
-        return self.x * self.x - self.ring.d * self.y * self.y
+        x, y, ring = self.x, self.y, self.ring
+        if ring.uses_half_basis:
+            return x * x + x * y - ring.w2_rational * y * y
+        return x * x - ring.w2_rational * y * y
 
     # -- embeddings ---------------------------------------------------------
 
@@ -228,7 +245,7 @@ class QuadElem:
         bound = abs(nb)
         for shell in _QUOTIENT_SHELLS:
             for dx, dy in shell:
-                q = QuadElem(x0 + dx, y0 + dy, self.ring)
+                q = _quad(x0 + dx, y0 + dy, self.ring)
                 r = self - other * q
                 if r.is_zero() or abs(r.norm()) < bound:
                     return q, r
@@ -249,6 +266,19 @@ class QuadElem:
 
     def __repr__(self) -> str:
         return f"QuadElem({self.x}, {self.y}, {self.ring})"
+
+
+_new_object = object.__new__
+_set_x, _set_y, _set_ring = QuadElem.x.__set__, QuadElem.y.__set__, QuadElem.ring.__set__
+
+
+def _quad(x: int, y: int, ring: RingSpec) -> QuadElem:
+    """The element x + y*w of a ring already known to be quadratic."""
+    a = _new_object(QuadElem)
+    _set_x(a, x)
+    _set_y(a, y)
+    _set_ring(a, ring)
+    return a
 
 
 @dataclass(frozen=True)
@@ -336,7 +366,7 @@ def _orbit_window(a: QuadElem) -> list[QuadElem]:
     """Associates a * u0**k for k around the height minimum of the orbit."""
     u0 = fundamental_unit(a.ring).unit
     out = [a]
-    for step in (u0, exact_divide(QuadElem(1, 0, a.ring), u0)):
+    for step in (u0, exact_divide(_quad(1, 0, a.ring), u0)):
         b = a
         best = a.height()
         worse = 0
@@ -381,4 +411,4 @@ def exact_divide(a: QuadElem, b: QuadElem) -> QuadElem | None:
     nb = b.norm()
     if num.x % nb or num.y % nb:
         return None
-    return QuadElem(num.x // nb, num.y // nb, a.ring)
+    return _quad(num.x // nb, num.y // nb, a.ring)

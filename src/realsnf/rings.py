@@ -60,7 +60,7 @@ def coerce(value: "Element | Fraction", ring: RingSpec) -> Element:
             return RatPoly.constant(value)
     else:
         if isinstance(value, QuadElem):
-            if value.ring != ring:
+            if value.ring is not ring and value.ring != ring:
                 raise UnsupportedRingError(f"element of {value.ring} used in {ring}")
             return value
         if isinstance(value, int):

@@ -12,7 +12,7 @@ non-Euclidean arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParseError, UnsupportedRingError
@@ -29,10 +29,17 @@ class RingFamily(Enum):
 
 @dataclass(frozen=True)
 class RingSpec:
+    """A ring, compared by value; ``quadratic_ring`` shares one spec per d."""
+
     family: RingFamily
     d: int | None = None
+    # Derived from d once, for quadratic arithmetic: w**2 = w2_rational + w
+    # when uses_half_basis (w = (1+sqrt(d))/2), else w**2 = w2_rational = d.
+    uses_half_basis: bool = field(init=False, repr=False, compare=False)
+    w2_rational: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        half, w2 = False, None
         if self.family is RingFamily.QUADRATIC_INTEGERS:
             if self.d is None:
                 raise UnsupportedRingError("quadratic ring requires a parameter d")
@@ -42,13 +49,12 @@ class RingSpec:
                     f"{sorted(SQRT_FORM_ALLOWED)} (sqrt form) / "
                     f"{sorted(HALF_FORM_ALLOWED)} (half-integer form)"
                 )
+            half = self.d % 4 == 1
+            w2 = (self.d - 1) // 4 if half else self.d
         elif self.d is not None:
             raise UnsupportedRingError(f"{self.family.value} takes no parameter d")
-
-    @property
-    def uses_half_basis(self) -> bool:
-        """True when the integral basis is {1, (1+sqrt(d))/2} (d = 1 mod 4)."""
-        return self.family is RingFamily.QUADRATIC_INTEGERS and self.d % 4 == 1
+        object.__setattr__(self, "uses_half_basis", half)
+        object.__setattr__(self, "w2_rational", w2)
 
     def __str__(self) -> str:
         if self.family is RingFamily.INTEGERS:
@@ -64,8 +70,15 @@ INTEGERS = RingSpec(RingFamily.INTEGERS)
 RATIONAL_POLYNOMIALS = RingSpec(RingFamily.RATIONAL_POLYNOMIALS)
 
 
+_QUADRATIC_RINGS = {
+    d: RingSpec(RingFamily.QUADRATIC_INTEGERS, d)
+    for d in sorted(SQRT_FORM_ALLOWED | HALF_FORM_ALLOWED)
+}
+
+
 def quadratic_ring(d: int) -> RingSpec:
-    return RingSpec(RingFamily.QUADRATIC_INTEGERS, d)
+    """The one shared spec for d; building one for a d outside the allowlist raises."""
+    return _QUADRATIC_RINGS.get(d) or RingSpec(RingFamily.QUADRATIC_INTEGERS, d)
 
 
 def parse_ring(text: str) -> RingSpec:

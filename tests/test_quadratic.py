@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -81,6 +83,11 @@ class TestValueSemantics:
         assert 4 - a == QuadElem(2, -3, R5)
         assert a * 4 == 4 * a == QuadElem(8, 12, R5)
         assert divmod(a, 2) == (QuadElem(1, 1, R5), QuadElem(0, 1, R5))
+
+    def test_copy_and_pickle_round_trip(self):
+        a = QuadElem(-5, 8, R13)
+        for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert b == a and hash(b) == hash(a)
 
     def test_repr_and_str(self):
         assert repr(QuadElem(-3, 0, R2)) == "QuadElem(-3, 0, Zsqrt:2)"
