@@ -27,14 +27,11 @@ from .quadratic import (
     FundamentalUnit,
     QuadElem,
     SignPattern,
-    achievable_sign_patterns,
     fundamental_unit,
     pnri_holds,
 )
 from .rings import (
-    DivResult,
     are_associated,
-    euclidean_div,
     gcd,
     valuation,
 )
@@ -46,7 +43,7 @@ from .ringspec import (
     parse_ring,
     quadratic_ring,
 )
-from .spectrum import PsdReport, element_is_nonneg, is_psd_on_spectrum, psd_exact_ordered
+from .spectrum import PsdReport, element_is_nonneg, is_psd_on_spectrum
 from .verify import (
     Conclusion,
     CounterexampleRecipe,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Conclusion",
     "CounterexampleRecipe",
-    "DivResult",
     "FundamentalUnit",
     "INTEGERS",
     "Matrix",
@@ -84,7 +80,6 @@ __all__ = [
     "SturmChain",
     "TheoremReport",
     "TrialConfig",
-    "achievable_sign_patterns",
     "are_associated",
     "build_counterexample",
     "builtin_counterexample_recipe",
@@ -92,7 +87,6 @@ __all__ = [
     "count_real_roots",
     "determinant",
     "element_is_nonneg",
-    "euclidean_div",
     "fundamental_unit",
     "gcd",
     "is_nonneg_on_reals",
@@ -101,7 +95,6 @@ __all__ = [
     "minor_gcd_profile",
     "parse_ring",
     "pnri_holds",
-    "psd_exact_ordered",
     "quadratic_ring",
     "random_psd_matrix",
     "run_property_suite",

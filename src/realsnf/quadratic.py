@@ -334,16 +334,6 @@ def pnri_holds(ring: RingSpec) -> bool:
     return fundamental_unit(ring).norm == -1
 
 
-def achievable_sign_patterns(ring: RingSpec) -> frozenset[SignPattern]:
-    """Sign patterns realized by the units of the ring."""
-    _require_quadratic(ring)
-    patterns = {SignPattern(1, 1), SignPattern(-1, -1)}
-    if pnri_holds(ring):
-        patterns.add(SignPattern(1, -1))
-        patterns.add(SignPattern(-1, 1))
-    return frozenset(patterns)
-
-
 def positive_associate(a: QuadElem) -> QuadElem | None:
     """Some unit multiple of a that is positive at both embeddings, if one exists."""
     if a.is_zero():
@@ -396,10 +386,12 @@ def canonical_associate(a: QuadElem) -> QuadElem:
     """
     if a.is_zero():
         return a
-    window = _orbit_window(a)
-    pool = [c for c in window + [-c for c in window] if c.sign_pattern().at_plus > 0]
-    if not pool:
-        raise ArithmeticError("orbit window missed every admissible associate")
+    d = a.ring.d
+    # c != 0 is never 0 at the plus embedding (sqrt(d) is irrational), so
+    # exactly one of c and -c is positive there
+    pool = [
+        c if _sign_with_sqrt(*c._sqrt_coordinates(), d) > 0 else -c for c in _orbit_window(a)
+    ]
     return min(pool, key=lambda c: (c.height(), abs(c.y), -c.x, -c.y))
 
 

@@ -11,7 +11,6 @@ association, and p-adic valuations by repeated exact division.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -28,14 +27,6 @@ from .quadratic import QuadElem
 from .ringspec import RingFamily, RingSpec
 
 Element = Union[int, RatPoly, QuadElem]
-
-
-@dataclass(frozen=True)
-class DivResult:
-    """a = b * quotient + remainder, remainder strictly smaller or zero."""
-
-    quotient: Element
-    remainder: Element
 
 
 def zero(ring: RingSpec) -> Element:
@@ -92,15 +83,6 @@ def euclidean_size(a: Element, ring: RingSpec) -> int:
     return abs(a.norm())
 
 
-def euclidean_div(a: Element, b: Element, ring: RingSpec) -> DivResult:
-    """Division with remainder; the remainder is zero or strictly smaller than b."""
-    a, b = coerce(a, ring), coerce(b, ring)
-    if is_zero(b):
-        raise ZeroDivisionError(f"division by zero over {ring}")
-    q, r = divmod(a, b)
-    return DivResult(q, r)
-
-
 def exact_divide(a: Element, b: Element, ring: RingSpec) -> Element | None:
     """a / b when b | a exactly, else None."""
     a, b = coerce(a, ring), coerce(b, ring)
@@ -148,10 +130,10 @@ def xgcd(a: Element, b: Element, ring: RingSpec) -> tuple[Element, Element, Elem
     s0, s1 = one(ring), zero(ring)
     t0, t1 = zero(ring), one(ring)
     while not is_zero(b):
-        step = euclidean_div(a, b, ring)
-        a, b = b, step.remainder
-        s0, s1 = s1, s0 - step.quotient * s1
-        t0, t1 = t1, t0 - step.quotient * t1
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
     return a, s0, t0
 
 

@@ -11,6 +11,10 @@ ordering exactly when each e_k is nonnegative in the sense above.  The e_k
 come from one division-free charpoly computed exactly in the ring, so no
 embedding is ever evaluated with floating point.  The principal minors are
 enumerated only on a not-PSD verdict, to name the witness.
+
+This is the package's only PSD decision.  The oracles that cross-check it
+(minor enumeration, and exact elimination over Q at rational points) live
+in the test suite, so they share no code with it.
 """
 
 from __future__ import annotations
@@ -107,28 +111,3 @@ def is_psd_on_spectrum(m: Matrix) -> PsdReport:
             return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
     raise ArithmeticError("a principal minor sum is negative but no principal minor is")
 
-
-def psd_exact_ordered(rows: list[list[Fraction | int]]) -> bool:
-    """PSD test for a symmetric matrix over an ordered exact field (Q here).
-
-    Decided by e_k >= 0 for k = 1..n, e_k the sum of the k x k principal
-    minors; n is capped at 8 like ``is_psd_on_spectrum``.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NotSymmetricError("matrix is not square")
-    mat = [[Fraction(v) for v in row] for row in rows]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if mat[i][j] != mat[j][i]:
-                raise NotSymmetricError(f"entries ({i},{j}) and ({j},{i}) differ")
-    if n > PSD_SIZE_LIMIT:
-        raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    return all(e >= 0 for e in principal_minor_sums(mat, Fraction(0), Fraction(1)))
-
-
-def evaluate_poly_matrix(m: Matrix, t: Fraction) -> list[list[Fraction]]:
-    """Evaluate a Q[x] matrix entrywise at a rational point."""
-    if m.ring.family is not RingFamily.RATIONAL_POLYNOMIALS:
-        raise ValueError("entrywise evaluation needs a Q[x] matrix")
-    return [[entry(t) for entry in row] for row in m.entries]

@@ -1,4 +1,6 @@
-"""Shared random-matrix builders for the test suite."""
+"""Shared random-matrix builders and the elimination PSD oracle for the test suite."""
+
+from fractions import Fraction
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
 from realsnf.matrices import Matrix, determinant
@@ -54,3 +56,33 @@ def random_unimodular(rng, ring, n, steps=6):
     result = Matrix.from_rows(rows, ring)
     assert rings.is_unit(determinant(result), ring)
     return result
+
+
+def psd_exact_ordered(rows):
+    """PSD test for a symmetric matrix over Q, by exact symmetric Gaussian elimination.
+
+    It checks the charpoly decision in ``realsnf.spectrum`` and shares none
+    of its code: it pivots down the diagonal over ``Fraction``.
+    A negative pivot, or a zero pivot whose row is not zero (a 2x2 principal
+    minor 0 * c - b**2 < 0), means not PSD; otherwise the pivot's row and
+    column are eliminated and the test goes on with the Schur complement.
+    """
+    a = [[Fraction(v) for v in row] for row in rows]
+    if any(len(row) != len(a) for row in a) or any(
+        a[i][j] != a[j][i] for i in range(len(a)) for j in range(i)
+    ):
+        raise ValueError("the oracle needs a symmetric matrix")
+    while a:
+        pivot, row = a[0][0], a[0][1:]
+        if pivot < 0 or (pivot == 0 and any(row)):
+            return False
+        if pivot == 0:
+            a = [r[1:] for r in a[1:]]
+        else:
+            a = [[v - r[0] * w / pivot for v, w in zip(r[1:], row)] for r in a[1:]]
+    return True
+
+
+def evaluate_poly_matrix(m, t):
+    """Evaluate a Q[x] matrix entrywise at a rational point."""
+    return [[entry(t) for entry in row] for row in m.entries]

@@ -12,7 +12,6 @@ from realsnf.errors import UnsupportedRingError, ZeroElementError
 from realsnf.quadratic import (
     QuadElem,
     SignPattern,
-    achievable_sign_patterns,
     canonical_associate,
     exact_divide,
     fundamental_unit,
@@ -204,25 +203,21 @@ class TestUnitSigns:
         for d in (3, 6, 7, 11):
             assert not pnri_holds(quadratic_ring(d))
 
-    def test_achievable_patterns(self):
-        assert achievable_sign_patterns(R2) == frozenset(
-            {SignPattern(1, 1), SignPattern(-1, -1), SignPattern(1, -1), SignPattern(-1, 1)}
-        )
-        assert achievable_sign_patterns(R3) == frozenset(
-            {SignPattern(1, 1), SignPattern(-1, -1)}
-        )
-        for ring in ALL_RINGS:
-            assert SignPattern(1, 1) in achievable_sign_patterns(ring)
-
     def test_unit_pattern_law(self):
-        # sign_pattern(u) = (s, s * norm(u)) for any unit
+        # sign_pattern(u) = (s, s * norm(u)) for any unit, so a unit with
+        # pattern (+, -) exists exactly when pnri holds (N(u0) = -1)
         for ring in ALL_RINGS:
             u0 = fundamental_unit(ring).unit
+            seen = set()
             for k in range(-3, 4):
                 for sign in (1, -1):
                     u = unit_power(u0, k) * sign
                     pattern = u.sign_pattern()
                     assert pattern.at_minus == pattern.at_plus * u.norm()
+                    seen.add(pattern)
+            same_signs = {SignPattern(1, 1), SignPattern(-1, -1)}
+            mixed = {SignPattern(1, -1), SignPattern(-1, 1)}
+            assert seen == (same_signs | mixed if pnri_holds(ring) else same_signs)
 
     def test_unit_pattern_periodicity(self):
         for ring in ALL_RINGS:

@@ -53,25 +53,27 @@ class TestRingSpecGrammar:
 
 
 class TestEuclideanDivision:
+    """divmod on coerced elements: the Euclidean step of every ring."""
+
     def test_integers_schoolbook(self):
-        res = rings.euclidean_div(7, 3, INTEGERS)
-        assert (res.quotient, res.remainder) == (2, 1)
+        assert divmod(rings.coerce(7, INTEGERS), rings.coerce(3, INTEGERS)) == (2, 1)
 
     def test_poly_long_division(self):
-        res = rings.euclidean_div(parse_poly("x^2+1"), parse_poly("x"), RATIONAL_POLYNOMIALS)
-        assert res.quotient == parse_poly("x")
-        assert res.remainder == RatPoly([1])
+        q, r = divmod(parse_poly("x^2+1"), parse_poly("x"))
+        assert q == parse_poly("x")
+        assert r == RatPoly([1])
 
     def test_sqrt2_exact_quotient(self):
         ring = quadratic_ring(2)
-        res = rings.euclidean_div(QuadElem(5, 1, ring), QuadElem(1, 1, ring), ring)
+        q, r = divmod(QuadElem(5, 1, ring), QuadElem(1, 1, ring))
         # (5+w)(1-w)/N(1+w) with N = -1 gives -3+4w, and the division is exact
-        assert res.quotient == QuadElem(-3, 4, ring)
-        assert res.remainder.is_zero()
+        assert q == QuadElem(-3, 4, ring)
+        assert r.is_zero()
 
     def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            rings.euclidean_div(3, 0, INTEGERS)
+        for ring in [INTEGERS, RATIONAL_POLYNOMIALS] + ALL_QUADRATIC:
+            with pytest.raises(ZeroDivisionError):
+                divmod(rings.coerce(3, ring), rings.zero(ring))
 
     def test_sqrt6_regression(self):
         # nearest rounding alone loops forever on gcd(1+w, 2) over Zsqrt:6
@@ -86,10 +88,11 @@ class TestEuclideanDivision:
             b = random_element(rng, ring)
             if rings.is_zero(b):
                 continue
-            res = rings.euclidean_div(a, b, ring)
-            assert rings.coerce(a, ring) == rings.coerce(b, ring) * res.quotient + res.remainder
-            if not rings.is_zero(res.remainder):
-                assert rings.euclidean_size(res.remainder, ring) < rings.euclidean_size(b, ring)
+            a, b = rings.coerce(a, ring), rings.coerce(b, ring)
+            q, r = divmod(a, b)
+            assert a == b * q + r
+            if not rings.is_zero(r):
+                assert rings.euclidean_size(r, ring) < rings.euclidean_size(b, ring)
 
 
 class TestGcd:

@@ -1,22 +1,18 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring, rings, spectrum
-from realsnf.errors import NotSymmetricError, SizeLimitError
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, quadratic_ring, rings, spectrum
+from realsnf.errors import NotSymmetricError
 from realsnf.matrices import Matrix, determinant, principal_minor_sums
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf.ringspec import RingFamily, parse_ring
-from helpers import rand_matrix, random_unimodular
-from realsnf.spectrum import (
-    element_is_nonneg,
-    evaluate_poly_matrix,
-    is_psd_on_spectrum,
-    psd_exact_ordered,
-)
+from helpers import evaluate_poly_matrix, psd_exact_ordered, rand_matrix, random_unimodular
+from realsnf.spectrum import element_is_nonneg, is_psd_on_spectrum
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -264,6 +260,8 @@ class TestCharpolyDecision:
 
 
 class TestExactOrderedPsd:
+    """The elimination oracle from ``helpers``, which shares no code with the decision."""
+
     def test_examples(self):
         assert not psd_exact_ordered([[1, 2], [2, 1]])  # det = -3
         assert psd_exact_ordered([[0, 0], [0, 0]])
@@ -272,25 +270,30 @@ class TestExactOrderedPsd:
     def test_fractions(self):
         assert psd_exact_ordered([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]])
 
-    def test_guards(self):
-        with pytest.raises(NotSymmetricError):
-            psd_exact_ordered([[1, 2], [1, 1]])
-        with pytest.raises(NotSymmetricError):
-            psd_exact_ordered([[1, 2, 3], [1, 2, 3]])
-        with pytest.raises(SizeLimitError):
-            psd_exact_ordered([[1 if i == j else 0 for j in range(9)] for i in range(9)])
+    def test_zero_pivots(self):
+        assert not psd_exact_ordered([[0, 1], [1, 0]])  # zero pivot, row not zero
+        assert psd_exact_ordered([[0, 0], [0, 1]])  # zero pivot, zero row
+        assert psd_exact_ordered([[1, 1], [1, 1]])  # Schur complement is zero
+        assert not psd_exact_ordered([[1, 1, 0], [1, 1, 1], [0, 1, 1]])  # zero pivot after a step
 
     def test_agrees_with_minor_enumeration(self):
+        # Gram matrices of n x k factors, full rank and rank-deficient, half
+        # of them with a constant taken off one diagonal entry
         rng = random.Random(34)
-        for _ in range(60):
+        verdicts = set()
+        for _ in range(120):
             n = rng.randint(1, 5)
-            a = rand_matrix(rng, INTEGERS, n, n, height=3)
+            a = rand_matrix(rng, INTEGERS, n, rng.randint(1, n), height=3)
             rows = [list(r) for r in (a @ a.transpose()).entries]
-            i = rng.randrange(n)
-            rows[i][i] -= rng.randint(0, 4)
+            if rng.random() < 0.5:
+                i = rng.randrange(n)
+                rows[i][i] -= rng.randint(1, 4)
             m = Matrix.from_rows(rows, INTEGERS)
             scaled = [[Fraction(v, 7) for v in row] for row in rows]
-            assert psd_exact_ordered(scaled) == every_minor_nonneg(m)
+            verdict = psd_exact_ordered(scaled)
+            assert verdict == every_minor_nonneg(m)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
     def test_needs_all_principal_minors(self):
         # leading minors alone would pass this one: PSD fails only on the
@@ -298,21 +301,43 @@ class TestExactOrderedPsd:
         assert not psd_exact_ordered([[0, 0], [0, -1]])
 
 
+SAMPLE_POINTS = [Fraction(k, 10) for k in range(-100, 100)]
+
+
+def sampling_checks(seed, trials):
+    """(charpoly verdict, whether the elimination oracle agrees) per Q[x] input.
+
+    Inputs are N * N^T, half of them with a constant taken off one diagonal
+    entry.  A PSD verdict must survive the oracle at every sample point; a
+    not-PSD verdict must be refuted by the oracle at its witness point.
+    """
+    rng = random.Random(seed)
+    checks = []
+    for _ in range(trials):
+        n = rng.randint(1, 3)
+        a = rand_matrix(rng, RATIONAL_POLYNOMIALS, n, n, height=3)
+        rows = [list(r) for r in (a @ a.transpose()).entries]
+        if rng.random() < 0.5:
+            i = rng.randrange(n)
+            rows[i][i] = rows[i][i] - RatPoly([rng.randint(1, 4)])
+        m = Matrix.from_rows(rows, RATIONAL_POLYNOMIALS)
+        report = is_psd_on_spectrum(m)
+        if report.is_psd:
+            agrees = all(psd_exact_ordered(evaluate_poly_matrix(m, t)) for t in SAMPLE_POINTS)
+        else:
+            agrees = not psd_exact_ordered(evaluate_poly_matrix(m, report.witness.point))
+        checks.append((report.is_psd, agrees))
+    return checks
+
+
 class TestSamplingAgreement:
     def test_poly_psd_never_contradicted_by_evaluation(self):
-        # 200 rational points; evaluation can refute a PSD verdict, never
-        # certify one, so any sampled violation is a failure here
-        rng = random.Random(4)
-        points = [Fraction(k, 10) for k in range(-100, 100)]
-        assert len(points) == 200
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            m = rand_matrix(rng, RATIONAL_POLYNOMIALS, n, n, height=3)
-            sym = m @ m.transpose()
-            verdict = is_psd_on_spectrum(sym).is_psd
-            if verdict:
-                for t in points:
-                    assert psd_exact_ordered(evaluate_poly_matrix(sym, t))
+        # evaluation can refute a PSD verdict, never certify one, so any
+        # sampled violation is a failure here
+        assert len(SAMPLE_POINTS) == 200
+        checks = sampling_checks(seed=4, trials=60)
+        assert all(agrees for _, agrees in checks)
+        assert {is_psd for is_psd, _ in checks} == {True, False}
 
     def test_non_psd_matrices_get_refuted_somewhere(self):
         m = Matrix.from_rows(
@@ -322,3 +347,17 @@ class TestSamplingAgreement:
         report = is_psd_on_spectrum(m)
         assert not report.is_psd
         assert not psd_exact_ordered(evaluate_poly_matrix(m, report.witness.point))
+
+    def test_oracle_catches_a_decision_that_drops_the_determinant(self, monkeypatch):
+        # break every binding of principal_minor_sums so that it forgets
+        # e_n; the oracle must then refute some PSD verdict at a sample
+        # point, which an oracle deciding through the same sums never would
+        original = matrices.principal_minor_sums
+
+        def without_determinant(rows, zero, one):
+            return original(rows, zero, one)[:-1]
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("principal_minor_sums") is original:
+                monkeypatch.setattr(module, "principal_minor_sums", without_determinant)
+        assert any(is_psd and not agrees for is_psd, agrees in sampling_checks(seed=4, trials=60))
