@@ -203,21 +203,33 @@ class TestUnitSigns:
         for d in (3, 6, 7, 11):
             assert not pnri_holds(quadratic_ring(d))
 
+    def test_achievable_patterns(self):
+        # the sign patterns of +-u0^k; a unit with pattern (+, -) exists
+        # exactly when pnri holds (N(u0) = -1)
+        def unit_patterns(ring):
+            u0 = fundamental_unit(ring).unit
+            return frozenset(
+                (unit_power(u0, k) * sign).sign_pattern()
+                for k in range(-3, 4)
+                for sign in (1, -1)
+            )
+
+        same_signs = frozenset({SignPattern(1, 1), SignPattern(-1, -1)})
+        every = same_signs | {SignPattern(1, -1), SignPattern(-1, 1)}
+        assert unit_patterns(R2) == every
+        assert unit_patterns(R3) == same_signs
+        for ring in ALL_RINGS:
+            assert unit_patterns(ring) == (every if pnri_holds(ring) else same_signs)
+
     def test_unit_pattern_law(self):
-        # sign_pattern(u) = (s, s * norm(u)) for any unit, so a unit with
-        # pattern (+, -) exists exactly when pnri holds (N(u0) = -1)
+        # sign_pattern(u) = (s, s * norm(u)) for any unit
         for ring in ALL_RINGS:
             u0 = fundamental_unit(ring).unit
-            seen = set()
             for k in range(-3, 4):
                 for sign in (1, -1):
                     u = unit_power(u0, k) * sign
                     pattern = u.sign_pattern()
                     assert pattern.at_minus == pattern.at_plus * u.norm()
-                    seen.add(pattern)
-            same_signs = {SignPattern(1, 1), SignPattern(-1, -1)}
-            mixed = {SignPattern(1, -1), SignPattern(-1, 1)}
-            assert seen == (same_signs | mixed if pnri_holds(ring) else same_signs)
 
     def test_unit_pattern_periodicity(self):
         for ring in ALL_RINGS:
