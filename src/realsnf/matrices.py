@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm, prod
+from math import prod
 from typing import Sequence
 
 from . import rings
@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     SizeLimitError,
 )
-from .polynomials import RatPoly
+from .polynomials import RatPoly, primitive_scale
 from .rings import Element
 from .ringspec import RingFamily, RingSpec, parse_ring
 
@@ -333,13 +333,8 @@ class _Reduction:
         suffers hyper-exponential fraction growth."""
         if not self._scalable:
             return
-        coefficients = [c for v in self.d[i] for c in v.coefficients]
-        if not coefficients:
-            return
-        common = int_lcm(*(c.denominator for c in coefficients))
-        content = int_gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
-        if common != content:
-            factor = Fraction(common, content)
+        factor = primitive_scale([c for v in self.d[i] for c in v.coefficients])
+        if factor != 1:
             self.scale(i, RatPoly.constant(factor), RatPoly.constant(1 / factor))
 
     def swap(self, i: int, j: int) -> None:
@@ -361,8 +356,16 @@ class _Reduction:
         self.d[i] = [u * a for a in self.d[i]]
         self.log.append(("scale", i, inverse))
 
-    def apply_pair(self, i: int, j: int, block: list[list[Element]]) -> None:
-        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1."""
+    def apply_pair(
+        self, i: int, j: int, block: list[list[Element]], scale: int | Fraction = 1
+    ) -> None:
+        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1.
+
+        A Bezout block may be diag(scale, 1/scale) times the classical one
+        (see :func:`rings.xgcd`).  ``normalize`` takes that factor out of a
+        nonzero row; a row j that vanished is scaled by ``scale`` instead, so
+        the transforms never depend on it.  Row i holds the gcd.
+        """
         (a, b), (c, d) = block
         ri, rj = self.d[i], self.d[j]
         self.d[i] = [a * x + b * y for x, y in zip(ri, rj)]
@@ -370,6 +373,8 @@ class _Reduction:
         self.log.append(("apply_pair", i, j, block))
         self.normalize(i)
         self.normalize(j)
+        if scale != 1 and all(rings.is_zero(v) for v in self.d[j]):
+            self.scale(j, rings.coerce(scale, self.ring), rings.coerce(1 / scale, self.ring))
 
 
 def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
@@ -420,14 +425,17 @@ def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
     return best
 
 
-def _bezout_block(ring: RingSpec, a: Element, b: Element) -> list[list[Element]]:
-    """L = [[s, t], [-b/g, a/g]] with L * (a, b)^T = (g, 0)^T and det(L) = 1."""
-    g, s, t_coef = rings.xgcd(a, b, ring)
+def _bezout_block(
+    ring: RingSpec, a: Element, b: Element
+) -> tuple[list[list[Element]], int | Fraction]:
+    """(L, scale): L = [[s, t], [-b/g, a/g]] with L * (a, b)^T = (g, 0)^T and
+    det(L) = 1, and the scale of (g, s, t) from :func:`rings.xgcd`."""
+    g, s, t_coef, scale = rings.xgcd(a, b, ring)
     ag = rings.exact_divide(a, g, ring)
     bg = rings.exact_divide(b, g, ring)
     if ag is None or bg is None:
         raise ArithmeticError("gcd does not divide its arguments")
-    return [[s, t_coef], [rings.zero(ring) - bg, ag]]
+    return [[s, t_coef], [rings.zero(ring) - bg, ag]], scale
 
 
 def _clear_column(red: _Reduction, t: int) -> bool:
@@ -445,7 +453,7 @@ def _clear_column(red: _Reduction, t: int) -> bool:
         if quotient is not None:
             red.add_multiple(i, t, -quotient)
         else:
-            red.apply_pair(t, i, _bezout_block(ring, red.d[t][t], red.d[i][t]))
+            red.apply_pair(t, i, *_bezout_block(ring, red.d[t][t], red.d[i][t]))
             used_bezout = True
     return used_bezout
 
@@ -531,9 +539,9 @@ def _enforce_divisibility(red: _Reduction, rank: int) -> None:
         # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
         # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
         # on columns, applied as the row operation R^T on the transpose.
-        block = _bezout_block(ring, red.d[i][i], red.d[j][j])
+        block, scale = _bezout_block(ring, red.d[i][i], red.d[j][j])
         (s, t_coef), (neg_bg, ag) = block
-        red.apply_pair(i, j, block)
+        red.apply_pair(i, j, block, scale)
         red.transpose()
         red.apply_pair(i, j, [[one, one], [t_coef * neg_bg, s * ag]])
         red.transpose()

@@ -132,19 +132,29 @@ class RatPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return RatPoly([self[i] + other[i] for i in range(n)])
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-c for c in self._coeffs])
+        return _poly([-c for c in self._coeffs])
 
     def __sub__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        b = other._coeffs
+        out = list(self._coeffs)
+        out += [_ZERO] * (len(b) - len(out))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return _poly(out)
 
     def __rsub__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         return (-self) + other
@@ -153,14 +163,20 @@ class RatPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatPoly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return RatPoly(out)
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return _poly([])
+        if len(b) == 1:
+            c = b[0]
+            return _poly([x * c for x in a])
+        out = [_ZERO] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out)
 
     __rmul__ = __mul__
 
@@ -182,21 +198,22 @@ class RatPoly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        quot = [Fraction(0)] * max(len(self._coeffs) - len(other._coeffs) + 1, 0)
+        divisor = other._coeffs
+        dd = len(divisor) - 1
+        dlead = divisor[-1]
         rem = list(self._coeffs)
-        dlead = other.leading
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlead
+        quot = [_ZERO] * max(len(rem) - dd, 0)
+        # Each step pops the leading term, which the subtraction would zero.
+        while len(rem) > dd:
+            lead = rem.pop()
+            if not lead:
+                continue
+            shift = len(rem) - dd
+            factor = lead / dlead
             quot[shift] = factor
-            for i in range(dd + 1):
-                rem[shift + i] -= factor * other._coeffs[i]
-        return RatPoly(quot), RatPoly(rem)
+            for i in range(dd):
+                rem[shift + i] -= factor * divisor[i]
+        return _poly(quot), _poly(rem)
 
     def __floordiv__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         return divmod(self, other)[0]
@@ -205,13 +222,13 @@ class RatPoly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _poly([i * c for i, c in enumerate(self._coeffs)][1:])
 
     def monic(self) -> "RatPoly":
         if self.is_zero():
             return self
         lead = self.leading
-        return RatPoly([c / lead for c in self._coeffs])
+        return _poly([c / lead for c in self._coeffs])
 
     # -- evaluation --------------------------------------------------------------
 
@@ -264,10 +281,43 @@ class RatPoly:
         return f"RatPoly({list(self._coeffs)!r})"
 
 
+_ZERO = Fraction(0)
+
+
+def _poly(coeffs: list[Fraction]) -> RatPoly:
+    """The polynomial of a list of Fractions, constant first.
+
+    For arithmetic results: trailing zeros are popped from ``coeffs`` in
+    place and no coefficient is re-wrapped.
+    """
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    p = RatPoly.__new__(RatPoly)
+    p._coeffs = tuple(coeffs)
+    return p
+
+
+def primitive_scale(coefficients: "tuple[Fraction, ...] | list[Fraction]") -> Fraction:
+    """The positive rational c that makes c * coefficients coprime integers.
+
+    1 when there are no nonzero coefficients.  Over Q[x] the primitive part
+    c * p is an associate of p whose coefficients stay small under
+    Euclidean steps (Collins, J. ACM 14, 1967).
+    """
+    common = math.lcm(*(c.denominator for c in coefficients))
+    content = math.gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
+    return Fraction(common, content) if content else Fraction(1)
+
+
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q; poly_gcd(0, 0) is the zero polynomial."""
+    """Monic gcd over Q; poly_gcd(0, 0) is the zero polynomial.
+
+    The remainders are replaced by their primitive parts, which leaves the
+    monic gcd unchanged.
+    """
     while not b.is_zero():
-        a, b = b, a % b
+        r = a % b
+        a, b = b, r * primitive_scale(r.coefficients)
     return a.monic() if not a.is_zero() else a
 
 

@@ -3,9 +3,10 @@
 Elements are plain ``int`` for Z, :class:`RatPoly` for Q[x], and
 :class:`QuadElem` for the quadratic rings.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
-exact division, the canonical associate, and pnri.  The rest is derived from
-them for every family: units (1 / a exists), gcd (the canonical xgcd generator),
-association, and p-adic valuations by repeated exact division.
+exact division, the canonical associate, the primitive part (Q[x] only, in
+xgcd), and pnri.  The rest is derived from them for every family: units
+(1 / a exists), gcd (the canonical xgcd generator), association, and p-adic
+valuations by repeated exact division.
 """
 
 from __future__ import annotations
@@ -122,19 +123,37 @@ def gcd(a: Element, b: Element, ring: RingSpec) -> Element:
     return canonicalize(xgcd(a, b, ring)[0], ring)
 
 
-def xgcd(a: Element, b: Element, ring: RingSpec) -> tuple[Element, Element, Element]:
-    """(g, s, t) with s*a + t*b = g; g is some generator of (a, b)."""
+def xgcd(
+    a: Element, b: Element, ring: RingSpec
+) -> tuple[Element, Element, Element, int | Fraction]:
+    """(g, s, t, scale) with s*a + t*b = g; g is some generator of (a, b).
+
+    Over Q[x] each remainder is replaced by its primitive part (a primitive
+    remainder sequence, Collins 1967) and its cofactors by the same positive
+    multiple, so the coefficients stay small.  g, s and t are then ``scale``
+    times the values of the classical Euclidean algorithm, for a positive
+    rational ``scale``; it is 1 over Z and the quadratic rings.
+    """
     a, b = coerce(a, ring), coerce(b, ring)
     if is_zero(a) and is_zero(b):
         raise BothZeroError("gcd(0, 0) is undefined")
+    primitive = ring.family is RingFamily.RATIONAL_POLYNOMIALS
     s0, s1 = one(ring), zero(ring)
     t0, t1 = zero(ring), one(ring)
+    # a and b are scale0 and scale1 times the classical remainders, and
+    # (a mod b) is scale0 times the next one.
+    scale0 = scale1 = 1
     while not is_zero(b):
         q, r = divmod(a, b)
+        s, t, scale = s0 - q * s1, t0 - q * t1, scale0
+        if primitive and r:
+            c = polynomials.primitive_scale(r.coefficients)
+            r, s, t, scale = r * c, s * c, t * c, scale * c
         a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+        s0, s1 = s1, s
+        t0, t1 = t1, t
+        scale0, scale1 = scale1, scale
+    return a, s0, t0, scale0
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

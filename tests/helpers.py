@@ -27,6 +27,20 @@ def rand_matrix(rng, ring, n_rows, n_cols, height=4):
     return Matrix.from_rows([[entry() for _ in range(n_cols)] for _ in range(n_rows)], ring)
 
 
+def classical_xgcd(a, b, ring):
+    """The schoolbook extended Euclid, remainders left as they fall, in the
+    shape of rings.xgcd: (g, s, t, 1) with s*a + t*b = g."""
+    a, b = rings.coerce(a, ring), rings.coerce(b, ring)
+    s0, s1 = rings.one(ring), rings.zero(ring)
+    t0, t1 = rings.zero(ring), rings.one(ring)
+    while not rings.is_zero(b):
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0, 1
+
+
 def random_unimodular(rng, ring, n, steps=6):
     m = Matrix.identity(n, ring)
     rows = [list(r) for r in m.entries]

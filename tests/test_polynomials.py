@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from realsnf.polynomials import (
     parse_poly,
     poly_gcd,
     positive_associate,
+    primitive_scale,
     sign_variations,
     squarefree_decomposition,
     sturm_chain,
@@ -48,6 +50,19 @@ class TestArithmetic:
         assert RatPoly([3]).degree == 0
         assert RatPoly([0, 0, 1]).degree == 2
         assert RatPoly([1, 0, 0]).degree == 0  # trailing zeros dropped
+
+    def test_results_are_stored_like_public_ones(self):
+        """Arithmetic builds results without the public constructor: they must
+        still hold Fractions and no trailing zero."""
+        rng = random.Random(3)
+        for _ in range(200):
+            a, b = rand_poly(rng), rand_poly(rng, nonzero=True)
+            results = [a + b, a - b, a - a, -a, a * b, a * 0, a * Fraction(2, 3), b.derivative()]
+            results += [*divmod(a, b), b.monic()]
+            for r in results:
+                assert RatPoly(list(r.coefficients)).coefficients == r.coefficients
+                assert all(type(c) is Fraction for c in r.coefficients)
+        assert (X + 1) - X == RatPoly([1]) and (X - X).degree == -1
 
     def test_evaluation_matches_sign_kernel(self):
         rng = random.Random(2)
@@ -90,6 +105,36 @@ class TestSignKernels:
         assert sign_variations([1, -1, 1]) == 2
         assert sign_variations([1, 0, -1, 0, -1, 1]) == 2
         assert sign_variations([0, 0, -1]) == 0
+
+
+class TestPrimitiveScale:
+    def test_examples(self):
+        assert primitive_scale([Fraction(1, 2), Fraction(1, 3)]) == 6
+        assert primitive_scale([Fraction(4), Fraction(0), Fraction(6)]) == Fraction(1, 2)
+        assert primitive_scale([Fraction(-3, 4)]) == Fraction(4, 3)
+        assert primitive_scale([]) == primitive_scale([Fraction(0)]) == 1
+
+    def test_scaled_coefficients_are_coprime_integers(self):
+        rng = random.Random(4)
+        for _ in range(100):
+            coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)]
+            if not any(coeffs):
+                continue
+            c = primitive_scale(coeffs)
+            scaled = [c * v for v in coeffs]
+            assert c > 0 and all(v.denominator == 1 for v in scaled)
+            assert math.gcd(*(v.numerator for v in scaled)) == 1
+
+    def test_gcd_is_the_monic_classical_gcd(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            common = rand_poly(rng, max_degree=3)
+            a = rand_poly(rng, max_degree=4) * common
+            b = rand_poly(rng, max_degree=4) * common
+            x, y = a, b
+            while not y.is_zero():
+                x, y = y, x % y
+            assert poly_gcd(a, b) == (x.monic() if x else x)
 
 
 class TestSturm:

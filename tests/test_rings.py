@@ -15,7 +15,7 @@ from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf import quadratic, rings
 
-from helpers import unit_power
+from helpers import classical_xgcd, unit_power
 
 ALL_QUADRATIC = [quadratic_ring(d) for d in (2, 3, 5, 6, 7, 11, 13)]
 
@@ -145,8 +145,23 @@ class TestGcd:
             b = random_element(rng, ring)
             if rings.is_zero(a) and rings.is_zero(b):
                 continue
-            g, s, t = rings.xgcd(a, b, ring)
+            g, s, t, _ = rings.xgcd(a, b, ring)
             assert s * rings.coerce(a, ring) + t * rings.coerce(b, ring) == g
+
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring(7)], ids=str)
+    def test_xgcd_is_scale_times_classical_euclid(self, ring):
+        rng = random.Random(12)
+        for _ in range(100):
+            a, b = random_element(rng, ring), random_element(rng, ring)
+            if ring is RATIONAL_POLYNOMIALS:  # products share factors, so gcds have degree
+                c = random_element(rng, ring)
+                a, b = a * c * random_element(rng, ring), b * c
+            if rings.is_zero(a) and rings.is_zero(b):
+                continue
+            g, s, t, scale = rings.xgcd(a, b, ring)
+            g0, s0, t0, _ = classical_xgcd(a, b, ring)
+            assert scale > 0 and (scale == 1 or ring is RATIONAL_POLYNOMIALS)
+            assert (g, s, t) == (g0 * scale, s0 * scale, t0 * scale)
 
 
 class TestAssociation:

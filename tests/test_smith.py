@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +20,7 @@ from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf import rings
 
-from helpers import rand_matrix, random_unimodular
+from helpers import classical_xgcd, rand_matrix, random_unimodular
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -81,6 +83,52 @@ class TestFixedInstances:
         result = smith_normal_form(m)
         assert result.diagonals == ()
         assert verify_snf(m, result)
+
+
+def golden_snf_input(name):
+    cases = json.loads((Path(__file__).parent / "data" / "snf_golden.json").read_text())
+    case = next(c for c in cases if c["name"] == name)
+    return matrices.matrix_from_json(case["input"], parse_ring(case["ring"]))
+
+
+def coefficient_bits(polys):
+    return max(
+        (max(c.numerator.bit_length(), c.denominator.bit_length())
+         for p in polys for c in p.coefficients),
+        default=0,
+    )
+
+
+class TestPolyBezoutSteps:
+    def test_cofactors_stay_small(self, monkeypatch):
+        """A seeded 5x5 N*N^T over Q[x] needs a gcd of a degree-15 and a
+        degree-33 entry; classical Euclid cofactors there reach 2,600 bits."""
+        original = matrices._bezout_block
+        seen = []
+
+        def wrapped(ring, a, b):
+            block, scale = original(ring, a, b)
+            seen.append((b.degree, coefficient_bits(block[0])))
+            return block, scale
+
+        monkeypatch.setattr(matrices, "_bezout_block", wrapped)
+        smith_normal_form(golden_snf_input("qx-5x5-seeded-full-rank"))
+        assert max(degree for degree, _ in seen) >= 30
+        assert max(bits for _, bits in seen) < 1000
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_transforms_do_not_depend_on_the_gcd_scale(self, monkeypatch, rank):
+        """P, D and Q are those of the classical Euclid's Bezout blocks, also
+        when a Bezout step leaves a zero row (rank-deficient inputs)."""
+        rng = random.Random(20 + rank)
+        for _ in range(15):
+            n_rows, n_cols = rng.randint(rank, 4), rng.randint(rank, 4)
+            m = rank_deficient(rng, RATIONAL_POLYNOMIALS, n_rows, n_cols, rank)
+            with monkeypatch.context() as patch:
+                patch.setattr(rings, "xgcd", classical_xgcd)
+                want = smith_normal_form(m)
+            got = smith_normal_form(m)
+            assert (got.P, got.D, got.Q) == (want.P, want.D, want.Q)
 
 
 class TestMinorProfile:
