@@ -3,20 +3,25 @@
 All exact values in the JSON are decimal strings so nothing is ever rounded.
 Exit codes: 0 success, 1 the mathematical verdict was not the one demanded
 by --expect-holds, 2 input errors, 3 internal consistency breach.
+
+``main(argv)`` returns the exit code instead of exiting, and may be called
+any number of times in one process: the parser is built on the first call
+and reused.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import matrices, quadratic, rings, spectrum, verify
 from .errors import ParseError, RealSnfError, TheoremConsistencyError
-from .matrices import matrix_from_json, smith_normal_form
+from .matrices import Matrix, matrix_from_json, smith_normal_form
 from .polynomials import poly_from_json
 from .ringspec import RATIONAL_POLYNOMIALS, RingFamily, RingSpec, parse_ring
 
@@ -59,11 +64,25 @@ def _require_ring(args: argparse.Namespace) -> RingSpec:
     return parse_ring(args.ring)
 
 
-def _cmd_snf(args: argparse.Namespace) -> int:
+def _read_matrix(args: argparse.Namespace, what: str) -> Matrix:
     data = _load_input(args.input)
     if data is None:
-        raise ParseError("snf needs --input with a matrix")
-    m = matrix_from_json(data, _ring_of(args))
+        raise ParseError(f"{args.command} needs --input with {what}")
+    return matrix_from_json(data, _ring_of(args))
+
+
+def _verdict(args: argparse.Namespace, holds: bool) -> int:
+    """The exit code: EXIT_VERDICT only when --expect-holds was passed and failed."""
+    return EXIT_VERDICT if args.expect_holds and not holds else EXIT_OK
+
+
+def _unit_fields(ring: RingSpec) -> dict:
+    fu = quadratic.fundamental_unit(ring)
+    return {"unit": str(fu.unit), "norm": str(fu.norm)}
+
+
+def _cmd_snf(args: argparse.Namespace) -> int:
+    m = _read_matrix(args, "a matrix")
     result = smith_normal_form(m)
     check = matrices.verify_snf(m, result)
     _emit(
@@ -82,47 +101,29 @@ def _cmd_snf(args: argparse.Namespace) -> int:
 
 
 def _cmd_psd(args: argparse.Namespace) -> int:
-    data = _load_input(args.input)
-    if data is None:
-        raise ParseError("psd needs --input with a symmetric matrix")
-    m = matrix_from_json(data, _ring_of(args))
-    report = spectrum.is_psd_on_spectrum(m)
+    report = spectrum.is_psd_on_spectrum(_read_matrix(args, "a symmetric matrix"))
     _emit(report.to_json(), args.pretty)
-    if args.expect_holds and not report.is_psd:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return _verdict(args, report.is_psd)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    data = _load_input(args.input)
-    if data is None:
-        raise ParseError("verify needs --input with a symmetric matrix")
-    m = matrix_from_json(data, _ring_of(args))
-    report = verify.verify_main_theorem(m)
+    report = verify.verify_main_theorem(_read_matrix(args, "a symmetric matrix"))
     _emit(report.to_json(), args.pretty)
-    if args.expect_holds and report.conclusion is not verify.Conclusion.THEOREM_HOLDS:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return _verdict(args, report.conclusion is verify.Conclusion.THEOREM_HOLDS)
 
 
 def _cmd_pnri(args: argparse.Namespace) -> int:
     ring = _require_ring(args)
     payload: dict = {"ring": str(ring), "pnri": rings.pnri(ring)}
     if ring.family is RingFamily.QUADRATIC_INTEGERS:
-        fu = quadratic.fundamental_unit(ring)
-        payload["unit"] = str(fu.unit)
-        payload["norm"] = str(fu.norm)
+        payload.update(_unit_fields(ring))
     _emit(payload, args.pretty)
     return EXIT_OK
 
 
 def _cmd_unit(args: argparse.Namespace) -> int:
     ring = _require_ring(args)
-    fu = quadratic.fundamental_unit(ring)
-    _emit(
-        {"ring": str(ring), "unit": str(fu.unit), "norm": str(fu.norm)},
-        args.pretty,
-    )
+    _emit({"ring": str(ring), **_unit_fields(ring)}, args.pretty)
     return EXIT_OK
 
 
@@ -151,9 +152,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
         },
         args.pretty,
     )
-    if args.expect_holds and report.conclusion is not verify.Conclusion.THEOREM_HOLDS:
-        return EXIT_VERDICT
-    return EXIT_OK
+    return _verdict(args, report.conclusion is verify.Conclusion.THEOREM_HOLDS)
 
 
 def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
@@ -202,14 +201,14 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     _emit(summary.to_json(), args.pretty)
     if not summary.ok:
         return EXIT_BREACH
-    if args.expect_holds and any(
-        r.conclusion is not verify.Conclusion.THEOREM_HOLDS for r in summary.reports
-    ):
-        return EXIT_VERDICT
-    return EXIT_OK
+    return _verdict(
+        args, all(r.conclusion is verify.Conclusion.THEOREM_HOLDS for r in summary.reports)
+    )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later ``main``."""
     parser = argparse.ArgumentParser(
         prog="realsnf",
         description=(
@@ -220,10 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(
-        name: str, help: str, ring: bool = True, needs_input: bool = True, verdict: bool = False
+        name: str,
+        handler: Callable[[argparse.Namespace], int],
+        help: str,
+        ring: bool = True,
+        needs_input: bool = True,
+        verdict: bool = False,
     ) -> argparse.ArgumentParser:
-        """A subcommand with only the shared options its handler reads."""
+        """A subcommand bound to its handler, with only the shared options it reads."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if ring:
             p.add_argument("--ring", help="Z, Q[x], Zsqrt:<d> or Zhalf:<d>")
         if needs_input:
@@ -237,16 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
             )
         return p
 
-    command("snf", "Smith Normal Form of a matrix")
-    command("psd", "positive semidefiniteness on the real spectrum", verdict=True)
-    command("verify", "full positivity pipeline on a matrix", verdict=True)
-    command("pnri", "whether units realize every sign pattern", needs_input=False)
-    command("unit", "fundamental unit of a quadratic ring", needs_input=False)
-    command("counterexample", "build and judge a 2x2 recipe", verdict=True)
-    command("valuation-lemma", "check the valuation inequality", ring=False)
+    command("snf", _cmd_snf, "Smith Normal Form of a matrix")
+    command("psd", _cmd_psd, "positive semidefiniteness on the real spectrum", verdict=True)
+    command("verify", _cmd_verify, "full positivity pipeline on a matrix", verdict=True)
+    command("pnri", _cmd_pnri, "whether units realize every sign pattern", needs_input=False)
+    command("unit", _cmd_unit, "fundamental unit of a quadratic ring", needs_input=False)
+    command("counterexample", _cmd_counterexample, "build and judge a 2x2 recipe", verdict=True)
+    command("valuation-lemma", _cmd_valuation_lemma, "check the valuation inequality", ring=False)
 
     suite = command(
-        "suite", "seeded randomized falsification run", needs_input=False, verdict=True
+        "suite", _cmd_suite, "seeded randomized falsification run", needs_input=False, verdict=True
     )
     suite.add_argument("--trials", type=int, default=100)
     suite.add_argument("--size", type=int, default=4, help="maximum matrix size")
@@ -256,23 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "snf": _cmd_snf,
-    "psd": _cmd_psd,
-    "verify": _cmd_verify,
-    "pnri": _cmd_pnri,
-    "unit": _cmd_unit,
-    "counterexample": _cmd_counterexample,
-    "valuation-lemma": _cmd_valuation_lemma,
-    "suite": _cmd_suite,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code; safe to call repeatedly."""
+    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except TheoremConsistencyError as exc:
         print(f"consistency breach: {exc}", file=sys.stderr)
         return EXIT_BREACH

@@ -30,7 +30,7 @@ from .errors import (
     ShapeMismatchError,
     SizeLimitError,
 )
-from .polynomials import RatPoly, primitive_scale
+from .polynomials import primitive_scale
 from .rings import Element
 from .ringspec import RingFamily, RingSpec, parse_ring
 
@@ -335,7 +335,7 @@ class _Reduction:
             return
         factor = primitive_scale([c for v in self.d[i] for c in v.coefficients])
         if factor != 1:
-            self.scale(i, RatPoly.constant(factor), RatPoly.constant(1 / factor))
+            self.scale(i, factor, 1 / factor)
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
@@ -351,8 +351,9 @@ class _Reduction:
         self.log.append(("add_multiple", dst, src, c))
         self.normalize(dst)
 
-    def scale(self, i: int, u: Element, inverse: Element) -> None:
-        """row_i *= u for a unit u; the log keeps u's inverse for the replay."""
+    def scale(self, i: int, u: Element | Fraction, inverse: Element | Fraction) -> None:
+        """row_i *= u for a unit u (over Q[x] a nonzero rational); the log keeps
+        u's inverse for the replay."""
         self.d[i] = [u * a for a in self.d[i]]
         self.log.append(("scale", i, inverse))
 
@@ -374,7 +375,7 @@ class _Reduction:
         self.normalize(i)
         self.normalize(j)
         if scale != 1 and all(rings.is_zero(v) for v in self.d[j]):
-            self.scale(j, rings.coerce(scale, self.ring), rings.coerce(1 / scale, self.ring))
+            self.scale(j, scale, 1 / scale)
 
 
 def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
@@ -520,31 +521,29 @@ def smith_normal_form(m: Matrix) -> SnfResult:
 
 
 def _enforce_divisibility(red: _Reduction, rank: int) -> None:
-    """gcd/lcm fix-up: repeatedly replace (d_i, d_j) by (g, d_i*d_j/g)."""
+    """gcd/lcm fix-up: one pass over i < j replaces (d_i, d_j) by (g, d_i*d_j/g).
+
+    One pass suffices.  When (i, j) is fixed, every earlier pair already
+    divides: each d_k before d_i divides d_i and d_j, so it divides their gcd
+    g and their lcm; g divides d_i, which divided each d_k between d_i and
+    d_j.  So no fix breaks an earlier pair, and a rescan from the start
+    would find the same violations in the same order.
+    """
     ring = red.ring
     one = rings.one(ring)
-    while True:
-        violation = next(
-            (
-                (i, j)
-                for i in range(rank)
-                for j in range(i + 1, rank)
-                if not rings.divides(red.d[i][i], red.d[j][j], ring)
-            ),
-            None,
-        )
-        if violation is None:
-            return
-        i, j = violation
-        # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
-        # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
-        # on columns, applied as the row operation R^T on the transpose.
-        block, scale = _bezout_block(ring, red.d[i][i], red.d[j][j])
-        (s, t_coef), (neg_bg, ag) = block
-        red.apply_pair(i, j, block, scale)
-        red.transpose()
-        red.apply_pair(i, j, [[one, one], [t_coef * neg_bg, s * ag]])
-        red.transpose()
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if rings.divides(red.d[i][i], red.d[j][j], ring):
+                continue
+            # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
+            # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
+            # on columns, applied as the row operation R^T on the transpose.
+            block, scale = _bezout_block(ring, red.d[i][i], red.d[j][j])
+            (s, t_coef), (neg_bg, ag) = block
+            red.apply_pair(i, j, block, scale)
+            red.transpose()
+            red.apply_pair(i, j, [[one, one], [t_coef * neg_bg, s * ag]])
+            red.transpose()
 
 
 def _canonicalize_diagonal(red: _Reduction, rank: int) -> None:

@@ -160,8 +160,9 @@ class RatPoly:
         return (-self) + other
 
     def __mul__(self, other: "RatPoly | Coefficient") -> "RatPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, (int, Fraction)):
+            return _poly([x * other for x in self._coeffs])
+        if not isinstance(other, RatPoly):
             return NotImplemented
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
@@ -238,30 +239,23 @@ class RatPoly:
             acc = acc * t + c
         return acc
 
-    def int_coefficients(self) -> tuple[list[int], int]:
-        """(c, scale) with scale > 0 and self = (1/scale) * sum(c[i] x**i)."""
-        if self.is_zero():
-            return [], 1
-        scale = math.lcm(*(c.denominator for c in self._coeffs))
-        return [int(c * scale) for c in self._coeffs], scale
+    def int_coefficients(self) -> list[int]:
+        """The coprime integers of the primitive part c * self, c = primitive_scale > 0.
+
+        A positive multiple keeps the sign of self at every point and every
+        rational root, so sign and root questions read these integers.
+        """
+        scale = primitive_scale(self._coeffs)
+        return [int(c * scale) for c in self._coeffs]
 
     def sign_at(self, t: Coefficient) -> int:
         t = Fraction(t)
-        coeffs, _ = self.int_coefficients()
-        return eval_sign_int(coeffs, t.numerator, t.denominator)
+        return eval_sign_int(self.int_coefficients(), t.numerator, t.denominator)
 
     def signs_at(self, numerators: list[int], denominator: int) -> list[int]:
         """Signs at the rational points numerators[i] / denominator (> 0)."""
-        coeffs, _ = self.int_coefficients()
-        d = len(coeffs) - 1
-        scaled = [c * denominator ** (d - i) for i, c in enumerate(coeffs)]
-        out = []
-        for u in numerators:
-            acc = 0
-            for c in reversed(scaled):
-                acc = acc * u + c
-            out.append((acc > 0) - (acc < 0))
-        return out
+        coeffs = self.int_coefficients()
+        return [eval_sign_int(coeffs, u, denominator) for u in numerators]
 
     def sign_at_infinity(self, direction: int) -> int:
         """Sign of p(t) as t -> +oo (direction=+1) or t -> -oo (direction=-1)."""
@@ -428,11 +422,7 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
 
 def is_nonneg_on_reals(p: RatPoly) -> bool:
     """Exact test of p(t) >= 0 for every real t."""
-    if p.is_zero():
-        return True
-    if p.degree % 2 == 1 or p.leading < 0:
-        return False
-    return p.degree == 0 or _sign_change_chain(p) is None
+    return find_negative_point(p) is None
 
 
 def positive_associate(p: RatPoly) -> RatPoly | None:
@@ -513,10 +503,10 @@ def find_negative_point(p: RatPoly) -> Fraction | None:
 
 
 def _rational_roots_exist(p: RatPoly) -> bool:
-    """Rational root test on the integer-cleared form."""
+    """Rational root test on the primitive integer form."""
     if p(0) == 0:
         return True
-    coeffs, _ = p.int_coefficients()
+    coeffs = p.int_coefficients()
     a0, an = abs(coeffs[0]), abs(coeffs[-1])
     for r in _divisors(a0):
         for s in _divisors(an):
@@ -537,9 +527,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _eisenstein_applies(p: RatPoly) -> bool:
-    coeffs, _ = p.int_coefficients()
-    content = math.gcd(*(abs(c) for c in coeffs))
-    coeffs = [c // content for c in coeffs]
+    coeffs = p.int_coefficients()
     a0 = abs(coeffs[0])
     if a0 == 0:
         return False

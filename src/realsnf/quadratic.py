@@ -300,28 +300,19 @@ def _is_square(n: int) -> int | None:
 def fundamental_unit(ring: RingSpec) -> FundamentalUnit:
     """Smallest unit above 1, by ascending search on the Pell equations.
 
-    Zsqrt form: least y >= 1 with x**2 - d*y**2 = +-1.
-    Zhalf form: least Y >= 1 with X**2 - d*Y**2 = +-4, unit (X + Y*sqrt(d))/2.
+    The least Y >= 1 with X**2 - d*Y**2 = +-k gives the unit (X + Y*sqrt(d))/2
+    for the Zhalf form (k = 4) and X + Y*sqrt(d) for the Zsqrt form (k = 1).
     """
     _require_quadratic(ring)
-    d = ring.d
-    if ring.uses_half_basis:
-        for big_y in range(1, _PELL_SEARCH_LIMIT):
-            base = d * big_y * big_y
-            for delta in (-4, 4):
-                big_x = _is_square(base + delta)
-                if big_x is not None and big_x > 0:
-                    unit = QuadElem((big_x - big_y) // 2, big_y, ring)
-                    return FundamentalUnit(unit, unit.norm())
-    else:
-        for y in range(1, _PELL_SEARCH_LIMIT):
-            base = d * y * y
-            for delta in (-1, 1):
-                x = _is_square(base + delta)
-                if x is not None and x > 0:
-                    unit = QuadElem(x, y, ring)
-                    return FundamentalUnit(unit, unit.norm())
-    raise ArithmeticError(f"Pell search exhausted for d={d}")
+    half = ring.uses_half_basis
+    k = 4 if half else 1
+    for y in range(1, _PELL_SEARCH_LIMIT):
+        for delta in (-k, k):
+            x = _is_square(ring.d * y * y + delta)
+            if x is not None and x > 0:
+                unit = QuadElem((x - y) // 2 if half else x, y, ring)
+                return FundamentalUnit(unit, unit.norm())
+    raise ArithmeticError(f"Pell search exhausted for d={ring.d}")
 
 
 def _require_quadratic(ring: RingSpec) -> None:

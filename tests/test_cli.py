@@ -1,4 +1,8 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,8 +308,14 @@ class TestInputErrors:
         assert "Traceback" not in err and "Fraction(" not in err
 
     def test_missing_input(self, capsys):
-        code, _, err = run(capsys, "snf", "--ring", "Z")
-        assert code == 2
+        for command, what in (
+            ("snf", "a matrix"),
+            ("psd", "a symmetric matrix"),
+            ("verify", "a symmetric matrix"),
+        ):
+            code, out, err = run(capsys, command, "--ring", "Z")
+            assert code == 2 and out == ""
+            assert err == f"error: {command} needs --input with {what}\n"
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -333,3 +343,43 @@ class TestInputErrors:
         code, out, _ = run(capsys, "pnri", "--ring", "Z", "--pretty")
         assert code == 0
         assert out.startswith("{\n")
+
+
+class TestInProcessCalls:
+    """main() is called many times in one process, by tests and by ``snf`` workloads."""
+
+    def test_consecutive_calls_share_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self.prog == "realsnf":
+                built.append(self)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert run(capsys, "unit", "--ring", "Zsqrt:2")[0] == 0
+        assert run(capsys, "snf", "--ring", "Z", "--input", "[[2]]")[0] == 0
+        assert len(built) <= 1
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *a, **k):\n"
+            "    init(self, *a, **k)\n"
+            "    built.append(self.prog)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import realsnf.cli\n"
+            "print(built.count('realsnf'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        assert out == "0\n"

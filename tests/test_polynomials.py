@@ -64,6 +64,17 @@ class TestArithmetic:
                 assert all(type(c) is Fraction for c in r.coefficients)
         assert (X + 1) - X == RatPoly([1]) and (X - X).degree == -1
 
+    def test_scalar_product_matches_constant_polynomial(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            p = rand_poly(rng)
+            for c in (0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+                assert p * c == p * RatPoly.constant(c)
+                assert c * p == p * c
+                assert all(type(v) is Fraction for v in (p * c).coefficients)
+        assert (X + 1) * 0 == RatPoly.zero() and ((X + 1) * 0).coefficients == ()
+        assert 0 * (X + 1) == RatPoly.zero() and (Fraction(0) * X).coefficients == ()
+
     def test_evaluation_matches_sign_kernel(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -124,6 +135,16 @@ class TestPrimitiveScale:
             scaled = [c * v for v in coeffs]
             assert c > 0 and all(v.denominator == 1 for v in scaled)
             assert math.gcd(*(v.numerator for v in scaled)) == 1
+
+    def test_int_coefficients_are_the_primitive_part(self):
+        assert RatPoly([Fraction(2, 3), Fraction(4, 3)]).int_coefficients() == [1, 2]
+        assert RatPoly([6, 0, -4]).int_coefficients() == [3, 0, -2]
+        assert RatPoly.zero().int_coefficients() == []
+        rng = random.Random(7)
+        for _ in range(100):
+            p = rand_poly(rng, nonzero=True) * Fraction(rng.randint(1, 30), rng.randint(1, 30))
+            scale = primitive_scale(p.coefficients)
+            assert p.int_coefficients() == [c * scale for c in p.coefficients]
 
     def test_gcd_is_the_monic_classical_gcd(self):
         rng = random.Random(5)
