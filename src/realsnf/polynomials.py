@@ -114,6 +114,9 @@ class RatPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
+        # Equal objects hash equal: a constant polynomial equals its constant.
+        if len(self._coeffs) <= 1:
+            return hash(self._coeffs[0]) if self._coeffs else 0
         return hash(self._coeffs)
 
     def __bool__(self) -> bool:
@@ -172,12 +175,20 @@ class RatPoly:
         if len(b) == 1:
             c = b[0]
             return _poly([x * c for x in a])
-        out = [_ZERO] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
+        # Convolve integer numerators over each factor's common denominator,
+        # so a Fraction (and its gcd) is built per output coefficient, not
+        # per term product.
+        da = math.lcm(*(x.denominator for x in a))
+        db = math.lcm(*(y.denominator for y in b))
+        na = [x.numerator * (da // x.denominator) for x in a]
+        nb = [y.numerator * (db // y.denominator) for y in b]
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(na):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return _poly(out)
+                for j, y in enumerate(nb, i):
+                    out[j] += x * y
+        d = da * db
+        return _poly([Fraction(c, d) for c in out])
 
     __rmul__ = __mul__
 

@@ -97,6 +97,20 @@ def psd_exact_ordered(rows):
     return True
 
 
+def poly_product_oracle(a, b):
+    """a * b for two RatPolys by the schoolbook convolution over Fraction.
+
+    It checks ``RatPoly.__mul__`` and shares none of its code: every term
+    product is a Fraction, added into place, and the public constructor
+    builds the result.
+    """
+    out = [Fraction(0)] * max(len(a.coefficients) + len(b.coefficients) - 1, 0)
+    for i, x in enumerate(a.coefficients):
+        for j, y in enumerate(b.coefficients):
+            out[i + j] += x * y
+    return RatPoly(out)
+
+
 def evaluate_poly_matrix(m, t):
     """Evaluate a Q[x] matrix entrywise at a rational point."""
     return [[entry(t) for entry in row] for row in m.entries]

@@ -24,6 +24,8 @@ from realsnf.polynomials import (
     sturm_chain,
 )
 
+from helpers import poly_product_oracle
+
 X = RatPoly.x()
 
 
@@ -35,7 +37,63 @@ def rand_poly(rng, max_degree=6, height=5, nonzero=False):
             return p
 
 
+# Prime, prime-power and composite denominators: most pairs are coprime,
+# some share a factor, so common denominators are lcms, not products.
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 12, 35, 64, 97)
+
+
+def rand_rat_poly(rng, max_degree=8, height=9):
+    """A seeded Q[x] factor of degree -1 (zero) to max_degree: rational
+    coefficients, about 30% of those below the leading one zero, a leading
+    coefficient of either sign."""
+    degree = rng.randint(-1, max_degree)
+
+    def coeff(allow_zero):
+        numerator = rng.randint(1, height) * rng.choice((-1, 1))
+        if allow_zero and rng.random() < 0.3:
+            numerator = 0
+        return Fraction(numerator, rng.choice(DENOMINATORS))
+
+    coeffs = [coeff(True) for _ in range(degree)]
+    if degree >= 0:
+        coeffs.append(coeff(False))
+    return RatPoly(coeffs)
+
+
 class TestArithmetic:
+    def test_product_matches_schoolbook_oracle(self):
+        rng = random.Random(14)
+        fixed = [
+            RatPoly.zero(),
+            RatPoly([Fraction(-2, 3)]),
+            RatPoly([Fraction(1, 3), Fraction(1, 2)]),
+            RatPoly([Fraction(-1, 7), 0, 0, Fraction(-1, 5)]),
+            RatPoly([Fraction(5, 64), 0, Fraction(3, 35), 0, Fraction(-9, 97)]),
+        ]
+        factors = fixed + [rand_rat_poly(rng) for _ in range(60)]
+        assert {p.degree for p in factors} == set(range(-1, 9))
+        for a in factors:
+            for b in factors:
+                product = a * b
+                assert product == poly_product_oracle(a, b)
+                coeffs = product.coefficients
+                assert all(type(c) is Fraction for c in coeffs)
+                assert not coeffs or coeffs[-1] != 0
+        # (1/3*x + 1/2) * (-1/7*x + 1/5), expanded by hand.
+        a = RatPoly([Fraction(1, 2), Fraction(1, 3)])
+        b = RatPoly([Fraction(1, 5), Fraction(-1, 7)])
+        expected = RatPoly([Fraction(1, 10), Fraction(-1, 210), Fraction(-1, 21)])
+        assert a * b == poly_product_oracle(a, b) == expected
+
+    def test_constant_hashes_like_its_constant(self):
+        """Equal objects hash equal, so dict and set lookups agree with ==."""
+        half = Fraction(1, 2)
+        for p, c in ((RatPoly([1]), 1), (RatPoly([half]), half), (RatPoly([-7]), -7), (RatPoly.zero(), 0)):
+            assert p == c and hash(p) == hash(c)
+            assert {p: "p"}.get(c) == "p" and {c: "c"}.get(p) == "c"
+            assert len({p, c}) == 1
+        assert hash(RatPoly([1, 2])) == hash(RatPoly([Fraction(2, 2), Fraction(4, 2)]))
+
     def test_divmod_round_trip(self):
         rng = random.Random(1)
         for _ in range(200):
