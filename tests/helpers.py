@@ -114,3 +114,29 @@ def poly_product_oracle(a, b):
 def evaluate_poly_matrix(m, t):
     """Evaluate a Q[x] matrix entrywise at a rational point."""
     return [[entry(t) for entry in row] for row in m.entries]
+
+
+def classical_sturm_chain(p):
+    """The schoolbook Sturm chain of a nonzero RatPoly: p, p', then the
+    negated remainders as they fall, until a constant or a zero remainder.
+
+    It checks ``polynomials.sturm_chain`` and shares none of its code: the
+    derivative and the long division are written out here over Fraction.
+    """
+    chain = [list(p.coefficients)]
+    if len(chain[0]) >= 2:
+        chain.append([i * c for i, c in enumerate(chain[0])][1:])
+        while len(chain[-1]) >= 2:
+            rem, divisor = list(chain[-2]), chain[-1]
+            while len(rem) >= len(divisor):
+                factor = rem[-1] / divisor[-1]
+                shift = len(rem) - len(divisor)
+                for i, c in enumerate(divisor):
+                    rem[shift + i] -= factor * c
+                rem.pop()
+            while rem and rem[-1] == 0:
+                rem.pop()
+            if not rem:
+                break
+            chain.append([-c for c in rem])
+    return [RatPoly(c) for c in chain]

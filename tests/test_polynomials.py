@@ -24,7 +24,7 @@ from realsnf.polynomials import (
     sturm_chain,
 )
 
-from helpers import poly_product_oracle
+from helpers import classical_sturm_chain, poly_product_oracle
 
 X = RatPoly.x()
 
@@ -228,6 +228,26 @@ class TestSturm:
     def test_zero_rejected(self):
         with pytest.raises(ZeroPolynomialError):
             sturm_chain(RatPoly([]))
+
+    def test_chain_is_the_classical_chain_up_to_positive_scaling(self):
+        # Repeated factors, rational coefficients, degrees 0-12: each member
+        # is a positive rational multiple of the schoolbook member, so every
+        # sign, and with it every Sturm count, is the classical one.
+        rng = random.Random(12)
+        checked = 0
+        while checked < 150:
+            p = rand_rat_poly(rng, max_degree=4)
+            for _ in range(rng.randint(0, 2)):
+                p = p * rand_rat_poly(rng, max_degree=3) ** rng.randint(1, 3)
+            if p.is_zero() or p.degree > 12:
+                continue
+            chain, oracle = sturm_chain(p).chain, classical_sturm_chain(p)
+            assert len(chain) == len(oracle), str(p)
+            for member, expected in zip(chain, oracle):
+                assert member.degree == expected.degree, str(p)
+                ratio = member.leading / expected.leading
+                assert ratio > 0 and member == expected * ratio, str(p)
+            checked += 1
 
     def test_root_counts(self):
         assert count_real_roots(parse_poly("x^2-2")) == 2
