@@ -314,16 +314,24 @@ def primitive_scale(coefficients: "tuple[Fraction, ...] | list[Fraction]") -> Fr
     return Fraction(common, content) if content else Fraction(1)
 
 
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd over Q; poly_gcd(0, 0) is the zero polynomial.
+def _remainder_sequence(a: RatPoly, b: RatPoly) -> list[RatPoly]:
+    """a, then b (if nonzero) and each nonzero negated remainder, made primitive.
 
-    The remainders are replaced by their primitive parts, which leaves the
-    monic gcd unchanged.
+    The positive primitive_scale keeps every sign of the classical sequence
+    while coefficients stay small (Collins, J. ACM 14, 1967; Brown and Traub,
+    J. ACM 18, 1971).
     """
+    seq = [a]
     while not b.is_zero():
+        seq.append(b)
         r = a % b
-        a, b = b, r * primitive_scale(r.coefficients)
-    return a.monic() if not a.is_zero() else a
+        a, b = b, r * -primitive_scale(r.coefficients)
+    return seq
+
+
+def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Monic gcd over Q; poly_gcd(0, 0) is the zero polynomial."""
+    return _remainder_sequence(a, b)[-1].monic()
 
 
 # -- Sturm chains -------------------------------------------------------------
@@ -331,7 +339,12 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 @dataclass(frozen=True)
 class SturmChain:
-    """p, p', then negated Euclidean remainders until a constant or gcd(p, p')."""
+    """p, p', then the negated remainders until a constant or gcd(p, p').
+
+    Each member after p' is a positive rational multiple of the classical
+    Sturm remainder (see _remainder_sequence), so its sign at every point,
+    and every count read from the chain, is the classical one.
+    """
 
     chain: tuple[RatPoly, ...]
 
@@ -343,15 +356,7 @@ class SturmChain:
 def sturm_chain(p: RatPoly) -> SturmChain:
     if p.is_zero():
         raise ZeroPolynomialError("Sturm chain of the zero polynomial")
-    chain = [p]
-    if p.degree >= 1:
-        chain.append(p.derivative())
-        while chain[-1].degree >= 1:
-            rem = chain[-2] % chain[-1]
-            if rem.is_zero():
-                break
-            chain.append(-rem)
-    return SturmChain(tuple(chain))
+    return SturmChain(tuple(_remainder_sequence(p, p.derivative())))
 
 
 def _variations_at(chain: SturmChain, t: Fraction) -> int:
@@ -367,8 +372,9 @@ def _roots_on_line(chain: SturmChain) -> int:
 def count_real_roots(p: RatPoly) -> int:
     """Distinct real roots of a nonzero polynomial, by Sturm's theorem.
 
-    The chain p, p', -rem, ... ends at gcd(p, p'), and its sign variations
-    count distinct roots whether or not p is square-free.
+    The chain p, p', then positive multiples of -rem, ... ends at a multiple
+    of gcd(p, p'), and its sign variations count distinct roots whether or
+    not p is square-free.
     """
     if p.is_zero():
         raise ZeroPolynomialError("root count of the zero polynomial")
