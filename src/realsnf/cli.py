@@ -50,6 +50,8 @@ def _load_input(text: str | None, default: object = None) -> object:
         raise ParseError(f"input {text!r} is neither inline JSON nor an existing file")
     try:
         return json.loads(path.read_text())
+    except OSError as exc:  # a directory, an unreadable file
+        raise ParseError(f"input {text!r} cannot be read: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise ParseError(f"file {text} is not valid JSON: {exc}") from None
 
@@ -179,13 +181,12 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     ring = _require_ring(args)
     for flag, value, low, high in (
         ("--size", args.size, 1, verify.MAX_TRIAL_SIZE),
-        ("--trials", args.trials, 0, None),
-        ("--height", args.height, 1, None),
-        ("--degree", args.degree, 0, None),
+        ("--trials", args.trials, 0, verify.MAX_TRIAL_COUNT),
+        ("--height", args.height, 1, verify.MAX_TRIAL_HEIGHT),
+        ("--degree", args.degree, 0, verify.MAX_TRIAL_DEGREE),
     ):
-        if value < low or (high is not None and value > high):
-            bound = f"between {low} and {high}" if high is not None else f"at least {low}"
-            raise ParseError(f"flag {flag}: must be {bound}, got {value}")
+        if not low <= value <= high:
+            raise ParseError(f"flag {flag}: must be between {low} and {high}, got {value}")
     cfg = verify.TrialConfig(
         ring=ring,
         matrix_size=args.size,

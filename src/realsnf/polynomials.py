@@ -37,15 +37,8 @@ def eval_sign_int(coeffs: list[int], u: int, v: int) -> int:
 
 def sign_variations(signs: list[int]) -> int:
     """Number of sign changes in a sequence, zeros skipped."""
-    count = 0
-    prev = 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
+    nonzero = [s for s in signs if s]
+    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
 
 
 class RatPoly:
@@ -359,10 +352,6 @@ def sturm_chain(p: RatPoly) -> SturmChain:
     return SturmChain(tuple(_remainder_sequence(p, p.derivative())))
 
 
-def _variations_at(chain: SturmChain, t: Fraction) -> int:
-    return sign_variations([q.sign_at(t) for q in chain.chain])
-
-
 def _roots_on_line(chain: SturmChain) -> int:
     """Distinct real roots of the chain's polynomial: variations at -oo minus +oo."""
     minus, plus = ([q.sign_at_infinity(d) for q in chain.chain] for d in (-1, 1))
@@ -376,14 +365,13 @@ def count_real_roots(p: RatPoly) -> int:
     of gcd(p, p'), and its sign variations count distinct roots whether or
     not p is square-free.
     """
-    if p.is_zero():
-        raise ZeroPolynomialError("root count of the zero polynomial")
     return _roots_on_line(sturm_chain(p))
 
 
-def _count_roots_between(chain: SturmChain, a: Fraction, b: Fraction) -> int:
+def _count_roots_between(chain: SturmChain, a: Coefficient, b: Coefficient) -> int:
     """Distinct roots of the chain polynomial in (a, b]; endpoints nonzero."""
-    return _variations_at(chain, a) - _variations_at(chain, b)
+    at_a, at_b = (sign_variations([q.sign_at(t) for q in chain.chain]) for t in (a, b))
+    return at_a - at_b
 
 
 # -- square-free decomposition ----------------------------------------------------
@@ -411,8 +399,7 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
             c = c // q
             d = d // q - c.derivative()
             i += 1
-    constant = p.leading
-    return constant, factors
+    return p.leading, factors
 
 
 # -- positivity on the real line ------------------------------------------------
@@ -427,10 +414,7 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
     one chain answer the sign questions for both.
     """
     _, factors = squarefree_decomposition(p)
-    odd = RatPoly.constant(1)
-    for q, m in factors:
-        if m % 2 == 1:
-            odd = odd * q
+    odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
     if odd.is_constant():
         return None
     chain = sturm_chain(odd)
@@ -520,45 +504,54 @@ def find_negative_point(p: RatPoly) -> Fraction | None:
 
 
 def _rational_roots_exist(p: RatPoly) -> bool:
-    """Rational root test on the primitive integer form."""
-    if p(0) == 0:
-        return True
-    coeffs = p.int_coefficients()
-    a0, an = abs(coeffs[0]), abs(coeffs[-1])
-    for r in _divisors(a0):
-        for s in _divisors(an):
-            for num in (r, -r):
-                if p(Fraction(num, s)) == 0:
-                    return True
+    """Whether p has a rational root, decided by Sturm counts.
+
+    With c the primitive integer coefficients of p and n its degree, y = c_n * t
+    maps the rational roots of p onto the integer roots of the monic integer
+    polynomial q(y) = c_n^(n-1) * p(y / c_n).  Those lie inside (-B, B) for
+    B = |c_n| + max |c_i| (c_n times the Cauchy bound of p).  The intervals of
+    (-B, B] that hold a root of q are halved, testing each integer midpoint
+    exactly, until their width is 1.
+    """
+    c = p.int_coefficients()
+    q = RatPoly([ci * c[-1] ** (len(c) - 2 - i) for i, ci in enumerate(c[:-1])] + [1])
+    chain = sturm_chain(q)
+    bound = abs(c[-1]) + max(abs(ci) for ci in c[:-1])
+    intervals = [(-bound, bound)]  # endpoints are never roots of q
+    while intervals:
+        lo, hi = intervals.pop()
+        if hi - lo < 2 or _count_roots_between(chain, lo, hi) == 0:
+            continue
+        mid = (lo + hi) // 2
+        if q.sign_at(mid) == 0:
+            return True
+        intervals += [(lo, mid), (mid, hi)]
     return False
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    for k in range(1, math.isqrt(n) + 1):
-        if n % k == 0:
-            out.append(k)
-            if k != n // k:
-                out.append(n // k)
-    return sorted(out)
+# Trial division for Eisenstein primes stops here: a cofactor left below its
+# square has no smaller factor, so it is prime; a larger one is not tried.
+EISENSTEIN_TRIAL_BOUND = 10**6
 
 
 def _eisenstein_applies(p: RatPoly) -> bool:
+    """Whether some prime q satisfies Eisenstein's criterion for p.
+
+    q must divide every non-leading coefficient, so only the prime factors of
+    their gcd are tried, by trial division up to EISENSTEIN_TRIAL_BOUND.
+    """
     coeffs = p.int_coefficients()
-    a0 = abs(coeffs[0])
-    if a0 == 0:
-        return False
-    f = 2
-    while f * f <= a0:
-        if a0 % f == 0:
+    g, f = math.gcd(*coeffs[:-1]), 2
+    while f * f <= g:
+        if f > EISENSTEIN_TRIAL_BOUND:
+            return False
+        if g % f == 0:
             if _eisenstein_at(coeffs, f):
                 return True
-            while a0 % f == 0:
-                a0 //= f
+            while g % f == 0:
+                g //= f
         f += 1
-    if a0 > 1 and _eisenstein_at(coeffs, a0):
-        return True
-    return False
+    return g > 1 and _eisenstein_at(coeffs, g)
 
 
 def _eisenstein_at(coeffs: list[int], q: int) -> bool:
@@ -575,17 +568,11 @@ def certify_irreducible(p: RatPoly) -> bool | None:
     Degrees 1 to 3 are settled by the rational root test; higher degrees only
     get an Eisenstein check, which can certify but never refute.
     """
-    if p.is_zero() or p.degree < 1:
-        return False
-    if p.degree == 1:
-        return True
-    if p.degree <= 3:
-        return not _rational_roots_exist(p)
+    if p.degree < 2:
+        return p.degree == 1
     if _rational_roots_exist(p):
         return False
-    if _eisenstein_applies(p):
-        return True
-    return None
+    return True if p.degree <= 3 or _eisenstein_applies(p) else None
 
 
 def is_real_irreducible(p: RatPoly) -> bool:
@@ -632,60 +619,65 @@ def format_poly(p: RatPoly) -> str:
 # A few characters of text must not allocate gigabytes of coefficients.
 MAX_PARSED_DEGREE = 10_000
 
+# The one coefficient grammar of the text and array forms: an optional sign,
+# ASCII digits, and an optional /digits.
+_MAGNITUDE = r"[0-9]+(?:/[0-9]+)?"
+_COEFFICIENT_RE = re.compile(rf"[+-]?{_MAGNITUDE}")
 _TERM_RE = re.compile(
-    r"^(?P<coef>\d+(?:/\d+)?)?(?P<star>\*)?(?P<var>x(?:\^(?P<exp>\d+))?)?$"
+    rf"(?P<coef>{_MAGNITUDE})?(?:(?(coef)\*?)(?P<var>x(?:\^(?P<exp>[0-9]+))?))?"
 )
+
+
+def _coefficient(value: object) -> Fraction:
+    """A JSON integer, or a string in the coefficient grammar, as a Fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if not isinstance(value, str) or not _COEFFICIENT_RE.fullmatch(value):
+        raise ParseError(f"bad coefficient {value!r}: expected an integer or <integer>/<digits>")
+    numerator, _, denominator = value.partition("/")
+    try:
+        return Fraction(int(numerator), int(denominator or 1))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in coefficient {value!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"bad coefficient: {exc}") from None
 
 
 def parse_poly(text: str) -> RatPoly:
     """Parse the textual form; accepts e.g. "3/2*x^2 - x + 1", "x", "-7"."""
     stripped = text.replace(" ", "")
-    if not stripped:
-        raise ParseError("empty polynomial")
-    if stripped == "0":
-        return RatPoly.zero()
     terms = re.findall(r"[+-]?[^+-]+", stripped)
-    if "".join(terms) != stripped:
+    if "".join(terms) != stripped or not terms:
         raise ParseError(f"cannot tokenize polynomial {text!r}")
-    coeffs: dict[int, Fraction] = {}
+    out = [Fraction(0)]
     for term in terms:
-        body = term
-        sign = 1
-        if body and body[0] in "+-":
-            sign = -1 if body[0] == "-" else 1
-            body = body[1:]
-        m = _TERM_RE.match(body) if body else None
-        if not m:
-            raise ParseError(f"bad polynomial term {term!r} in {text!r}")
-        coef_text, star, var = m.group("coef"), m.group("star"), m.group("var")
-        if coef_text is None and var is None:
-            raise ParseError(f"bad polynomial term {term!r} in {text!r}")
-        if star and (coef_text is None or var is None):
+        # A sign without digits (as in "-x") is the coefficient -1.
+        sign, body = (term[0], term[1:]) if term[0] in "+-" else ("", term)
+        m = _TERM_RE.fullmatch(body)
+        if not m or not (m["coef"] or m["var"]):
             raise ParseError(f"bad polynomial term {term!r} in {text!r}")
         try:
-            coef = sign * (Fraction(coef_text) if coef_text else Fraction(1))
-            exp = int(m.group("exp") or 1) if var else 0
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in polynomial term {term!r} of {text!r}") from None
-        except ValueError as exc:  # more digits than int() converts
+            coef = _coefficient(sign + (m["coef"] or "1"))
+            exp = int(m["exp"] or 1) if m["var"] else 0
+        except (ParseError, ValueError) as exc:  # ValueError: more digits than int() converts
             raise ParseError(f"bad polynomial term {term!r} in {text!r}: {exc}") from None
         if exp > MAX_PARSED_DEGREE:
             raise ParseError(
                 f"exponent in polynomial term {term!r} exceeds the limit {MAX_PARSED_DEGREE}"
             )
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + coef
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return RatPoly(out)
+        out += [Fraction(0)] * (exp + 1 - len(out))
+        out[exp] += coef
+    return _poly(out)
 
 
 def poly_from_json(data: object) -> RatPoly:
+    """The text form, or an array of coefficients (constant first) in its grammar."""
     if isinstance(data, str):
         return parse_poly(data)
-    if isinstance(data, list):
-        try:
-            return RatPoly([Fraction(str(c)) for c in data])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"bad polynomial coefficient list {data!r}: {exc}") from None
-    raise ParseError(f"polynomial must be a string or coefficient array, got {data!r}")
+    if not isinstance(data, list):
+        raise ParseError(f"polynomial must be a string or coefficient array, got {data!r}")
+    if len(data) > MAX_PARSED_DEGREE + 1:
+        raise ParseError(
+            f"coefficient array of {len(data)} entries exceeds the limit {MAX_PARSED_DEGREE + 1}"
+        )
+    return _poly([_coefficient(c) for c in data])

@@ -1,5 +1,6 @@
 """Shared random-matrix builders and the elimination PSD oracle for the test suite."""
 
+import math
 from fractions import Fraction
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
@@ -140,3 +141,48 @@ def classical_sturm_chain(p):
                 break
             chain.append([-c for c in rem])
     return [RatPoly(c) for c in chain]
+
+
+def _divisors(n):
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def _prime_factors(n):
+    primes, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            primes.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return primes + [n] if n > 1 else primes
+
+
+def certify_irreducible_by_divisors(p):
+    """certify_irreducible by the schoolbook searches, for small coefficients.
+
+    It checks ``polynomials.certify_irreducible`` and shares none of its
+    code: the rational root test tries every +-r/s with r dividing the
+    constant and s the leading coefficient of the primitive integer form,
+    and Eisenstein's criterion is tried at every prime factor of the
+    constant, found by trial division.
+    """
+    if p.is_zero() or p.degree < 1:
+        return False
+    if p.degree == 1:
+        return True
+    coeffs = p.int_coefficients()
+    a0, an = abs(coeffs[0]), abs(coeffs[-1])
+    has_root = a0 == 0 or any(
+        p(Fraction(sign * r, s)) == 0
+        for r in _divisors(a0)
+        for s in _divisors(an)
+        for sign in (1, -1)
+    )
+    if p.degree <= 3 or has_root:
+        return not has_root
+    for q in _prime_factors(a0):
+        if coeffs[-1] % q and not any(c % q for c in coeffs[:-1]) and coeffs[0] % (q * q):
+            return True
+    return None

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from realsnf.cli import main
+from realsnf.verify import MAX_TRIAL_COUNT, MAX_TRIAL_DEGREE, MAX_TRIAL_HEIGHT
 
 
 def run(capsys, *argv):
@@ -202,6 +203,26 @@ class TestValuationLemmaCommand:
         assert (code, out) == (2, "")
         assert "cannot be certified" in err
 
+    @pytest.mark.parametrize(
+        "p",
+        ["x^2 - 1000000000000000000000000000007", "x^4 - 1000000000000000000000000000000000000006"],
+    )
+    def test_large_constant_p_finishes(self, p):
+        # The old divisor search trial-divided these constants up to their
+        # square roots and did not finish; pytest-timeout is not a dependency,
+        # so the time limit is the subprocess's.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        payload = json.dumps({"a": "1", "b": "0", "p": p})
+        done = subprocess.run(
+            [sys.executable, "-m", "realsnf.cli", "valuation-lemma", "--input", payload],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"holds": True, "valuation_a": "0", "valuation_b": None}
+
 
 class TestSuiteCommand:
     def test_small_run_emits_jsonl_and_summary(self, capsys):
@@ -266,6 +287,15 @@ class TestInputErrors:
             (["suite", "--ring", "Z", "--trials", "-1"], "--trials"),
             (["suite", "--ring", "Z", "--height", "0"], "--height"),
             (["suite", "--ring", "Q[x]", "--degree", "-1"], "--degree"),
+            (["suite", "--ring", "Q[x]", "--trials", "1", "--degree", "100000"], "--degree"),
+            (["suite", "--ring", "Z", "--trials", str(MAX_TRIAL_COUNT + 1)], "--trials"),
+            (["suite", "--ring", "Z", "--height", str(MAX_TRIAL_HEIGHT + 1)], "--height"),
+            (["suite", "--ring", "Q[x]", "--degree", str(MAX_TRIAL_DEGREE + 1)], "--degree"),
+            (["snf", "--ring", "Z", "--input", "{tmp_path}"], "cannot be read"),
+            (["verify", "--ring", "Q[x]", "--input", '[[["1e500000000"]]]'], "entries[0][0]"),
+            (["snf", "--ring", "Q[x]", "--input", '[[["1.5", "1"]]]'], "entries[0][0]"),
+            (["snf", "--ring", "Q[x]", "--input", '[[[1, 1.5]]]'], "entries[0][0]"),
+            (["snf", "--ring", "Q[x]", "--input", "[[[" + "0," * 300000 + "1]]]"], "entries[0][0]"),
             (["snf", "--ring", "Q[x]", "--input", '[["x", "1/0"]]'], "entries[0][1]"),
             (["snf", "--ring", "Q[x]", "--input", '[["x^100000"]]'], "x^100000"),
             (["snf", "--ring", "Z", "--input", "[[" + "9" * 5000 + "]]"], "malformed"),
@@ -286,6 +316,15 @@ class TestInputErrors:
             "suite-trials",
             "suite-height",
             "suite-degree",
+            "suite-huge-degree",
+            "suite-trials-over-limit",
+            "suite-height-over-limit",
+            "suite-degree-over-limit",
+            "input-is-directory",
+            "coefficient-exponent-notation",
+            "coefficient-decimal-string",
+            "coefficient-json-float",
+            "coefficient-array-over-degree-cap",
             "zero-denominator",
             "huge-exponent",
             "overlong-integer",
@@ -299,8 +338,8 @@ class TestInputErrors:
             "counterexample-builtin-over-Zsqrt2",
         ],
     )
-    def test_bad_input_names_field(self, capsys, argv, field):
-        code, out, err = run(capsys, *argv)
+    def test_bad_input_names_field(self, capsys, tmp_path, argv, field):
+        code, out, err = run(capsys, *(a.replace("{tmp_path}", str(tmp_path)) for a in argv))
         assert code == 2
         assert out == ""
         assert field in err

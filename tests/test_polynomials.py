@@ -7,6 +7,7 @@ import pytest
 from realsnf import polynomials
 from realsnf.errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
 from realsnf.polynomials import (
+    MAX_PARSED_DEGREE,
     RatPoly,
     certify_irreducible,
     count_real_roots,
@@ -16,6 +17,7 @@ from realsnf.polynomials import (
     is_nonneg_on_reals,
     is_real_irreducible,
     parse_poly,
+    poly_from_json,
     poly_gcd,
     positive_associate,
     primitive_scale,
@@ -24,7 +26,7 @@ from realsnf.polynomials import (
     sturm_chain,
 )
 
-from helpers import classical_sturm_chain, poly_product_oracle
+from helpers import certify_irreducible_by_divisors, classical_sturm_chain, poly_product_oracle
 
 X = RatPoly.x()
 
@@ -445,6 +447,41 @@ class TestIrreducibility:
         # x^4+4 factors as (x^2+2x+2)(x^2-2x+2): no certificate either way
         assert certify_irreducible(parse_poly("x^4+4")) is None
 
+    def test_certification_matches_the_divisor_search(self):
+        # Products of small rational factors (rational roots), multiples of a
+        # small prime below a unit-like lead (Eisenstein), and plain integer
+        # polynomials; degrees 1-7.
+        rng = random.Random(31)
+        seen = set()
+        for k in range(300):
+            degree = rng.randint(1, 7)
+            if k % 3 == 0:
+                p = RatPoly([1])
+                while p.degree < degree:
+                    p = p * (rand_rat_poly(rng, max_degree=2, height=6) or X)
+            elif k % 3 == 1:
+                q = rng.choice([2, 3, 5, 7])
+                p = RatPoly([q * rng.randint(-5, 5) for _ in range(degree)] + [rng.choice([1, -1, 2, 3])])
+            else:
+                p = RatPoly([rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(-12, 12) or 1])
+            if p.is_zero() or p.degree < 1:
+                continue
+            expected = certify_irreducible_by_divisors(p)
+            assert certify_irreducible(p) is expected, str(p)
+            seen.add(expected)
+        assert seen == {True, False, None}
+
+    def test_large_constants_are_certified_quickly(self):
+        # The old divisor search trial-divided these constants up to their
+        # square roots (about 10**15 and 10**20 steps).
+        big = 10**30
+        assert certify_irreducible(parse_poly(f"x^2 - {big + 7}")) is True
+        assert certify_irreducible(parse_poly(f"x^2 - {big}")) is False
+        assert certify_irreducible(parse_poly(f"x^4 - {10**39 + 6}")) is True
+        assert certify_irreducible(parse_poly(f"3*x^3 - {3 * big + 1}*x^2 + {big}*x")) is False
+        assert certify_irreducible(parse_poly(f"3*x^3 - {3 * big + 1}*x^2 + {big}")) is True
+        assert certify_irreducible(parse_poly(f"{big}*x^3 - 1")) is False  # root 10^-10
+
     def test_certified_mode_raises_when_unknown(self):
         with pytest.raises(NotCertifiedIrreducibleError):
             is_real_irreducible(parse_poly("x^4+4"))
@@ -488,6 +525,25 @@ class TestTextForms:
         for bad in ("", "x^-1", "3*", "x**2", "2//3", "y+1"):
             with pytest.raises(ParseError):
                 parse_poly(bad)
+
+    def test_array_form_shares_the_text_grammar(self):
+        assert poly_from_json(["3", -2, "3/2", "+1/4"]) == parse_poly("1/4*x^3 + 3/2*x^2 - 2*x + 3")
+        assert poly_from_json([]) == RatPoly.zero()
+        for bad in ("1.5", 1.5, "1_0", "1e5", "1e500000000", " 3", "3/-2", "x", True, None, [1]):
+            with pytest.raises(ParseError, match="bad coefficient"):
+                poly_from_json([1, bad])
+        with pytest.raises(ParseError, match="zero denominator"):
+            poly_from_json(["1/0"])
+        for bad in ("1.5*x", "1e5", "1_0*x", "x^1_0"):
+            with pytest.raises(ParseError):
+                parse_poly(bad)
+
+    def test_array_form_has_the_degree_cap(self):
+        assert poly_from_json([0] * MAX_PARSED_DEGREE + [1]).degree == MAX_PARSED_DEGREE
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            poly_from_json([0] * (MAX_PARSED_DEGREE + 1) + [1])
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_poly(f"x^{MAX_PARSED_DEGREE + 1}")
 
     def test_zero_denominator_names_the_term(self):
         with pytest.raises(ParseError, match=r"term '\+1/0\*x'"):

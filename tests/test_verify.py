@@ -18,6 +18,9 @@ from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem, positive_associate
 from realsnf import rings
 from realsnf.verify import (
+    MAX_TRIAL_COUNT,
+    MAX_TRIAL_DEGREE,
+    MAX_TRIAL_HEIGHT,
     Conclusion,
     CounterexampleRecipe,
     SplitMix64,
@@ -285,6 +288,20 @@ class TestRandomMatrices:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(ring=INTEGERS, matrix_size=9)
+        for field, value in (
+            ("trial_count", MAX_TRIAL_COUNT + 1),
+            ("entry_height_bound", MAX_TRIAL_HEIGHT + 1),
+            ("max_degree", MAX_TRIAL_DEGREE + 1),
+            ("max_degree", -1),
+        ):
+            with pytest.raises(ValueError, match=field):
+                TrialConfig(ring=RATIONAL_POLYNOMIALS, **{field: value})
+        TrialConfig(
+            ring=RATIONAL_POLYNOMIALS,
+            trial_count=MAX_TRIAL_COUNT,
+            entry_height_bound=MAX_TRIAL_HEIGHT,
+            max_degree=MAX_TRIAL_DEGREE,
+        )
 
 
 class TestPropertySuite:
