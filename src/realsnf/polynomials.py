@@ -566,7 +566,8 @@ def certify_irreducible(p: RatPoly) -> bool | None:
     """True / False when decidable cheaply, None when the caller must assert.
 
     Degrees 1 to 3 are settled by the rational root test; higher degrees only
-    get an Eisenstein check, which can certify but never refute.
+    get an Eisenstein check, which can certify but never refute (and skips a
+    gcd cofactor too large to be proven prime; see _eisenstein_applies).
     """
     if p.degree < 2:
         return p.degree == 1

@@ -461,9 +461,11 @@ class TestIrreducibility:
                     p = p * (rand_rat_poly(rng, max_degree=2, height=6) or X)
             elif k % 3 == 1:
                 q = rng.choice([2, 3, 5, 7])
-                p = RatPoly([q * rng.randint(-5, 5) for _ in range(degree)] + [rng.choice([1, -1, 2, 3])])
+                lead = rng.choice([1, -1, 2, 3])
+                p = RatPoly([q * rng.randint(-5, 5) for _ in range(degree)] + [lead])
             else:
-                p = RatPoly([rng.randint(-30, 30) for _ in range(degree)] + [rng.randint(-12, 12) or 1])
+                lead = rng.randint(-12, 12) or 1
+                p = RatPoly([rng.randint(-30, 30) for _ in range(degree)] + [lead])
             if p.is_zero() or p.degree < 1:
                 continue
             expected = certify_irreducible_by_divisors(p)
@@ -527,7 +529,8 @@ class TestTextForms:
                 parse_poly(bad)
 
     def test_array_form_shares_the_text_grammar(self):
-        assert poly_from_json(["3", -2, "3/2", "+1/4"]) == parse_poly("1/4*x^3 + 3/2*x^2 - 2*x + 3")
+        expected = parse_poly("1/4*x^3 + 3/2*x^2 - 2*x + 3")
+        assert poly_from_json(["3", -2, "3/2", "+1/4"]) == expected
         assert poly_from_json([]) == RatPoly.zero()
         for bad in ("1.5", 1.5, "1_0", "1e5", "1e500000000", " 3", "3/-2", "x", True, None, [1]):
             with pytest.raises(ParseError, match="bad coefficient"):
