@@ -55,7 +55,6 @@ from .verify import (
     check_valuation_lemma,
     random_psd_matrix,
     run_property_suite,
-    verify_field_identity,
     verify_main_theorem,
 )
 
@@ -102,7 +101,6 @@ __all__ = [
     "squarefree_decomposition",
     "sturm_chain",
     "valuation",
-    "verify_field_identity",
     "verify_main_theorem",
     "verify_snf",
 ]

@@ -165,7 +165,10 @@ def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
     for name in ("a", "b", "p"):
         if name not in data:
             raise ParseError(f"field {name!r} is missing")
-        polys[name] = poly_from_json(data[name])
+        try:
+            polys[name] = poly_from_json(data[name])
+        except ParseError as exc:
+            raise ParseError(f"field {name!r}: {exc}") from None
     a, b, p = polys["a"], polys["b"], polys["p"]
     holds = verify.check_valuation_lemma(a, b, p)
     payload = {

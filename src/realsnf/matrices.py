@@ -60,11 +60,6 @@ class Matrix:
             [[one if i == j else zero for j in range(n)] for i in range(n)], ring
         )
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int, ring: RingSpec) -> "Matrix":
-        zero = rings.zero(ring)
-        return cls.from_rows([[zero] * n_cols for _ in range(n_rows)], ring)
-
     def __getitem__(self, key: tuple[int, int]) -> Element:
         i, j = key
         return self.entries[i][j]
@@ -125,15 +120,6 @@ class Matrix:
                 [rings.element_to_text(v, self.ring) for v in row] for row in self.entries
             ],
         }
-
-    def __str__(self) -> str:
-        rendered = [
-            [rings.element_to_text(v, self.ring) for v in row] for row in self.entries
-        ]
-        width = max((len(s) for row in rendered for s in row), default=1)
-        return "\n".join(
-            "[ " + "  ".join(s.rjust(width) for s in row) + " ]" for row in rendered
-        )
 
 
 def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:

@@ -66,17 +66,6 @@ class RatPoly:
     def constant(cls, c: Coefficient) -> "RatPoly":
         return cls((Fraction(c),))
 
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots: "list[Coefficient]") -> "RatPoly":
-        p = cls.constant(1)
-        for r in roots:
-            p = p * cls((-Fraction(r), 1))
-        return p
-
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -256,11 +245,6 @@ class RatPoly:
         t = Fraction(t)
         return eval_sign_int(self.int_coefficients(), t.numerator, t.denominator)
 
-    def signs_at(self, numerators: list[int], denominator: int) -> list[int]:
-        """Signs at the rational points numerators[i] / denominator (> 0)."""
-        coeffs = self.int_coefficients()
-        return [eval_sign_int(coeffs, u, denominator) for u in numerators]
-
     def sign_at_infinity(self, direction: int) -> int:
         """Sign of p(t) as t -> +oo (direction=+1) or t -> -oo (direction=-1)."""
         if self.is_zero():
@@ -368,9 +352,12 @@ def count_real_roots(p: RatPoly) -> int:
     return _roots_on_line(sturm_chain(p))
 
 
-def _count_roots_between(chain: SturmChain, a: Coefficient, b: Coefficient) -> int:
-    """Distinct roots of the chain polynomial in (a, b]; endpoints nonzero."""
-    at_a, at_b = (sign_variations([q.sign_at(t) for q in chain.chain]) for t in (a, b))
+def _count_roots_between(chain: list[list[int]], a: Coefficient, b: Coefficient) -> int:
+    """Distinct roots in (a, b], endpoints nonzero, of a chain of int_coefficients() lists."""
+    at_a, at_b = (
+        sign_variations([eval_sign_int(q, t.numerator, t.denominator) for q in chain])
+        for t in (a, b)
+    )
     return at_a - at_b
 
 
@@ -463,17 +450,18 @@ def _bisect_to_negative(chain: SturmChain) -> Fraction:
     still hold at least two roots.
     """
     h = chain.polynomial
+    ints = [q.int_coefficients() for q in chain.chain]
     bound = cauchy_root_bound(h) + 1
     lo, hi = -bound, bound
     for _ in range(10_000):
         mid = (lo + hi) / 2
-        s = h.sign_at(mid)
+        s = eval_sign_int(ints[0], mid.numerator, mid.denominator)
         if s < 0:
             return mid
         if s == 0:
             # mid is a simple root: h is negative right next to it
             return _step_to_negative(h, mid, (hi - lo) / 4, lo, hi)
-        if _count_roots_between(chain, lo, mid) >= 2:
+        if _count_roots_between(ints, lo, mid) >= 2:
             hi = mid
         else:
             lo = mid
@@ -515,7 +503,7 @@ def _rational_roots_exist(p: RatPoly) -> bool:
     """
     c = p.int_coefficients()
     q = RatPoly([ci * c[-1] ** (len(c) - 2 - i) for i, ci in enumerate(c[:-1])] + [1])
-    chain = sturm_chain(q)
+    chain = [r.int_coefficients() for r in sturm_chain(q).chain]
     bound = abs(c[-1]) + max(abs(ci) for ci in c[:-1])
     intervals = [(-bound, bound)]  # endpoints are never roots of q
     while intervals:
@@ -523,7 +511,7 @@ def _rational_roots_exist(p: RatPoly) -> bool:
         if hi - lo < 2 or _count_roots_between(chain, lo, hi) == 0:
             continue
         mid = (lo + hi) // 2
-        if q.sign_at(mid) == 0:
+        if eval_sign_int(chain[0], mid, 1) == 0:
             return True
         intervals += [(lo, mid), (mid, hi)]
     return False

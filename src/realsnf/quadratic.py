@@ -87,9 +87,6 @@ class SignPattern:
     at_plus: int
     at_minus: int
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.at_plus, self.at_minus)
-
     @property
     def is_totally_positive(self) -> bool:
         return self.at_plus > 0 and self.at_minus > 0

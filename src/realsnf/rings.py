@@ -227,11 +227,13 @@ def parse_element(data: object, ring: RingSpec) -> Element:
     if isinstance(data, str):
         text = data.replace(" ", "")
         m = _QUAD_TEXT.match(text)
-        if m:
-            return QuadElem(int(m.group("x")), int(m.group("y")), ring)
         try:
+            if m:
+                return QuadElem(int(m.group("x")), int(m.group("y")), ring)
             return QuadElem(int(text), 0, ring)
-        except ValueError:
+        except ValueError as exc:
+            if m:  # more digits than int() converts
+                raise ParseError(f"bad quadratic element: {exc}") from None
             raise ParseError(
                 f"bad quadratic element {data!r}; expected '<x>+<y>w' or an integer"
             ) from None

@@ -24,15 +24,14 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 
 from . import polynomials, quadratic, rings, spectrum
 from .errors import (
     CounterexampleConditionError,
     NotSymmetricError,
     PreconditionFailedError,
+    RealSnfError,
     TheoremConsistencyError,
-    ZeroElementError,
 )
 from .matrices import Matrix, smith_diagonals
 from .polynomials import RatPoly
@@ -182,7 +181,7 @@ def recipe_from_json(data: dict, ring: RingSpec) -> CounterexampleRecipe:
             raise CounterexampleConditionError(f"recipe field {name!r} is missing")
         try:
             values[name] = rings.parse_element(data[name], ring)
-        except Exception as exc:
+        except RealSnfError as exc:
             raise CounterexampleConditionError(
                 f"recipe field {name!r} is not an element of {ring}: {exc}"
             ) from None
@@ -213,53 +212,6 @@ def build_counterexample(recipe: CounterexampleRecipe) -> Matrix:
             )
     off = b * d1 * e1
     return Matrix.from_rows([[a * d1, off], [off, c * d1 * e1]], ring)
-
-
-# -- the rational identity behind the stock counterexample -------------------------
-
-
-@dataclass(frozen=True)
-class FieldIdentityReport:
-    """Expansion of (1+sqrt(3))^2 = 1/2 + (r + sqrt(3)/r)^2 + residual in Q(sqrt(3)).
-
-    ``residual`` is 7/2 - (r^4+3)/r^2; the identity itself holds for every
-    nonzero rational r, but only r close enough to 3**(1/4) keeps the
-    residual nonnegative (and then the right side is a sum of squares plus
-    the non-unit constant 1/2).
-    """
-
-    holds: bool
-    residual: Fraction
-
-    @property
-    def residual_nonneg(self) -> bool:
-        return self.residual >= 0
-
-    def to_json(self) -> dict:
-        return {
-            "holds": self.holds,
-            "residual": str(self.residual),
-            "residual_nonneg": self.residual_nonneg,
-        }
-
-
-def _field_mul(p: tuple[Fraction, Fraction], q: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
-    """Product of a + b*sqrt(3) pairs in Q(sqrt(3))."""
-    return (p[0] * q[0] + 3 * p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-
-def verify_field_identity(r: Fraction | int) -> FieldIdentityReport:
-    r = Fraction(r)
-    if r == 0:
-        raise ZeroElementError("r must be a nonzero rational")
-    # Expand both sides exactly in Q(sqrt(3)), as (rational, sqrt(3)) pairs.
-    one_plus = (Fraction(1), Fraction(1))
-    lhs = _field_mul(one_plus, one_plus)
-    inner = (r, 1 / r)  # r + sqrt(3)/r
-    square = _field_mul(inner, inner)
-    residual = Fraction(7, 2) - (r**4 + 3) / (r * r)
-    rhs = (Fraction(1, 2) + square[0] + residual, square[1])
-    return FieldIdentityReport(holds=lhs == rhs, residual=residual)
 
 
 # -- valuation inequality check -----------------------------------------------------

@@ -307,6 +307,8 @@ class TestInputErrors:
             (["snf", "--input", '{"ring":"Z","rows":1,"cols":true,"entries":[[3]]}'], "'cols'"),
             (["counterexample", "--ring", "Z"], "--ring Z: the built-in recipe is over Zsqrt:3"),
             (["counterexample", "--ring", "Zsqrt:2"], "--ring Zsqrt:2: the built-in recipe"),
+            (["valuation-lemma", "--input", '{"a":"1.5","b":"0","p":"x"}'], "field 'a'"),
+            (["snf", "--ring", "Zsqrt:2", "--input", '[["' + "1" * 5000 + '+1w"]]'], "entries[0][0]"),
         ],
         ids=[
             "row-is-string",
@@ -336,6 +338,8 @@ class TestInputErrors:
             "cols-is-bool",
             "counterexample-builtin-over-Z",
             "counterexample-builtin-over-Zsqrt2",
+            "valuation-lemma-bad-polynomial",
+            "quadratic-overlong-integer",
         ],
     )
     def test_bad_input_names_field(self, capsys, tmp_path, argv, field):

@@ -4,6 +4,22 @@ from pathlib import Path
 import realsnf
 
 
+def test_public_names():
+    assert sorted(realsnf.__all__) == sorted([
+        "Conclusion", "CounterexampleRecipe", "FundamentalUnit", "INTEGERS", "Matrix",
+        "MinorGcdProfile", "PsdReport", "QuadElem", "RATIONAL_POLYNOMIALS", "RatPoly",
+        "RingFamily", "RingSpec", "SignPattern", "SnfResult", "SplitMix64", "SturmChain",
+        "TheoremReport", "TrialConfig", "are_associated", "build_counterexample",
+        "builtin_counterexample_recipe", "check_valuation_lemma", "count_real_roots",
+        "determinant", "element_is_nonneg", "fundamental_unit", "gcd", "is_nonneg_on_reals",
+        "is_psd_on_spectrum", "is_real_irreducible", "minor_gcd_profile", "parse_ring",
+        "pnri_holds", "quadratic_ring", "random_psd_matrix", "run_property_suite",
+        "smith_normal_form", "squarefree_decomposition", "sturm_chain", "valuation",
+        "verify_main_theorem", "verify_snf",
+    ])
+    assert len(realsnf.__all__) == 42
+
+
 def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from realsnf import *", namespace)

@@ -28,7 +28,7 @@ from realsnf.polynomials import (
 
 from helpers import certify_irreducible_by_divisors, classical_sturm_chain, poly_product_oracle
 
-X = RatPoly.x()
+X = RatPoly([0, 1])
 
 
 def rand_poly(rng, max_degree=6, height=5, nonzero=False):
@@ -162,13 +162,13 @@ class TestSignKernels:
             p = rand_poly(rng, max_degree=6, height=9)
             numerators = [rng.randint(-100, 100) for _ in range(20)]
             v = rng.randint(1, 999)
-            batch = p.signs_at(numerators, v)
+            coeffs = p.int_coefficients()
+            batch = [eval_sign_int(coeffs, u, v) for u in numerators]
             assert batch == [p.sign_at(Fraction(u, v)) for u in numerators]
 
     def test_zero_polynomial(self):
         assert eval_sign_int([], 3, 2) == 0
         assert RatPoly.zero().sign_at(Fraction(3, 2)) == 0
-        assert RatPoly.zero().signs_at([1, 2, 3], 1) == [0, 0, 0]
 
     def test_sign_variations(self):
         assert sign_variations([]) == 0
@@ -335,7 +335,7 @@ class TestNonnegativity:
         for _ in range(150):
             p = rand_poly(rng, max_degree=6)
             verdict = is_nonneg_on_reals(p)
-            sampled = p.signs_at(numerators, 4)
+            sampled = [p.sign_at(Fraction(u, 4)) for u in numerators]
             if verdict:
                 assert all(s >= 0 for s in sampled)
                 assert p.sign_at_infinity(1) >= 0 and p.sign_at_infinity(-1) >= 0
@@ -483,6 +483,22 @@ class TestIrreducibility:
         assert certify_irreducible(parse_poly(f"3*x^3 - {3 * big + 1}*x^2 + {big}*x")) is False
         assert certify_irreducible(parse_poly(f"3*x^3 - {3 * big + 1}*x^2 + {big}")) is True
         assert certify_irreducible(parse_poly(f"{big}*x^3 - 1")) is False  # root 10^-10
+
+    def test_rational_root_search_reads_each_chain_member_once(self, monkeypatch):
+        # A Sturm count reads every chain member at every interval endpoint;
+        # the integer coefficients are built once per chain, not per point.
+        p = parse_poly(f"x^2 - {10**30 + 7}")
+        chain_length = len(sturm_chain(p).chain)
+        original = RatPoly.int_coefficients
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RatPoly, "int_coefficients", counting)
+        assert certify_irreducible(p) is True
+        assert len(calls) <= chain_length + 1
 
     def test_certified_mode_raises_when_unknown(self):
         with pytest.raises(NotCertifiedIrreducibleError):

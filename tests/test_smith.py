@@ -73,7 +73,7 @@ class TestFixedInstances:
         assert verify_snf(m, result)
 
     def test_zero_matrix(self):
-        m = Matrix.zeros(2, 3, INTEGERS)
+        m = Matrix.from_rows([[0, 0, 0], [0, 0, 0]], INTEGERS)
         result = smith_normal_form(m)
         assert result.diagonals == ()
         assert verify_snf(m, result)
@@ -138,7 +138,7 @@ class TestMinorProfile:
 
     def test_identity_and_zero(self):
         assert minor_gcd_profile(Matrix.identity(4, INTEGERS)).per_order == (1, 1, 1, 1)
-        assert minor_gcd_profile(Matrix.zeros(2, 2, INTEGERS)).per_order == (0, 0)
+        assert minor_gcd_profile(Matrix.from_rows([[0, 0], [0, 0]], INTEGERS)).per_order == (0, 0)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
@@ -330,7 +330,7 @@ class TestDeterminant:
 
     def test_not_square(self):
         with pytest.raises(NotSquareError):
-            determinant(Matrix.zeros(2, 3, INTEGERS))
+            determinant(Matrix.from_rows([[0, 0, 0], [0, 0, 0]], INTEGERS))
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_multiplicative(self, ring):

@@ -10,7 +10,6 @@ from realsnf.errors import (
     NotCertifiedIrreducibleError,
     NotSymmetricError,
     PreconditionFailedError,
-    ZeroElementError,
 )
 from realsnf import matrices
 from realsnf.matrices import Matrix, smith_normal_form
@@ -32,7 +31,6 @@ from realsnf.verify import (
     random_psd_matrix,
     recipe_from_json,
     run_property_suite,
-    verify_field_identity,
     verify_main_theorem,
 )
 
@@ -177,30 +175,45 @@ class TestCounterexampleRecipe:
                 R3,
             )
 
+    def test_library_fault_is_not_reported_as_bad_input(self, monkeypatch):
+        def broken(data, ring):
+            raise RuntimeError("library fault")
+
+        monkeypatch.setattr(rings, "parse_element", broken)
+        with pytest.raises(RuntimeError, match="library fault"):
+            recipe_from_json(builtin_counterexample_recipe().to_json(), R3)
+
 
 class TestFieldIdentity:
+    """(1+sqrt(3))^2 = 1/2 + (r + sqrt(3)/r)^2 + residual in Q(sqrt(3)).
+
+    residual = 7/2 - (r^4+3)/r^2.  Both sides are compared as (rational part,
+    sqrt(3) part); the left side is 4 + 2*sqrt(3).  The identity holds for
+    every nonzero rational r; the residual is nonnegative only for r close
+    enough to 3**(1/4).
+    """
+
+    @staticmethod
+    def residual(r):
+        return Fraction(7, 2) - (r**4 + 3) / (r * r)
+
     def test_close_enough_rational(self):
-        report = verify_field_identity(Fraction(4, 3))
-        assert report.holds
-        assert report.residual == Fraction(5, 144)
-        assert report.residual_nonneg
+        r = Fraction(4, 3)
+        assert self.residual(r) == Fraction(5, 144)
+        assert Fraction(1, 2) + r * r + 3 / (r * r) + self.residual(r) == 4
 
     def test_identity_holds_but_residual_sign_varies(self):
-        at_one = verify_field_identity(1)
-        assert at_one.holds and at_one.residual == Fraction(-1, 2)
-        at_two = verify_field_identity(2)
-        assert at_two.holds and at_two.residual == Fraction(7, 2) - Fraction(19, 4)
-        assert not at_two.residual_nonneg
+        assert self.residual(Fraction(1)) == Fraction(-1, 2)
+        assert self.residual(Fraction(2)) == Fraction(7, 2) - Fraction(19, 4) < 0
+        for r in (Fraction(1), Fraction(2)):
+            assert Fraction(1, 2) + r * r + 3 / (r * r) + self.residual(r) == 4
 
     def test_holds_for_random_rationals(self):
         rng = random.Random(200)
         for _ in range(10):
             r = Fraction(rng.randint(-50, 50) or 1, rng.randint(1, 50))
-            assert verify_field_identity(r).holds
-
-    def test_zero_rejected(self):
-        with pytest.raises(ZeroElementError):
-            verify_field_identity(0)
+            rhs = (Fraction(1, 2) + r * r + 3 / (r * r) + self.residual(r), 2 * r * (1 / r))
+            assert rhs == (4, 2)
 
 
 class TestValuationLemma:
