@@ -35,10 +35,10 @@ def _emit(payload: object, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None, sort_keys=False))
 
 
-def _load_input(text: str | None, default: object = None) -> object:
+def _load_input(text: str | None) -> object:
     """Inline JSON (starts with '[', '{' or '"') or a path to a JSON file."""
     if text is None:
-        return default
+        return None
     stripped = text.strip()
     if stripped and stripped[0] in "[{\"":
         try:
@@ -273,12 +273,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TheoremConsistencyError as exc:
         print(f"consistency breach: {exc}", file=sys.stderr)
         return EXIT_BREACH
-    except RealSnfError as exc:
+    except (RealSnfError, ZeroDivisionError) as exc:
         # parse errors, unsupported rings, violated recipe conditions, failed
-        # preconditions: all problems with the input
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ZeroDivisionError as exc:
+        # preconditions, division by a zero input: all problems with the input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception:  # a crash must not look like a mathematical verdict

@@ -2,9 +2,10 @@
 
 The Smith routine runs the classical pivot-to-smallest-size reduction on D
 alone.  It has row operations only, and column work is done as row work on
-the transpose, since M^T = Q^T * D^T * P^T.  The divisibility chain is then
-enforced by the gcd/lcm fix-up on diagonal pairs, and each diagonal entry
-is scaled to its canonical associate.  Every step is appended to a log;
+the transpose, since M^T = Q^T * D^T * P^T.  A Bezout step applies the
+block :func:`rings.xgcd` returns.  The divisibility chain is then enforced
+by the gcd/lcm fix-up on diagonal pairs, and each diagonal entry is scaled
+to its canonical associate.  Every step is appended to a log;
 :func:`smith_diagonals` reads the diagonals and discards it, while
 :func:`smith_normal_form` replays it on two identities, mirroring each row
 operation E on D by (E^-1)^T on the matching transform rows, to build P and
@@ -348,10 +349,10 @@ class _Reduction:
     ) -> None:
         """Rows (i, j) <- block * (rows i, j) for a block of determinant 1.
 
-        A Bezout block may be diag(scale, 1/scale) times the classical one
-        (see :func:`rings.xgcd`).  ``normalize`` takes that factor out of a
-        nonzero row; a row j that vanished is scaled by ``scale`` instead, so
-        the transforms never depend on it.  Row i holds the gcd.
+        A Bezout block from :func:`rings.xgcd` is diag(scale, 1/scale) times
+        the classical one.  ``normalize`` takes that factor out of a nonzero
+        row; a row j that vanished is scaled by ``scale`` instead, so the
+        transforms never depend on it.  Row i holds the gcd.
         """
         (a, b), (c, d) = block
         ri, rj = self.d[i], self.d[j]
@@ -412,19 +413,6 @@ def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
     return best
 
 
-def _bezout_block(
-    ring: RingSpec, a: Element, b: Element
-) -> tuple[list[list[Element]], int | Fraction]:
-    """(L, scale): L = [[s, t], [-b/g, a/g]] with L * (a, b)^T = (g, 0)^T and
-    det(L) = 1, and the scale of (g, s, t) from :func:`rings.xgcd`."""
-    g, s, t_coef, scale = rings.xgcd(a, b, ring)
-    ag = rings.exact_divide(a, g, ring)
-    bg = rings.exact_divide(b, g, ring)
-    if ag is None or bg is None:
-        raise ArithmeticError("gcd does not divide its arguments")
-    return [[s, t_coef], [rings.zero(ring) - bg, ag]], scale
-
-
 def _clear_column(red: _Reduction, t: int) -> bool:
     """Zero column t below the pivot by row operations; True if a Bezout step ran.
 
@@ -440,7 +428,7 @@ def _clear_column(red: _Reduction, t: int) -> bool:
         if quotient is not None:
             red.add_multiple(i, t, -quotient)
         else:
-            red.apply_pair(t, i, *_bezout_block(ring, red.d[t][t], red.d[i][t]))
+            red.apply_pair(t, i, *rings.xgcd(red.d[t][t], red.d[i][t], ring)[1:])
             used_bezout = True
     return used_bezout
 
@@ -524,7 +512,7 @@ def _enforce_divisibility(red: _Reduction, rank: int) -> None:
             # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
             # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
             # on columns, applied as the row operation R^T on the transpose.
-            block, scale = _bezout_block(ring, red.d[i][i], red.d[j][j])
+            _, block, scale = rings.xgcd(red.d[i][i], red.d[j][j], ring)
             (s, t_coef), (neg_bg, ag) = block
             red.apply_pair(i, j, block, scale)
             red.transpose()

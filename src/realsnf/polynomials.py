@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -434,9 +435,10 @@ def _step_to_negative(
     p: RatPoly, t: Fraction, step: Fraction, lo: Fraction, hi: Fraction
 ) -> Fraction:
     """The first of t + step, t - step, t + step/2, ... inside (lo, hi) where p < 0."""
+    ints = p.int_coefficients()
     for _ in range(200):
         for cand in (t + step, t - step):
-            if lo < cand < hi and p.sign_at(cand) < 0:
+            if lo < cand < hi and eval_sign_int(ints, cand.numerator, cand.denominator) < 0:
                 return cand
         step /= 2
     raise ArithmeticError("failed to certify a negative value")
@@ -617,6 +619,21 @@ _TERM_RE = re.compile(
 )
 
 
+def _cut(text: str) -> str:
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
+def parse_int(text: str) -> int:
+    """int(text), but a short ParseError for text too long for int() to convert."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if not 0 < limit < len(text):
+            raise
+        raise ParseError(f"{_cut(text)} exceeds the {limit}-digit limit for integers") from None
+
+
 def _coefficient(value: object) -> Fraction:
     """A JSON integer, or a string in the coefficient grammar, as a Fraction."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -625,11 +642,9 @@ def _coefficient(value: object) -> Fraction:
         raise ParseError(f"bad coefficient {value!r}: expected an integer or <integer>/<digits>")
     numerator, _, denominator = value.partition("/")
     try:
-        return Fraction(int(numerator), int(denominator or 1))
+        return Fraction(parse_int(numerator), parse_int(denominator or "1"))
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in coefficient {value!r}") from None
-    except ValueError as exc:  # more digits than int() converts
-        raise ParseError(f"bad coefficient: {exc}") from None
 
 
 def parse_poly(text: str) -> RatPoly:
@@ -637,19 +652,19 @@ def parse_poly(text: str) -> RatPoly:
     stripped = text.replace(" ", "")
     terms = re.findall(r"[+-]?[^+-]+", stripped)
     if "".join(terms) != stripped or not terms:
-        raise ParseError(f"cannot tokenize polynomial {text!r}")
+        raise ParseError(f"cannot tokenize polynomial {_cut(text)}")
     out = [Fraction(0)]
     for term in terms:
         # A sign without digits (as in "-x") is the coefficient -1.
         sign, body = (term[0], term[1:]) if term[0] in "+-" else ("", term)
         m = _TERM_RE.fullmatch(body)
         if not m or not (m["coef"] or m["var"]):
-            raise ParseError(f"bad polynomial term {term!r} in {text!r}")
+            raise ParseError(f"bad polynomial term {_cut(term)} in {_cut(text)}")
         try:
             coef = _coefficient(sign + (m["coef"] or "1"))
-            exp = int(m["exp"] or 1) if m["var"] else 0
-        except (ParseError, ValueError) as exc:  # ValueError: more digits than int() converts
-            raise ParseError(f"bad polynomial term {term!r} in {text!r}: {exc}") from None
+            exp = parse_int(m["exp"] or "1") if m["var"] else 0
+        except ParseError as exc:
+            raise ParseError(f"bad polynomial term {_cut(term)} in {_cut(text)}: {exc}") from None
         if exp > MAX_PARSED_DEGREE:
             raise ParseError(
                 f"exponent in polynomial term {term!r} exceeds the limit {MAX_PARSED_DEGREE}"

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedRingError,
     ZeroElementError,
 )
-from .polynomials import RatPoly
+from .polynomials import RatPoly, parse_int
 from .quadratic import QuadElem
 from .ringspec import RingFamily, RingSpec
 
@@ -125,14 +125,15 @@ def gcd(a: Element, b: Element, ring: RingSpec) -> Element:
 
 def xgcd(
     a: Element, b: Element, ring: RingSpec
-) -> tuple[Element, Element, Element, int | Fraction]:
-    """(g, s, t, scale) with s*a + t*b = g; g is some generator of (a, b).
+) -> tuple[Element, list[list[Element]], int | Fraction]:
+    """(g, [[s, t], [u, v]], scale): a block of determinant 1 taking (a, b) to
+    (g, 0), so s*a + t*b = g for a generator g of (a, b) and (u, v) = (-b/g, a/g).
 
-    Over Q[x] each remainder is replaced by its primitive part (a primitive
-    remainder sequence, Collins 1967) and its cofactors by the same positive
-    multiple, so the coefficients stay small.  g, s and t are then ``scale``
-    times the values of the classical Euclidean algorithm, for a positive
-    rational ``scale``; it is 1 over Z and the quadratic rings.
+    Over Q[x] each remainder is replaced by its primitive part (Collins 1967)
+    and its cofactors by the same positive multiple, so coefficients stay
+    small; g, s, t are then ``scale`` > 0 times the classical values (1 over Z
+    and the quadratic rings).  The steps have determinants -c (c = 1 off a
+    Q[x] rescale); the last cofactor row times their product's inverse is (u, v).
     """
     a, b = coerce(a, ring), coerce(b, ring)
     if is_zero(a) and is_zero(b):
@@ -142,18 +143,18 @@ def xgcd(
     t0, t1 = zero(ring), one(ring)
     # a and b are scale0 and scale1 times the classical remainders, and
     # (a mod b) is scale0 times the next one.
-    scale0 = scale1 = 1
+    scale0 = scale1 = inverse = 1
     while not is_zero(b):
         q, r = divmod(a, b)
-        s, t, scale = s0 - q * s1, t0 - q * t1, scale0
+        s, t, scale, inverse = s0 - q * s1, t0 - q * t1, scale0, -inverse
         if primitive and r:
             c = polynomials.primitive_scale(r.coefficients)
-            r, s, t, scale = r * c, s * c, t * c, scale * c
+            r, s, t, scale, inverse = r * c, s * c, t * c, scale * c, inverse / c
         a, b = b, r
         s0, s1 = s1, s
         t0, t1 = t1, t
         scale0, scale1 = scale1, scale
-    return a, s0, t0, scale0
+    return a, [[s0, t0], [s1 * inverse, t1 * inverse]], scale0
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:
@@ -211,7 +212,7 @@ def parse_element(data: object, ring: RingSpec) -> Element:
     if ring.family is RingFamily.INTEGERS:
         if isinstance(data, str):
             try:
-                return int(data.strip())
+                return parse_int(data.strip())
             except ValueError:
                 raise ParseError(f"bad integer {data!r}") from None
         raise ParseError(f"bad integer {data!r}")
@@ -221,19 +222,17 @@ def parse_element(data: object, ring: RingSpec) -> Element:
         return polynomials.poly_from_json(data)
     if isinstance(data, dict):
         try:
-            return QuadElem(int(str(data["x"])), int(str(data["y"])), ring)
+            return QuadElem(parse_int(str(data["x"])), parse_int(str(data["y"])), ring)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad quadratic element {data!r}: {exc}") from None
     if isinstance(data, str):
         text = data.replace(" ", "")
         m = _QUAD_TEXT.match(text)
+        if m:
+            return QuadElem(parse_int(m["x"]), parse_int(m["y"]), ring)
         try:
-            if m:
-                return QuadElem(int(m.group("x")), int(m.group("y")), ring)
-            return QuadElem(int(text), 0, ring)
-        except ValueError as exc:
-            if m:  # more digits than int() converts
-                raise ParseError(f"bad quadratic element: {exc}") from None
+            return QuadElem(parse_int(text), 0, ring)
+        except ValueError:
             raise ParseError(
                 f"bad quadratic element {data!r}; expected '<x>+<y>w' or an integer"
             ) from None

@@ -30,16 +30,19 @@ def rand_matrix(rng, ring, n_rows, n_cols, height=4):
 
 def classical_xgcd(a, b, ring):
     """The schoolbook extended Euclid, remainders left as they fall, in the
-    shape of rings.xgcd: (g, s, t, 1) with s*a + t*b = g."""
+    shape of rings.xgcd: (g, [[s, t], [-b/g, a/g]], 1) with s*a + t*b = g.
+    The second row comes from two exact divisions, not from the cofactors."""
     a, b = rings.coerce(a, ring), rings.coerce(b, ring)
+    g, r = a, b
     s0, s1 = rings.one(ring), rings.zero(ring)
     t0, t1 = rings.zero(ring), rings.one(ring)
-    while not rings.is_zero(b):
-        q, r = divmod(a, b)
-        a, b = b, r
+    while not rings.is_zero(r):
+        q, rem = divmod(g, r)
+        g, r = r, rem
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    return a, s0, t0, 1
+    u = rings.zero(ring) - rings.exact_divide(b, g, ring)
+    return g, [[s0, t0], [u, rings.exact_divide(a, g, ring)]], 1
 
 
 def random_unimodular(rng, ring, n, steps=6):

@@ -365,6 +365,22 @@ class TestNonnegativity:
         t = find_negative_point(p)
         assert p(t) < 0
 
+    def test_step_away_from_a_double_root_reads_p_once(self, monkeypatch):
+        # The bisection on x^2 - 1/10^6 lands on 0, a root of the square x^2,
+        # and the step search then tries 19 candidates before 1/1024.
+        p = parse_poly("x^4 - 1/1000000*x^2")
+        chain_length = len(sturm_chain(parse_poly("x^2 - 1/1000000")).chain)
+        original = RatPoly.int_coefficients
+        calls = []
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(RatPoly, "int_coefficients", counting)
+        assert find_negative_point(p) == Fraction(1, 1024)
+        assert len(calls) <= chain_length + 2
+
 
 def rand_product(rng):
     """A nonzero product of random factors, each raised to a power 1..3."""

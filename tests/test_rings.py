@@ -137,16 +137,38 @@ class TestGcd:
                 if rings.divides(c, a, ring) and rings.divides(c, b, ring):
                     assert rings.divides(c, g, ring)
 
-    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring(7)], ids=str)
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, *ALL_QUADRATIC], ids=str)
     def test_xgcd_identity(self, ring):
+        """The block [[s, t], [u, v]] has determinant 1 and takes (a, b) to
+        (g, 0); its second row is (-b/g, a/g), here by exact division."""
         rng = random.Random(11)
-        for _ in range(100):
-            a = random_element(rng, ring)
-            b = random_element(rng, ring)
+
+        def element():
+            if ring is RATIONAL_POLYNOMIALS:
+                size = rng.randint(1, 4)
+                return RatPoly(
+                    [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(size)]
+                )
+            return rings.coerce(random_element(rng, ring), ring)
+
+        zero, one = rings.zero(ring), rings.one(ring)
+        pairs = [(element(), element()) for _ in range(100)]
+        for a, b in pairs[:30]:  # a common factor gives the gcd a positive size
+            c = element()
+            pairs.append((a * c, b * c))
+        nonzero = [x for x in (element() for _ in range(10)) if not rings.is_zero(x)]
+        pairs += [(zero, x) for x in nonzero] + [(x, zero) for x in nonzero]
+        for a, b in pairs:
             if rings.is_zero(a) and rings.is_zero(b):
                 continue
-            g, s, t, _ = rings.xgcd(a, b, ring)
-            assert s * rings.coerce(a, ring) + t * rings.coerce(b, ring) == g
+            g, ((s, t), (u, v)), _ = rings.xgcd(a, b, ring)
+            assert s * a + t * b == g
+            assert rings.is_zero(u * a + v * b)
+            assert s * v - t * u == one
+            assert (u, v) == (
+                zero - rings.exact_divide(b, g, ring),
+                rings.exact_divide(a, g, ring),
+            )
 
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring(7)], ids=str)
     def test_xgcd_is_scale_times_classical_euclid(self, ring):
@@ -158,10 +180,11 @@ class TestGcd:
                 a, b = a * c * random_element(rng, ring), b * c
             if rings.is_zero(a) and rings.is_zero(b):
                 continue
-            g, s, t, scale = rings.xgcd(a, b, ring)
-            g0, s0, t0, _ = classical_xgcd(a, b, ring)
+            g, ((s, t), (u, v)), scale = rings.xgcd(a, b, ring)
+            g0, ((s0, t0), (u0, v0)), _ = classical_xgcd(a, b, ring)
             assert scale > 0 and (scale == 1 or ring is RATIONAL_POLYNOMIALS)
             assert (g, s, t) == (g0 * scale, s0 * scale, t0 * scale)
+            assert (u * scale, v * scale) == (u0, v0)
 
 
 class TestAssociation:

@@ -103,15 +103,15 @@ class TestPolyBezoutSteps:
     def test_cofactors_stay_small(self, monkeypatch):
         """A seeded 5x5 N*N^T over Q[x] needs a gcd of a degree-15 and a
         degree-33 entry; classical Euclid cofactors there reach 2,600 bits."""
-        original = matrices._bezout_block
+        original = rings.xgcd
         seen = []
 
-        def wrapped(ring, a, b):
-            block, scale = original(ring, a, b)
+        def wrapped(a, b, ring):
+            g, block, scale = original(a, b, ring)
             seen.append((b.degree, coefficient_bits(block[0])))
-            return block, scale
+            return g, block, scale
 
-        monkeypatch.setattr(matrices, "_bezout_block", wrapped)
+        monkeypatch.setattr(rings, "xgcd", wrapped)
         smith_normal_form(golden_snf_input("qx-5x5-seeded-full-rank"))
         assert max(degree for degree, _ in seen) >= 30
         assert max(bits for _, bits in seen) < 1000
