@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 from . import matrices, quadratic, rings, spectrum, verify
 from .errors import ParseError, RealSnfError, TheoremConsistencyError
 from .matrices import Matrix, matrix_from_json, smith_normal_form
-from .polynomials import poly_from_json
+from .polynomials import _cut, parse_int, poly_from_json
 from .ringspec import RATIONAL_POLYNOMIALS, RingFamily, RingSpec, parse_ring
 
 EXIT_OK = 0
@@ -189,7 +189,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         ("--degree", args.degree, 0, verify.MAX_TRIAL_DEGREE),
     ):
         if not low <= value <= high:
-            raise ParseError(f"flag {flag}: must be between {low} and {high}, got {value}")
+            raise ParseError(
+                f"flag {flag}: must be between {low} and {high}, got {_cut(str(value))}"
+            )
     cfg = verify.TrialConfig(
         ring=ring,
         matrix_size=args.size,
@@ -208,6 +210,16 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return _verdict(
         args, all(r.conclusion is verify.Conclusion.THEOREM_HOLDS for r in summary.reports)
     )
+
+
+def _int_flag(text: str) -> int:
+    """An integer flag's value; argparse would echo a rejected value whole."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_cut(text)}") from None
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 @functools.cache
@@ -257,11 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     suite = command(
         "suite", _cmd_suite, "seeded randomized falsification run", needs_input=False, verdict=True
     )
-    suite.add_argument("--trials", type=int, default=100)
-    suite.add_argument("--size", type=int, default=4, help="maximum matrix size")
-    suite.add_argument("--height", type=int, default=3, help="entry height bound")
-    suite.add_argument("--degree", type=int, default=2, help="entry degree bound (Q[x])")
-    suite.add_argument("--seed", type=int, default=0)
+    for flag, default, help in (
+        ("--trials", 100, "number of trials"),
+        ("--size", 4, "maximum matrix size"),
+        ("--height", 3, "entry height bound"),
+        ("--degree", 2, "entry degree bound (Q[x])"),
+        ("--seed", 0, "master seed"),
+    ):
+        suite.add_argument(flag, type=_int_flag, default=default, metavar="N", help=help)
     return parser
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ShapeMismatchError,
     SizeLimitError,
 )
-from .polynomials import primitive_scale
+from .polynomials import row_primitive_scale
 from .rings import Element
 from .ringspec import RingFamily, RingSpec, parse_ring
 
@@ -320,7 +320,7 @@ class _Reduction:
         suffers hyper-exponential fraction growth."""
         if not self._scalable:
             return
-        factor = primitive_scale([c for v in self.d[i] for c in v.coefficients])
+        factor = row_primitive_scale(self.d[i])
         if factor != 1:
             self.scale(i, factor, 1 / factor)
 

@@ -1,5 +1,9 @@
 """Dense univariate polynomials with exact rational coefficients.
 
+A polynomial is stored as a positive rational content times a primitive
+integer polynomial, so arithmetic runs on integers and builds no Fraction
+per coefficient (see :class:`RatPoly`).
+
 Sign questions on the real line are decided without any numerics.  Sturm
 chains count distinct real roots of any nonzero polynomial, square-free or
 not.  Each sign question (nonnegativity on R, a constant-sign associate, a
@@ -17,22 +21,29 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
 
 Coefficient = Fraction | int
 
 
-def eval_sign_int(coeffs: list[int], u: int, v: int) -> int:
-    """Sign of p(u/v) where p has the given integer coefficients, constant first.
-
-    Requires v > 0.  Computed as the sign of sum(c[i] * u**i * v**(d-i)),
-    which equals v**d * p(u/v) and shares its sign, so no Fraction is built.
-    """
+def _homogenized(coeffs: "list[int] | tuple[int, ...]", u: int, v: int) -> int:
+    """sum(c[i] * u**i * v**(d-i)) = v**d * p(u/v), d = len(coeffs) - 1."""
     acc, vp = 0, 1
     for c in reversed(coeffs):
         acc = acc * u + c * vp
         vp *= v
+    return acc
+
+
+def eval_sign_int(coeffs: "list[int] | tuple[int, ...]", u: int, v: int) -> int:
+    """Sign of p(u/v) where p has the given integer coefficients, constant first.
+
+    Requires v > 0.  Computed as the sign of v**d * p(u/v), which shares the
+    sign of p(u/v), so no Fraction is built.
+    """
+    acc = _homogenized(coeffs, u, v)
     return (acc > 0) - (acc < 0)
 
 
@@ -43,50 +54,61 @@ def sign_variations(signs: list[int]) -> int:
 
 
 class RatPoly:
-    """Polynomial over Q, stored dense with the constant term first."""
+    """Polynomial over Q, stored as (n/d) * P.
 
-    __slots__ = ("_coeffs",)
+    P is a tuple of coprime integers, constant first, whose last entry is
+    nonzero and carries the sign; n and d are coprime positive integers.
+    The zero polynomial is P = () with n = d = 1.  Each polynomial has one
+    such form, so equality compares the stored forms.  A product convolves
+    the two P's and needs no gcd, since a product of primitive polynomials
+    is primitive (Gauss's lemma); a sum takes one gcd over its integer
+    result; division is pseudo-division on the P's.  ``coefficients``,
+    ``[i]``, ``leading`` and calls build Fractions only when read.
+    """
+
+    __slots__ = ("_n", "_d", "_p")
 
     def __init__(self, coefficients: "list[Coefficient] | tuple[Coefficient, ...]" = ()):
-        coeffs = [Fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self._coeffs = tuple(coeffs)
+        fractions = [Fraction(c) for c in coefficients]
+        common = math.lcm(*(c.denominator for c in fractions))
+        ints = [c.numerator * (common // c.denominator) for c in fractions]
+        self._n, self._d, self._p = _normal_form(1, common, ints)
 
     # -- structure -----------------------------------------------------------
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        n, d = self._n, self._d
+        return tuple(Fraction(n * c, d) for c in self._p)
 
     @classmethod
     def zero(cls) -> "RatPoly":
-        return cls(())
+        return _raw(1, 1, ())
 
     @classmethod
     def constant(cls, c: Coefficient) -> "RatPoly":
-        return cls((Fraction(c),))
+        return cls((c,))
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._p
 
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
-        return len(self._coeffs) - 1
+        return len(self._p) - 1
 
     @property
     def leading(self) -> Fraction:
-        if self.is_zero():
+        if not self._p:
             raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._n * self._p[-1], self._d)
 
     def is_constant(self) -> bool:
-        return len(self._coeffs) <= 1
+        return len(self._p) <= 1
 
     def __getitem__(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
+        if 0 <= i < len(self._p):
+            return Fraction(self._n * self._p[i], self._d)
         return Fraction(0)
 
     def __eq__(self, other: object) -> bool:
@@ -94,16 +116,16 @@ class RatPoly:
             other = RatPoly((other,))
         if not isinstance(other, RatPoly):
             return NotImplemented
-        return self._coeffs == other._coeffs
+        return (self._p, self._n, self._d) == (other._p, other._n, other._d)
 
     def __hash__(self) -> int:
         # Equal objects hash equal: a constant polynomial equals its constant.
-        if len(self._coeffs) <= 1:
-            return hash(self._coeffs[0]) if self._coeffs else 0
-        return hash(self._coeffs)
+        if len(self._p) <= 1:
+            return hash(self[0])
+        return hash((self._p, self._n, self._d))
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self._p)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -114,66 +136,73 @@ class RatPoly:
             return RatPoly((other,))
         return NotImplemented  # type: ignore[return-value]
 
+    def _combine(self, other: "RatPoly", sign: int) -> "RatPoly":
+        """self + sign * other over the least common denominator, one gcd at the end."""
+        if not other._p:
+            return self
+        if not self._p:
+            return other if sign > 0 else -other
+        na, da, nb, db = self._n, self._d, other._n, other._d
+        # A prime of gcd(na, nb) divides neither da nor db, so g and l are coprime.
+        g = math.gcd(na, nb)
+        l = da // math.gcd(da, db) * db
+        ma = na // g * (l // da)
+        mb = nb // g * (l // db) * sign
+        a, b = self._p, other._p
+        out = [ma * x for x in a] if ma != 1 else list(a)
+        if len(out) < len(b):
+            out += [0] * (len(b) - len(out))
+        for i, y in enumerate(b):
+            out[i] += mb * y
+        return _poly(g, l, out)
+
     def __add__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatPoly":
-        return _poly([-c for c in self._coeffs])
+        return _raw(self._n, self._d, tuple(-c for c in self._p))
 
     def __sub__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other._coeffs
-        out = list(self._coeffs)
-        out += [_ZERO] * (len(b) - len(out))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return _poly(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         return (-self) + other
 
     def __mul__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         if isinstance(other, (int, Fraction)):
-            return _poly([x * other for x in self._coeffs])
+            return self._scaled(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
+        a, b = self._p, other._p
+        if not a or not b:
+            return RatPoly.zero()
         if len(a) < len(b):
             a, b = b, a
-        if not b:
-            return _poly([])
-        if len(b) == 1:
-            c = b[0]
-            return _poly([x * c for x in a])
-        # Convolve integer numerators over each factor's common denominator,
-        # so a Fraction (and its gcd) is built per output coefficient, not
-        # per term product.
-        da = math.lcm(*(x.denominator for x in a))
-        db = math.lcm(*(y.denominator for y in b))
-        na = [x.numerator * (da // x.denominator) for x in a]
-        nb = [y.numerator * (db // y.denominator) for y in b]
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb, i):
+        for i, y in enumerate(b):
+            if y:
+                for j, x in enumerate(a, i):
                     out[j] += x * y
-        d = da * db
-        return _poly([Fraction(c, d) for c in out])
+        # Gauss's lemma: out is primitive, so only the contents are reduced.
+        return _content_product(self._n, self._d, other._n, other._d, tuple(out))
 
     __rmul__ = __mul__
+
+    def _scaled(self, c: Coefficient) -> "RatPoly":
+        """c * self for a rational c."""
+        num, den = c.numerator, c.denominator
+        if not num or not self._p:
+            return RatPoly.zero()
+        p = self._p if num > 0 else tuple(-x for x in self._p)
+        return _content_product(self._n, self._d, abs(num), den, p)
 
     def __pow__(self, n: int) -> "RatPoly":
         if n < 0:
@@ -191,24 +220,33 @@ class RatPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        if not other._p:
             raise ZeroDivisionError("polynomial division by zero")
-        divisor = other._coeffs
+        divisor = other._p
         dd = len(divisor) - 1
         dlead = divisor[-1]
-        rem = list(self._coeffs)
-        quot = [_ZERO] * max(len(rem) - dd, 0)
-        # Each step pops the leading term, which the subtraction would zero.
+        rem = list(self._p)
+        quot = [0] * max(len(rem) - dd, 0)
+        # Pseudo-division with scale * self._p == quot * divisor + rem.  Each
+        # step pops the leading term, which the subtraction would zero.
+        scale = 1
         while len(rem) > dd:
             lead = rem.pop()
             if not lead:
                 continue
             shift = len(rem) - dd
-            factor = lead / dlead
+            factor, r = divmod(lead, dlead)
+            if r:
+                m = abs(dlead) // math.gcd(lead, dlead)
+                scale *= m
+                rem = [m * c for c in rem]
+                quot = [m * c for c in quot]
+                factor = lead * m // dlead
             quot[shift] = factor
             for i in range(dd):
                 rem[shift + i] -= factor * divisor[i]
-        return _poly(quot), _poly(rem)
+        n, d = self._n, self._d * scale
+        return _poly(n * other._d, d * other._n, quot), _poly(n, d, rem)
 
     def __floordiv__(self, other: "RatPoly | Coefficient") -> "RatPoly":
         return divmod(self, other)[0]
@@ -217,40 +255,47 @@ class RatPoly:
         return divmod(self, other)[1]
 
     def derivative(self) -> "RatPoly":
-        return _poly([i * c for i, c in enumerate(self._coeffs)][1:])
+        return _poly(self._n, self._d, [i * c for i, c in enumerate(self._p)][1:])
 
     def monic(self) -> "RatPoly":
-        if self.is_zero():
+        p = self._p
+        if not p:
             return self
-        lead = self.leading
-        return _poly([c / lead for c in self._coeffs])
+        return _raw(1, abs(p[-1]), p if p[-1] > 0 else tuple(-c for c in p))
 
     # -- evaluation --------------------------------------------------------------
 
     def __call__(self, t: Coefficient) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * t + c
-        return acc
+        t = Fraction(t)
+        v = t.denominator
+        value = _homogenized(self._p, t.numerator, v)
+        return Fraction(self._n * value, self._d * v ** max(self.degree, 0))
 
     def int_coefficients(self) -> list[int]:
-        """The coprime integers of the primitive part c * self, c = primitive_scale > 0.
+        """The coprime integers of the primitive part c * self, c = primitive_scale() > 0.
 
         A positive multiple keeps the sign of self at every point and every
         rational root, so sign and root questions read these integers.
         """
-        scale = primitive_scale(self._coeffs)
-        return [int(c * scale) for c in self._coeffs]
+        return list(self._p)
+
+    def primitive_scale(self) -> Fraction:
+        """The positive rational c that makes c * self coprime integers; 1 for zero.
+
+        Over Q[x] the primitive part c * p is an associate of p whose
+        coefficients stay small under Euclidean steps (Collins, J. ACM 14, 1967).
+        """
+        return Fraction(self._d, self._n)
 
     def sign_at(self, t: Coefficient) -> int:
         t = Fraction(t)
-        return eval_sign_int(self.int_coefficients(), t.numerator, t.denominator)
+        return eval_sign_int(self._p, t.numerator, t.denominator)
 
     def sign_at_infinity(self, direction: int) -> int:
         """Sign of p(t) as t -> +oo (direction=+1) or t -> -oo (direction=-1)."""
-        if self.is_zero():
+        if not self._p:
             return 0
-        s = 1 if self.leading > 0 else -1
+        s = 1 if self._p[-1] > 0 else -1
         if direction < 0 and self.degree % 2 == 1:
             s = -s
         return s
@@ -261,35 +306,55 @@ class RatPoly:
         return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"RatPoly({list(self._coeffs)!r})"
+        return f"RatPoly({list(self.coefficients)!r})"
 
 
-_ZERO = Fraction(0)
+def _raw(n: int, d: int, p: tuple[int, ...]) -> RatPoly:
+    """The polynomial stored as (n, d, p), which must already be its normal form."""
+    poly = RatPoly.__new__(RatPoly)
+    poly._n, poly._d, poly._p = n, d, p
+    return poly
 
 
-def _poly(coeffs: list[Fraction]) -> RatPoly:
-    """The polynomial of a list of Fractions, constant first.
+def _normal_form(n: int, d: int, ints: list[int]) -> tuple[int, int, tuple[int, ...]]:
+    """The stored form of (n/d) * ints for positive n and d.
 
-    For arithmetic results: trailing zeros are popped from ``coeffs`` in
-    place and no coefficient is re-wrapped.
+    Trailing zeros are popped from ``ints`` in place, and its content moves
+    into n/d.
     """
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    p = RatPoly.__new__(RatPoly)
-    p._coeffs = tuple(coeffs)
-    return p
+    while ints and not ints[-1]:
+        ints.pop()
+    content = math.gcd(*ints)
+    if not content:
+        return 1, 1, ()
+    if content > 1:
+        ints = [c // content for c in ints]
+        n *= content
+    g = math.gcd(n, d)
+    return n // g, d // g, tuple(ints)
 
 
-def primitive_scale(coefficients: "tuple[Fraction, ...] | list[Fraction]") -> Fraction:
-    """The positive rational c that makes c * coefficients coprime integers.
+def _poly(n: int, d: int, ints: list[int]) -> RatPoly:
+    """The polynomial (n/d) * ints for positive n and d, from an arithmetic result."""
+    return _raw(*_normal_form(n, d, ints))
 
-    1 when there are no nonzero coefficients.  Over Q[x] the primitive part
-    c * p is an associate of p whose coefficients stay small under
-    Euclidean steps (Collins, J. ACM 14, 1967).
+
+def _content_product(na: int, da: int, nb: int, db: int, p: tuple[int, ...]) -> RatPoly:
+    """(na/da) * (nb/db) * p for a primitive p and two reduced positive fractions."""
+    g1, g2 = math.gcd(na, db), math.gcd(nb, da)
+    return _raw(na // g1 * (nb // g2), da // g2 * (db // g1), p)
+
+
+def row_primitive_scale(row: Iterable[RatPoly]) -> Fraction:
+    """The positive rational c that makes c * row coprime integers; 1 for a zero row.
+
+    The content of the row is gcd(n_i) / lcm(d_i) over its nonzero members'
+    stored contents n_i / d_i, so no coefficient is read.
     """
-    common = math.lcm(*(c.denominator for c in coefficients))
-    content = math.gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
-    return Fraction(common, content) if content else Fraction(1)
+    nonzero = [p for p in row if p._p]
+    if not nonzero:
+        return Fraction(1)
+    return Fraction(math.lcm(*(p._d for p in nonzero)), math.gcd(*(p._n for p in nonzero)))
 
 
 def _remainder_sequence(a: RatPoly, b: RatPoly) -> list[RatPoly]:
@@ -303,7 +368,7 @@ def _remainder_sequence(a: RatPoly, b: RatPoly) -> list[RatPoly]:
     while not b.is_zero():
         seq.append(b)
         r = a % b
-        a, b = b, r * -primitive_scale(r.coefficients)
+        a, b = b, r * -r.primitive_scale()
     return seq
 
 
@@ -420,15 +485,15 @@ def positive_associate(p: RatPoly) -> RatPoly | None:
         raise ZeroPolynomialError("zero polynomial has no positive associate")
     if p.degree % 2 == 1 or (p.degree > 0 and _sign_change_chain(p) is not None):
         return None
-    return p if p.leading > 0 else -p
+    return p if p.sign_at_infinity(+1) > 0 else -p
 
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:
     """B with every real root of p inside (-B, B)."""
     if p.is_zero() or p.degree == 0:
         return Fraction(1)
-    lead = abs(p.leading)
-    return 1 + max(abs(c) for c in p.coefficients[:-1]) / lead
+    # The ratio is the same on the stored primitive part.
+    return 1 + Fraction(max(abs(c) for c in p._p[:-1]), abs(p._p[-1]))
 
 
 def _step_to_negative(
@@ -671,7 +736,7 @@ def parse_poly(text: str) -> RatPoly:
             )
         out += [Fraction(0)] * (exp + 1 - len(out))
         out[exp] += coef
-    return _poly(out)
+    return RatPoly(out)
 
 
 def poly_from_json(data: object) -> RatPoly:
@@ -684,4 +749,4 @@ def poly_from_json(data: object) -> RatPoly:
         raise ParseError(
             f"coefficient array of {len(data)} entries exceeds the limit {MAX_PARSED_DEGREE + 1}"
         )
-    return _poly([_coefficient(c) for c in data])
+    return RatPoly([_coefficient(c) for c in data])

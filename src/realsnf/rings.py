@@ -148,7 +148,7 @@ def xgcd(
         q, r = divmod(a, b)
         s, t, scale, inverse = s0 - q * s1, t0 - q * t1, scale0, -inverse
         if primitive and r:
-            c = polynomials.primitive_scale(r.coefficients)
+            c = r.primitive_scale()
             r, s, t, scale, inverse = r * c, s * c, t * c, scale * c, inverse / c
         a, b = b, r
         s0, s1 = s1, s

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import ParseError, UnsupportedRingError
+from .polynomials import _cut, parse_int
 
 SQRT_FORM_ALLOWED = frozenset({2, 3, 6, 7, 11})
 HALF_FORM_ALLOWED = frozenset({5, 13})
@@ -94,13 +95,15 @@ def parse_ring(text: str) -> RingSpec:
         if text.startswith(prefix):
             body = text[len(prefix):]
             try:
-                d = int(body)
+                d = parse_int(body)
             except ValueError:
-                raise ParseError(f"ring parameter {body!r} is not an integer") from None
+                raise ParseError(f"ring parameter {_cut(body)} is not an integer") from None
+            except ParseError as exc:
+                raise ParseError(f"ring parameter {exc}") from None
             if half != (d % 4 == 1):
                 form = "Zhalf" if d % 4 == 1 else "Zsqrt"
                 raise UnsupportedRingError(
                     f"d={d} belongs to the {form} form, not {prefix[:-1]}"
                 )
             return quadratic_ring(d)
-    raise ParseError(f"unknown ring {text!r}; expected Z, Q[x], Zsqrt:<d> or Zhalf:<d>")
+    raise ParseError(f"unknown ring {_cut(text)}; expected Z, Q[x], Zsqrt:<d> or Zhalf:<d>")

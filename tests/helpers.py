@@ -115,6 +115,59 @@ def poly_product_oracle(a, b):
     return RatPoly(out)
 
 
+def poly_sum_oracle(a, b, sign=1):
+    """a + sign * b for two RatPolys, coefficient by coefficient over Fraction.
+
+    It checks ``RatPoly.__add__`` (sign 1) and ``__sub__`` (sign -1) and
+    shares none of their code.
+    """
+    x, y = list(a.coefficients), list(b.coefficients)
+    size = max(len(x), len(y))
+    x += [Fraction(0)] * (size - len(x))
+    y += [Fraction(0)] * (size - len(y))
+    return RatPoly([u + sign * v for u, v in zip(x, y)])
+
+
+def _long_division(numerator, divisor):
+    """Schoolbook division of two Fraction lists, constant first: (quotient, remainder)."""
+    rem = list(numerator)
+    quot = [Fraction(0)] * max(len(rem) - len(divisor) + 1, 0)
+    while len(rem) >= len(divisor):
+        factor = rem[-1] / divisor[-1]
+        shift = len(rem) - len(divisor)
+        quot[shift] = factor
+        for i, c in enumerate(divisor):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot, rem
+
+
+def poly_divmod_oracle(a, b):
+    """divmod(a, b) for two RatPolys, b nonzero, by long division over Fraction.
+
+    It checks ``RatPoly.__divmod__`` and shares none of its code: every
+    step divides by the divisor's leading Fraction, and the public
+    constructor builds both results.
+    """
+    quot, rem = _long_division(list(a.coefficients), list(b.coefficients))
+    return RatPoly(quot), RatPoly(rem)
+
+
+def primitive_scale(coefficients):
+    """The positive rational c that makes c * coefficients coprime integers;
+    1 when there are no nonzero coefficients.
+
+    It checks ``RatPoly.primitive_scale`` and ``row_primitive_scale``, which
+    read the stored content, from the coefficients: the lcm of their
+    denominators over the gcd of the numerators brought to it.
+    """
+    common = math.lcm(*(c.denominator for c in coefficients))
+    content = math.gcd(*(c.numerator * (common // c.denominator) for c in coefficients))
+    return Fraction(common, content) if content else Fraction(1)
+
+
 def evaluate_poly_matrix(m, t):
     """Evaluate a Q[x] matrix entrywise at a rational point."""
     return [[entry(t) for entry in row] for row in m.entries]
@@ -131,15 +184,7 @@ def classical_sturm_chain(p):
     if len(chain[0]) >= 2:
         chain.append([i * c for i, c in enumerate(chain[0])][1:])
         while len(chain[-1]) >= 2:
-            rem, divisor = list(chain[-2]), chain[-1]
-            while len(rem) >= len(divisor):
-                factor = rem[-1] / divisor[-1]
-                shift = len(rem) - len(divisor)
-                for i, c in enumerate(divisor):
-                    rem[shift + i] -= factor * c
-                rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
+            _, rem = _long_division(chain[-2], chain[-1])
             if not rem:
                 break
             chain.append([-c for c in rem])

@@ -318,6 +318,13 @@ class TestInputErrors:
                 ["valuation-lemma", "--input", '{"a":"' + "1" * 5000 + '","b":"0","p":"x"}'],
                 ("field 'a'", "digit limit"),
             ),
+            (
+                ["snf", "--ring", "Zsqrt:" + "1" * 5000, "--input", "[[1]]"],
+                ("ring parameter", "digit limit"),
+            ),
+            (["snf", "--ring", "W" + "1" * 5000, "--input", "[[1]]"], "unknown ring"),
+            (["snf", "--input", '{"ring":"W' + "1" * 5000 + '","entries":[[1]]}'], "unknown ring"),
+            (["suite", "--ring", "Z", "--size", "2" * 4000], "--size"),
         ],
         ids=[
             "row-is-string",
@@ -353,6 +360,10 @@ class TestInputErrors:
             "quadratic-overlong-plain-integer",
             "polynomial-text-overlong-integer",
             "valuation-lemma-overlong-integer",
+            "ring-parameter-overlong-integer",
+            "ring-name-overlong",
+            "ring-field-overlong",
+            "suite-size-long-integer",
         ],
     )
     def test_bad_input_names_field(self, capsys, tmp_path, argv, field):
@@ -375,6 +386,15 @@ class TestInputErrors:
             code, out, err = run(capsys, command, "--ring", "Z")
             assert code == 2 and out == ""
             assert err == f"error: {command} needs --input with {what}\n"
+
+    @pytest.mark.parametrize("flag", ["--seed", "--trials", "--size", "--height", "--degree"])
+    def test_overlong_integer_flag_gets_a_short_message(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--ring", "Z", "--trials", "1", flag, "1" * 5000])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in err and "digit limit" in err
+        assert len(err.encode()) < 300
 
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit):

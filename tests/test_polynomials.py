@@ -20,13 +20,20 @@ from realsnf.polynomials import (
     poly_from_json,
     poly_gcd,
     positive_associate,
-    primitive_scale,
+    row_primitive_scale,
     sign_variations,
     squarefree_decomposition,
     sturm_chain,
 )
 
-from helpers import certify_irreducible_by_divisors, classical_sturm_chain, poly_product_oracle
+from helpers import (
+    certify_irreducible_by_divisors,
+    classical_sturm_chain,
+    poly_divmod_oracle,
+    poly_product_oracle,
+    poly_sum_oracle,
+    primitive_scale,
+)
 
 X = RatPoly([0, 1])
 
@@ -95,6 +102,14 @@ class TestArithmetic:
             assert {p: "p"}.get(c) == "p" and {c: "c"}.get(p) == "c"
             assert len({p, c}) == 1
         assert hash(RatPoly([1, 2])) == hash(RatPoly([Fraction(2, 2), Fraction(4, 2)]))
+        rng = random.Random(15)
+        for _ in range(200):
+            p = rand_rat_poly(rng)
+            for r in (p, p * Fraction(-3, 7), p - p, p.monic()):
+                twin = RatPoly(list(r.coefficients))
+                assert r == twin and hash(r) == hash(twin)
+                if r.is_constant():
+                    assert r == r[0] and hash(r) == hash(r[0])
 
     def test_divmod_round_trip(self):
         rng = random.Random(1)
@@ -105,6 +120,37 @@ class TestArithmetic:
             assert q * b + r == a
             assert r.is_zero() or r.degree < b.degree
 
+    def test_divmod_matches_schoolbook_oracle(self):
+        # Divisors with leading coefficients of either sign, rarely units of
+        # Z after clearing denominators, so pseudo-division rescales often.
+        rng = random.Random(16)
+        fixed = [
+            RatPoly([Fraction(-2, 3)]),
+            RatPoly([1, 0, -3]),
+            RatPoly([Fraction(1, 2), 0, 0, Fraction(-6, 5)]),
+            RatPoly([Fraction(5, 64), Fraction(3, 35), 0, 0, 4]),
+        ]
+        divisors = fixed + [rand_rat_poly(rng) for _ in range(50)]
+        divisors = [b for b in divisors if b]
+        assert {b.int_coefficients()[-1] < -1 for b in divisors} == {True, False}
+        dividends = [RatPoly.zero()] + [rand_rat_poly(rng, max_degree=12) for _ in range(50)]
+        for a in dividends:
+            for b in divisors:
+                q, r = divmod(a, b)
+                assert (q, r) == poly_divmod_oracle(a, b)
+                assert q * b + r == a
+
+    def test_sum_and_difference_match_schoolbook_oracle(self):
+        rng = random.Random(17)
+        operands = [RatPoly.zero()] + [rand_rat_poly(rng) for _ in range(50)]
+        # Equal leading terms cancel, so sums also drop in degree.
+        operands += [p + X ** (p.degree + 1) for p in operands[:10]]
+        operands += [-p for p in operands[-10:]]
+        for a in operands:
+            for b in operands:
+                assert a + b == poly_sum_oracle(a, b)
+                assert a - b == poly_sum_oracle(a, b, -1)
+
     def test_degree_conventions(self):
         assert RatPoly([]).degree == -1
         assert RatPoly([3]).degree == 0
@@ -112,16 +158,22 @@ class TestArithmetic:
         assert RatPoly([1, 0, 0]).degree == 0  # trailing zeros dropped
 
     def test_results_are_stored_like_public_ones(self):
-        """Arithmetic builds results without the public constructor: they must
-        still hold Fractions and no trailing zero."""
+        """Arithmetic builds results without the public constructor: each must
+        equal, and hash like, the polynomial the constructor builds from its
+        coefficients, whatever route built it.  Equality compares stored
+        forms, so a result left in another form fails here."""
         rng = random.Random(3)
         for _ in range(200):
-            a, b = rand_poly(rng), rand_poly(rng, nonzero=True)
+            a, b = rand_rat_poly(rng), rand_rat_poly(rng) or RatPoly([Fraction(-4, 9)])
+            c = rand_rat_poly(rng, max_degree=3)
             results = [a + b, a - b, a - a, -a, a * b, a * 0, a * Fraction(2, 3), b.derivative()]
-            results += [*divmod(a, b), b.monic()]
+            results += [*divmod(a, b), b.monic(), (a * b) // b, (a + b) - b, (c * a).monic()]
             for r in results:
-                assert RatPoly(list(r.coefficients)).coefficients == r.coefficients
+                twin = RatPoly(list(r.coefficients))
+                assert r == twin and hash(r) == hash(twin)
+                assert twin.coefficients == r.coefficients
                 assert all(type(c) is Fraction for c in r.coefficients)
+            assert (a * b) // b == a and (a + b) - b == a
         assert (X + 1) - X == RatPoly([1]) and (X - X).degree == -1
 
     def test_scalar_product_matches_constant_polynomial(self):
@@ -180,10 +232,23 @@ class TestSignKernels:
 
 class TestPrimitiveScale:
     def test_examples(self):
-        assert primitive_scale([Fraction(1, 2), Fraction(1, 3)]) == 6
-        assert primitive_scale([Fraction(4), Fraction(0), Fraction(6)]) == Fraction(1, 2)
-        assert primitive_scale([Fraction(-3, 4)]) == Fraction(4, 3)
-        assert primitive_scale([]) == primitive_scale([Fraction(0)]) == 1
+        assert RatPoly([Fraction(1, 2), Fraction(1, 3)]).primitive_scale() == 6
+        assert RatPoly([4, 0, 6]).primitive_scale() == Fraction(1, 2)
+        assert RatPoly([Fraction(-3, 4)]).primitive_scale() == Fraction(4, 3)
+        assert RatPoly([]).primitive_scale() == RatPoly([0]).primitive_scale() == 1
+        row = [RatPoly([4]), RatPoly([]), RatPoly([0, Fraction(6, 5)])]
+        assert row_primitive_scale(row) == Fraction(5, 2)
+        assert row_primitive_scale([RatPoly([]), RatPoly([])]) == row_primitive_scale([]) == 1
+
+    def test_stored_scale_matches_the_coefficient_oracle(self):
+        rng = random.Random(8)
+        polys = [rand_rat_poly(rng) for _ in range(100)]
+        for p in polys:
+            assert p.primitive_scale() == primitive_scale(p.coefficients)
+        for _ in range(100):
+            row = rng.sample(polys, rng.randint(1, 5))
+            coefficients = [c for p in row for c in p.coefficients]
+            assert row_primitive_scale(row) == primitive_scale(coefficients)
 
     def test_scaled_coefficients_are_coprime_integers(self):
         rng = random.Random(4)
@@ -191,7 +256,7 @@ class TestPrimitiveScale:
             coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(4)]
             if not any(coeffs):
                 continue
-            c = primitive_scale(coeffs)
+            c = RatPoly(coeffs).primitive_scale()
             scaled = [c * v for v in coeffs]
             assert c > 0 and all(v.denominator == 1 for v in scaled)
             assert math.gcd(*(v.numerator for v in scaled)) == 1
@@ -203,7 +268,8 @@ class TestPrimitiveScale:
         rng = random.Random(7)
         for _ in range(100):
             p = rand_poly(rng, nonzero=True) * Fraction(rng.randint(1, 30), rng.randint(1, 30))
-            scale = primitive_scale(p.coefficients)
+            scale = p.primitive_scale()
+            assert scale == primitive_scale(p.coefficients)
             assert p.int_coefficients() == [c * scale for c in p.coefficients]
 
     def test_gcd_is_the_monic_classical_gcd(self):
