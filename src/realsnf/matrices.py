@@ -296,6 +296,14 @@ class _Reduction:
     (D <- E * D) and appends one entry to ``log``; no transform is built
     during elimination.  :func:`_replay` rebuilds P and Q from the log on
     request, so M = P * D * Q holds at the end.
+
+    The row primitives, and their mirrors in :func:`_replay`, skip an entry
+    whose source entries are all zero: the sum would be the entry itself.  Before pivot t is placed, rows and
+    columns t, t+1, ... are zero outside the block they span, so the columns
+    left of t are clear in every row a shear or Bezout step at pivot t
+    touches.  On the transpose, row t is the cleared column t, zero except
+    at the pivot.  At the divisibility fix-up D is diagonal.  Those zeros
+    are most of the entries, and they are left as they are.
     """
 
     def __init__(self, m: Matrix):
@@ -334,14 +342,14 @@ class _Reduction:
         """row_dst += c * row_src."""
         if rings.is_zero(c):
             return
-        self.d[dst] = [a + c * b for a, b in zip(self.d[dst], self.d[src])]
+        self.d[dst] = [a + c * b if b else a for a, b in zip(self.d[dst], self.d[src])]
         self.log.append(("add_multiple", dst, src, c))
         self.normalize(dst)
 
     def scale(self, i: int, u: Element | Fraction, inverse: Element | Fraction) -> None:
         """row_i *= u for a unit u (over Q[x] a nonzero rational); the log keeps
         u's inverse for the replay."""
-        self.d[i] = [u * a for a in self.d[i]]
+        self.d[i] = [u * a if a else a for a in self.d[i]]
         self.log.append(("scale", i, inverse))
 
     def apply_pair(
@@ -356,8 +364,8 @@ class _Reduction:
         """
         (a, b), (c, d) = block
         ri, rj = self.d[i], self.d[j]
-        self.d[i] = [a * x + b * y for x, y in zip(ri, rj)]
-        self.d[j] = [c * x + d * y for x, y in zip(ri, rj)]
+        self.d[i] = [a * x + b * y if x or y else x for x, y in zip(ri, rj)]
+        self.d[j] = [c * x + d * y if x or y else y for x, y in zip(ri, rj)]
         self.log.append(("apply_pair", i, j, block))
         self.normalize(i)
         self.normalize(j)
@@ -387,15 +395,15 @@ def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
             rows[i], rows[j] = rows[j], rows[i]
         elif kind == "add_multiple":
             dst, src, c = args
-            rows[src] = [a - c * b for a, b in zip(rows[src], rows[dst])]
+            rows[src] = [a - c * b if b else a for a, b in zip(rows[src], rows[dst])]
         elif kind == "scale":
             i, inverse = args
-            rows[i] = [inverse * a for a in rows[i]]
+            rows[i] = [inverse * a if a else a for a in rows[i]]
         else:  # apply_pair: (block^-1)^T = [[d, -c], [-b, a]]
             i, j, ((a, b), (c, d)) = args
             ri, rj = rows[i], rows[j]
-            rows[i] = [d * x - c * y for x, y in zip(ri, rj)]
-            rows[j] = [a * y - b * x for x, y in zip(ri, rj)]
+            rows[i] = [d * x - c * y if x or y else x for x, y in zip(ri, rj)]
+            rows[j] = [a * y - b * x if x or y else y for x, y in zip(ri, rj)]
     return rows, cols
 
 

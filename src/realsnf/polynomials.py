@@ -9,9 +9,10 @@ chains count distinct real roots of any nonzero polynomial, square-free or
 not.  Each sign question (nonnegativity on R, a constant-sign associate, a
 negative point) makes one pass: one square-free (Yun) decomposition splits
 off the odd-multiplicity part, whose one Sturm chain says whether p changes
-sign.  Nonnegativity on all of R is then "even degree, positive leading
-coefficient, no real root of the odd part", and the same chain guides the
-bisection to a negative point.
+sign; for a square-free p, the remainder sequence that shows it square-free
+is already that chain.  Nonnegativity on all of R is then "even degree,
+positive leading coefficient, no real root of the odd part", and the same
+chain guides the bisection to a negative point.
 """
 
 from __future__ import annotations
@@ -438,39 +439,50 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
         return p.leading, []
     work = p.monic()
     g = poly_gcd(work, work.derivative())
-    factors: list[tuple[RatPoly, int]] = []
     if g.is_constant():
-        factors.append((work, 1))
-    else:
-        c = work // g
-        d = work.derivative() // g - c.derivative()
-        i = 1
-        while not c.is_constant():
-            q = poly_gcd(c, d)
-            if q.degree >= 1:
-                factors.append((q, i))
-            c = c // q
-            d = d // q - c.derivative()
-            i += 1
-    return p.leading, factors
+        return p.leading, [(work, 1)]
+    return p.leading, _yun_factors(work, g)
+
+
+def _yun_factors(work: RatPoly, g: RatPoly) -> list[tuple[RatPoly, int]]:
+    """Yun's loop for a monic work, from its monic g = gcd(work, work') of degree >= 1."""
+    factors: list[tuple[RatPoly, int]] = []
+    c = work // g
+    d = work.derivative() // g - c.derivative()
+    i = 1
+    while not c.is_constant():
+        q = poly_gcd(c, d)
+        if q.degree >= 1:
+            factors.append((q, i))
+        c = c // q
+        d = d // q - c.derivative()
+        i += 1
+    return factors
 
 
 # -- positivity on the real line ------------------------------------------------
 
 
 def _sign_change_chain(p: RatPoly) -> SturmChain | None:
-    """Sturm chain of the odd part of a nonzero p when p changes sign on R, else None.
+    """Sturm chain of the odd part of a nonconstant p when p changes sign on R, else None.
 
     The odd part is the monic product of the square-free factors of odd
     multiplicity: p changes sign exactly at its real roots, and p / odd part
-    is a constant times a square.  p and -p share it, so one pass of Yun and
-    one chain answer the sign questions for both.
+    is a constant times a square.  p and -p share it, so one pass answers the
+    sign questions for both.  That pass starts with the Sturm chain of monic
+    p, which ends at a multiple of gcd(p, p').  When that end is constant, p
+    is square-free, its odd part is monic p, and the chain is the one wanted;
+    otherwise Yun's algorithm goes on from the gcd, and the odd part's chain
+    is the remainder sequence of the odd part and its derivative.
     """
-    _, factors = squarefree_decomposition(p)
-    odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
-    if odd.is_constant():
-        return None
-    chain = sturm_chain(odd)
+    chain = sturm_chain(p.monic())
+    end = chain.chain[-1]
+    if not end.is_constant():
+        factors = _yun_factors(chain.polynomial, end.monic())
+        odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
+        if odd.is_constant():
+            return None
+        chain = SturmChain(tuple(_remainder_sequence(odd, odd.derivative())))
     return chain if _roots_on_line(chain) > 0 else None
 
 

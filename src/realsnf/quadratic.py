@@ -52,6 +52,16 @@ def _round_half_to_zero(n: int, m: int) -> int:
     return q if q >= 0 else q + 1
 
 
+def _times_conjugate(
+    ax: int, ay: int, bx: int, by: int, half: bool, w2: int
+) -> tuple[int, int, int]:
+    """(x, y, N(b)) with x + y*w = a * conjugate(b), for a = ax + ay*w, b = bx + by*w."""
+    if half:  # conj(b) = (bx + by) - by*w and w**2 = w + w2
+        cx = bx + by
+        return ax * cx - w2 * ay * by, ay * cx - ax * by - ay * by, bx * cx - w2 * by * by
+    return ax * bx - w2 * ay * by, ay * bx - ax * by, bx * bx - w2 * by * by
+
+
 # Quotient offsets around the rounded point, tried shell by shell.  Nearest
 # rounding alone does not satisfy the Euclidean bound for d in {6, 7, 11}
 # (the norm form is an indefinite hyperbola, so the good lattice point can
@@ -137,6 +147,9 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
+
+    def __bool__(self) -> bool:
+        return self.x != 0 or self.y != 0
 
     def height(self) -> int:
         return max(abs(self.x), abs(self.y))
@@ -233,21 +246,29 @@ class QuadElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if other.is_zero():
+        ring = self.ring
+        half, w2 = ring.uses_half_basis, ring.w2_rational
+        ax, ay, bx, by = self.x, self.y, other.x, other.y
+        if not (bx or by):
             raise ZeroDivisionError("division by zero in quadratic ring")
-        num = self * other.conjugate()
-        nb = other.norm()
-        x0 = _round_half_to_zero(num.x, nb)
-        y0 = _round_half_to_zero(num.y, nb)
+        # a / b = a * conj(b) / N(b), rounded coordinatewise
+        nx, ny, nb = _times_conjugate(ax, ay, bx, by, half, w2)
+        x0 = _round_half_to_zero(nx, nb)
+        y0 = _round_half_to_zero(ny, nb)
+        # r = a - b*(x0 + dx, y0 + dy) = r0 - dx*b - dy*(b*w), all in ints
+        wx, wy = w2 * by, bx + by if half else bx  # b*w
+        rx0 = ax - x0 * bx - y0 * wx
+        ry0 = ay - x0 * by - y0 * wy
         bound = abs(nb)
         for shell in _QUOTIENT_SHELLS:
             for dx, dy in shell:
-                q = _quad(x0 + dx, y0 + dy, self.ring)
-                r = self - other * q
-                if r.is_zero() or abs(r.norm()) < bound:
-                    return q, r
+                rx = rx0 - dx * bx - dy * wx
+                ry = ry0 - dx * by - dy * wy
+                norm = rx * rx + rx * ry - w2 * ry * ry if half else rx * rx - w2 * ry * ry
+                if abs(norm) < bound:  # r = 0 has norm 0 < bound
+                    return _quad(x0 + dx, y0 + dy, ring), _quad(rx, ry, ring)
         raise ArithmeticError(
-            f"no Euclidean quotient found in {self.ring}; d outside the verified range?"
+            f"no Euclidean quotient found in {ring}; d outside the verified range?"
         )
 
     def __floordiv__(self, other: "int | QuadElem") -> "QuadElem":
@@ -371,10 +392,18 @@ def canonical_associate(a: QuadElem) -> QuadElem:
     coordinate height.  Ties on height prefer the smallest |y| (so rational
     integers represent their own class), then the largest x, then the
     largest y.
+
+    A rational integer n and a unit need no orbit walk.  Every associate
+    n*u has coordinates n times those of u, so height |n|*height(u) >= |n|,
+    with y = 0 only for u = +-1; the rules above therefore pick |n|, and for
+    a unit (the class of 1) they pick 1.
     """
-    if a.is_zero():
-        return a
-    d = a.ring.d
+    x, y, ring = a.x, a.y, a.ring
+    if not y:
+        return a if x >= 0 else _quad(-x, 0, ring)
+    if abs(a.norm()) == 1:
+        return _quad(1, 0, ring)
+    d = ring.d
     # c != 0 is never 0 at the plus embedding (sqrt(d) is irrational), so
     # exactly one of c and -c is positive there
     pool = [
@@ -385,10 +414,16 @@ def canonical_associate(a: QuadElem) -> QuadElem:
 
 def exact_divide(a: QuadElem, b: QuadElem) -> QuadElem | None:
     """a / b when b divides a exactly in the ring, else None."""
-    if b.is_zero():
+    ring = a.ring
+    if b.ring is not ring and b.ring != ring:
+        raise UnsupportedRingError("mixed quadratic rings")
+    if not (b.x or b.y):
         raise ZeroDivisionError("division by zero in quadratic ring")
-    num = a * b.conjugate()
-    nb = b.norm()
-    if num.x % nb or num.y % nb:
+    nx, ny, nb = _times_conjugate(a.x, a.y, b.x, b.y, ring.uses_half_basis, ring.w2_rational)
+    qx, rx = divmod(nx, nb)
+    if rx:
         return None
-    return _quad(num.x // nb, num.y // nb, a.ring)
+    qy, ry = divmod(ny, nb)
+    if ry:
+        return None
+    return _quad(qx, qy, ring)

@@ -22,6 +22,12 @@ SQRT_FORM_ALLOWED = frozenset({2, 3, 6, 7, 11})
 HALF_FORM_ALLOWED = frozenset({5, 13})
 
 
+def _d_text(d: int) -> str:
+    """d for an error message; a long one is cut like any other echoed input."""
+    text = str(d)
+    return text if len(text) <= 20 else _cut(text)
+
+
 class RingFamily(Enum):
     INTEGERS = "Z"
     RATIONAL_POLYNOMIALS = "Q[x]"
@@ -46,7 +52,7 @@ class RingSpec:
                 raise UnsupportedRingError("quadratic ring requires a parameter d")
             if self.d not in SQRT_FORM_ALLOWED and self.d not in HALF_FORM_ALLOWED:
                 raise UnsupportedRingError(
-                    f"d={self.d} is outside the norm-Euclidean allowlist "
+                    f"d={_d_text(self.d)} is outside the norm-Euclidean allowlist "
                     f"{sorted(SQRT_FORM_ALLOWED)} (sqrt form) / "
                     f"{sorted(HALF_FORM_ALLOWED)} (half-integer form)"
                 )
@@ -103,7 +109,7 @@ def parse_ring(text: str) -> RingSpec:
             if half != (d % 4 == 1):
                 form = "Zhalf" if d % 4 == 1 else "Zsqrt"
                 raise UnsupportedRingError(
-                    f"d={d} belongs to the {form} form, not {prefix[:-1]}"
+                    f"d={_d_text(d)} belongs to the {form} form, not {prefix[:-1]}"
                 )
             return quadratic_ring(d)
     raise ParseError(f"unknown ring {_cut(text)}; expected Z, Q[x], Zsqrt:<d> or Zhalf:<d>")

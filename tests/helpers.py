@@ -6,7 +6,7 @@ from fractions import Fraction
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
 from realsnf.matrices import Matrix, determinant
 from realsnf.polynomials import RatPoly
-from realsnf.quadratic import QuadElem, exact_divide, fundamental_unit
+from realsnf.quadratic import _QUOTIENT_SHELLS, QuadElem, exact_divide, fundamental_unit
 from realsnf import rings
 
 
@@ -15,6 +15,60 @@ def unit_power(u, k):
     if k < 0:
         u, k = exact_divide(QuadElem(1, 0, u.ring), u), -k
     return u**k
+
+
+def _nearest_ties_to_zero(t):
+    """The integer nearest the Fraction t, a tie going toward zero."""
+    low = math.floor(t)
+    if t - low != Fraction(1, 2):
+        return math.floor(t + Fraction(1, 2))
+    return low if low >= 0 else low + 1
+
+
+def quad_divmod_oracle(a, b):
+    """divmod(a, b) for two QuadElems, b nonzero, by the object-level candidate loop.
+
+    It checks ``QuadElem.__divmod__``, which runs the same search on ints:
+    round a / b = a * conjugate(b) / N(b) coordinatewise over Fraction, then
+    try the offsets shell by shell, building q and r = a - b*q as elements,
+    until |N(r)| < |N(b)|.  Returns (q, r, the shell that held q).
+    """
+    num, nb = a * b.conjugate(), b.norm()
+    x0 = _nearest_ties_to_zero(Fraction(num.x, nb))
+    y0 = _nearest_ties_to_zero(Fraction(num.y, nb))
+    for radius, shell in enumerate(_QUOTIENT_SHELLS):
+        for dx, dy in shell:
+            q = QuadElem(x0 + dx, y0 + dy, a.ring)
+            r = a - b * q
+            if r.is_zero() or abs(r.norm()) < abs(nb):
+                return q, r, radius
+    raise ArithmeticError("no Euclidean quotient in the shells")
+
+
+def canonical_associate_by_orbit(a):
+    """canonical_associate by walking the unit orbit of every nonzero a.
+
+    It checks ``quadratic.canonical_associate``, which answers rational
+    integers and units without a walk: the associates a * u0**k are walked
+    both ways until the height has failed to improve three times running,
+    each is taken with the sign that is positive at +sqrt(d), and the least
+    (height, |y|, -x, -y) wins.  u0**-1 is N(u0) * conjugate(u0).
+    """
+    if a.is_zero():
+        return a
+    fu = fundamental_unit(a.ring)
+    pool = [a]
+    for step in (fu.unit, fu.unit.conjugate() * fu.norm):
+        b, best, worse = a, a.height(), 0
+        while worse < 3:
+            b = b * step
+            pool.append(b)
+            if b.height() < best:
+                best, worse = b.height(), 0
+            else:
+                worse += 1
+    positive = [c if c.sign_pattern().at_plus > 0 else -c for c in pool]
+    return min(positive, key=lambda c: (c.height(), abs(c.y), -c.x, -c.y))
 
 
 def rand_matrix(rng, ring, n_rows, n_cols, height=4):

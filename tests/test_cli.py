@@ -323,6 +323,8 @@ class TestInputErrors:
                 ("ring parameter", "digit limit"),
             ),
             (["snf", "--ring", "W" + "1" * 5000, "--input", "[[1]]"], "unknown ring"),
+            (["snf", "--ring", "Zsqrt:" + "3" * 4000, "--input", "[[1]]"], "Zhalf form"),
+            (["snf", "--ring", "Zhalf:" + "3" * 4000, "--input", "[[1]]"], "allowlist"),
             (["snf", "--input", '{"ring":"W' + "1" * 5000 + '","entries":[[1]]}'], "unknown ring"),
             (["suite", "--ring", "Z", "--size", "2" * 4000], "--size"),
         ],
@@ -362,6 +364,8 @@ class TestInputErrors:
             "valuation-lemma-overlong-integer",
             "ring-parameter-overlong-integer",
             "ring-name-overlong",
+            "ring-parameter-overlong-wrong-form",
+            "ring-parameter-overlong-outside-allowlist",
             "ring-field-overlong",
             "suite-size-long-integer",
         ],

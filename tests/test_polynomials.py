@@ -499,6 +499,48 @@ class TestOnePassSignQuestions:
             checked += 1
 
 
+    def test_square_free_input_runs_one_remainder_sequence(self, monkeypatch):
+        """The remainder sequence that shows p square-free is the Sturm chain
+        of its odd part, so a question needs that one sequence and no other."""
+
+        def two_pass_chain(p):  # Yun first, then the odd part's own chain
+            _, factors = squarefree_decomposition(p)
+            odd = math.prod((q for q, m in factors if m % 2), start=RatPoly.constant(1))
+            if odd.is_constant() or count_real_roots(odd) == 0:
+                return None
+            return sturm_chain(odd)
+
+        rng = random.Random(13)
+        cases = []
+        while len(cases) < 120:
+            p = rand_poly(rng, max_degree=6, height=6)
+            if p.degree < 2 or p.degree % 2 or poly_gcd(p, p.derivative()).degree > 0:
+                continue
+            # even degree and a positive lead: both questions reach the chain
+            p = p if p.sign_at_infinity(+1) > 0 else -p
+            cases.append(RatPoly([Fraction(c, rng.choice(DENOMINATORS)) for c in p.coefficients]))
+        questions = (positive_associate, find_negative_point)
+        with monkeypatch.context() as patched:
+            patched.setattr(polynomials, "_sign_change_chain", two_pass_chain)
+            expected = [[question(p) for question in questions] for p in cases]
+
+        calls = []
+        original = polynomials._remainder_sequence
+
+        def counted(a, b):
+            calls.append(a)
+            return original(a, b)
+
+        monkeypatch.setattr(polynomials, "_remainder_sequence", counted)
+        for p, answers in zip(cases, expected):
+            for question, answer in zip(questions, answers):
+                calls.clear()
+                assert question(p) == answer, (question.__name__, str(p))
+                assert len(calls) == 1, (question.__name__, str(p), len(calls))
+        assert any(a is None for a, _ in expected) and any(t is None for _, t in expected)
+        assert any(a is not None for a, _ in expected) and any(t is not None for _, t in expected)
+
+
 class TestIrreducibility:
     def test_real_irreducible(self):
         assert not is_real_irreducible(parse_poly("x^2+1"))

@@ -19,7 +19,7 @@ from realsnf.quadratic import (
     positive_associate,
 )
 
-from helpers import unit_power
+from helpers import canonical_associate_by_orbit, quad_divmod_oracle, unit_power
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -290,6 +290,60 @@ class TestCanonicalAssociate:
                     continue
                 assert canonical_associate(a * u0) == canonical_associate(a)
                 assert canonical_associate(-a) == canonical_associate(a)
+
+
+class TestFastPathsAgainstOracles:
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_divmod_matches_candidate_loop(self, ring):
+        rng = random.Random(100 + ring.d)
+        w = QuadElem(0, 1, ring)
+        shells = set()
+        for k in range(800):
+            b = rand_elem(rng, ring, 30)
+            if b.is_zero():
+                continue
+            if k % 4 == 0:  # a / (2b) near (x, y + 1/2), plus a small offset
+                a = 2 * b * rand_elem(rng, ring, 9) + b * w + rand_elem(rng, ring, 1)
+                b = 2 * b
+            elif k % 4 == 1:  # the same for a rational integer 2n, passed as an int
+                n = rng.randint(1, 500)
+                a = QuadElem(rng.randint(-3, 3), n + rng.randint(-3, 3), ring)
+                b = QuadElem(2 * n, 0, ring)
+                assert divmod(a, 2 * n) == quad_divmod_oracle(a, b)[:2]
+            elif k % 4 == 2:
+                a = b * rand_elem(rng, ring, 9)  # an exact multiple
+            else:
+                a = rand_elem(rng, ring, 10**6)
+            q, r, shell = quad_divmod_oracle(a, b)
+            assert divmod(a, b) == (q, r), (a, b)
+            assert exact_divide(a, b) == (q if r.is_zero() else None)
+            shells.add(shell)
+        if ring.d == 11:
+            assert max(shells) >= 1  # quotients that the plain rounding misses
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_canonical_associate_matches_orbit_walk_on_units_and_integers(self, ring):
+        u0 = fundamental_unit(ring).unit
+        for k in range(-8, 9):
+            u = unit_power(u0, k)
+            for n in (1, -1, 2, -3, 7, -12):
+                a = u * n
+                assert canonical_associate(a) == canonical_associate_by_orbit(a) == QuadElem(
+                    abs(n), 0, ring
+                ), (k, n)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_canonical_associate_matches_orbit_walk_on_non_units(self, ring):
+        rng = random.Random(200 + ring.d)
+        u0 = fundamental_unit(ring).unit
+        checked = 0
+        while checked < 150:
+            a = rand_elem(rng, ring, 12)
+            if a.y == 0 or abs(a.norm()) <= 1:
+                continue
+            a = a * unit_power(u0, rng.randint(-5, 5))
+            assert canonical_associate(a) == canonical_associate_by_orbit(a), a
+            checked += 1
 
 
 class TestSignAgainstFloats:
