@@ -90,7 +90,7 @@ def _cmd_snf(args: argparse.Namespace) -> int:
     _emit(
         {
             "ring": str(m.ring),
-            "diagonals": [rings.element_to_text(d, m.ring) for d in result.diagonals],
+            "diagonals": [str(d) for d in result.diagonals],
             "rank": len(result.diagonals),
             "D": result.D.to_json(),
             "P": result.P.to_json(),
@@ -173,8 +173,8 @@ def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
     holds = verify.check_valuation_lemma(a, b, p)
     payload = {
         "holds": holds,
-        "valuation_a": None if a.is_zero() else str(rings.valuation(p, a, RATIONAL_POLYNOMIALS)),
-        "valuation_b": None if b.is_zero() else str(rings.valuation(p, b, RATIONAL_POLYNOMIALS)),
+        "valuation_a": str(rings.valuation(p, a, RATIONAL_POLYNOMIALS)) if a else None,
+        "valuation_b": str(rings.valuation(p, b, RATIONAL_POLYNOMIALS)) if b else None,
     }
     _emit(payload, args.pretty)
     return EXIT_OK

@@ -100,11 +100,8 @@ class Matrix:
         )
 
     def is_diagonal(self) -> bool:
-        return all(
-            rings.is_zero(self.entries[i][j])
-            for i in range(self.n_rows)
-            for j in range(self.n_cols)
-            if i != j
+        return not any(
+            self.entries[i][j] for i in range(self.n_rows) for j in range(self.n_cols) if i != j
         )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
@@ -117,9 +114,7 @@ class Matrix:
             "ring": str(self.ring),
             "rows": self.n_rows,
             "cols": self.n_cols,
-            "entries": [
-                [rings.element_to_text(v, self.ring) for v in row] for row in self.entries
-            ],
+            "entries": [[str(v) for v in row] for row in self.entries],
         }
 
 
@@ -188,10 +183,8 @@ def determinant(m: Matrix) -> Element:
     sign_flip = False
     prev = rings.one(ring)
     for k in range(n - 1):
-        if rings.is_zero(rows[k][k]):
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not rings.is_zero(rows[i][k])), None
-            )
+        if not rows[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pivot_row is None:
                 return rows[k][k]  # a zero column below the diagonal: det = 0
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
@@ -267,9 +260,8 @@ def minor_gcd_profile(m: Matrix) -> MinorGcdProfile:
         for row_idx in itertools.combinations(range(m.n_rows), k):
             for col_idx in itertools.combinations(range(m.n_cols), k):
                 minor = determinant(m.submatrix(row_idx, col_idx))
-                if rings.is_zero(minor):
-                    continue
-                g = minor if rings.is_zero(g) else rings.gcd(g, minor, ring)
+                if minor:
+                    g = rings.gcd(g, minor, ring) if g else minor
         out.append(rings.canonicalize(g, ring))
     return MinorGcdProfile(tuple(out))
 
@@ -340,7 +332,7 @@ class _Reduction:
 
     def add_multiple(self, dst: int, src: int, c: Element) -> None:
         """row_dst += c * row_src."""
-        if rings.is_zero(c):
+        if not c:
             return
         self.d[dst] = [a + c * b if b else a for a, b in zip(self.d[dst], self.d[src])]
         self.log.append(("add_multiple", dst, src, c))
@@ -369,7 +361,7 @@ class _Reduction:
         self.log.append(("apply_pair", i, j, block))
         self.normalize(i)
         self.normalize(j)
-        if scale != 1 and all(rings.is_zero(v) for v in self.d[j]):
+        if scale != 1 and not any(self.d[j]):
             self.scale(j, scale, 1 / scale)
 
 
@@ -413,7 +405,7 @@ def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
     for i in range(t, red.n):
         for j in range(t, red.m):
             v = red.d[i][j]
-            if rings.is_zero(v):
+            if not v:
                 continue
             s = rings.euclidean_size(v, red.ring)
             if best_size is None or s < best_size:
@@ -430,7 +422,7 @@ def _clear_column(red: _Reduction, t: int) -> bool:
     ring = red.ring
     used_bezout = False
     for i in range(t + 1, red.n):
-        if rings.is_zero(red.d[i][t]):
+        if not red.d[i][t]:
             continue
         quotient = rings.exact_divide(red.d[i][t], red.d[t][t], ring)
         if quotient is not None:
@@ -451,12 +443,12 @@ def _clear_pivot(red: _Reduction, t: int) -> None:
     """
     while True:
         used_bezout = _clear_column(red, t)
-        if not all(rings.is_zero(v) for v in red.d[t][t + 1 :]):
+        if any(red.d[t][t + 1 :]):
             red.transpose()
             used_bezout = _clear_column(red, t) or used_bezout
             red.transpose()
         rest = [red.d[i][t] for i in range(t + 1, red.n)] + red.d[t][t + 1 :]
-        if all(rings.is_zero(v) for v in rest):
+        if not any(rest):
             return
         if not used_bezout:
             raise ArithmeticError("pivot clearing made no progress")
@@ -577,7 +569,7 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
         failures.append("D is not diagonal")
 
     det_m = determinant(m) if m.is_square() else rings.zero(ring)
-    if not rings.is_zero(det_m):
+    if det_m:
         # With P*D*Q = M and D diagonal, det P * det Q * prod(d_i) = det M, so
         # prod(d_i) ~ det M != 0 makes det P * det Q a unit, and over a domain so
         # is each factor.  This Bareiss on M replaces two on P and Q's larger entries.
@@ -588,8 +580,8 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
             if not rings.is_unit(determinant(t), ring):
                 failures.append(f"det({name}) is not a unit")
 
-    nonzero = tuple(itertools.takewhile(lambda v: not rings.is_zero(v), diag))
-    if not all(rings.is_zero(v) for v in diag[len(nonzero) :]):
+    nonzero = tuple(itertools.takewhile(bool, diag))
+    if any(diag[len(nonzero) :]):
         failures.append("a zero diagonal entry precedes a nonzero one")
     for k in range(len(nonzero) - 1):
         if not rings.divides(nonzero[k], nonzero[k + 1], ring):

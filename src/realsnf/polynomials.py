@@ -7,12 +7,14 @@ per coefficient (see :class:`RatPoly`).
 Sign questions on the real line are decided without any numerics.  Sturm
 chains count distinct real roots of any nonzero polynomial, square-free or
 not.  Each sign question (nonnegativity on R, a constant-sign associate, a
-negative point) makes one pass: one square-free (Yun) decomposition splits
-off the odd-multiplicity part, whose one Sturm chain says whether p changes
-sign; for a square-free p, the remainder sequence that shows it square-free
-is already that chain.  Nonnegativity on all of R is then "even degree,
-positive leading coefficient, no real root of the odd part", and the same
-chain guides the bisection to a negative point.
+negative point) makes one pass that starts from the Sturm chain of monic p.
+When that chain ends in a constant, p is square-free and the chain says
+whether p changes sign.  Only when it ends in a nonconstant gcd does Yun's
+square-free decomposition run, from that gcd, to split off the
+odd-multiplicity part, whose one Sturm chain answers instead.  Nonnegativity
+on all of R is then "even degree, positive leading coefficient, no real root
+of the odd part", and the same chain guides the bisection to a negative
+point.
 """
 
 from __future__ import annotations
@@ -90,9 +92,6 @@ class RatPoly:
     def constant(cls, c: Coefficient) -> "RatPoly":
         return cls((c,))
 
-    def is_zero(self) -> bool:
-        return not self._p
-
     @property
     def degree(self) -> int:
         """Degree, with the convention that the zero polynomial has degree -1."""
@@ -130,7 +129,7 @@ class RatPoly:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other: "RatPoly | Coefficient") -> "RatPoly":
+    def _operand(self, other: "RatPoly | Coefficient") -> "RatPoly":
         if isinstance(other, RatPoly):
             return other
         if isinstance(other, (int, Fraction)):
@@ -158,7 +157,7 @@ class RatPoly:
         return _poly(g, l, out)
 
     def __add__(self, other: "RatPoly | Coefficient") -> "RatPoly":
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self._combine(other, 1)
@@ -169,7 +168,7 @@ class RatPoly:
         return _raw(self._n, self._d, tuple(-c for c in self._p))
 
     def __sub__(self, other: "RatPoly | Coefficient") -> "RatPoly":
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         return self._combine(other, -1)
@@ -218,7 +217,7 @@ class RatPoly:
         return result
 
     def __divmod__(self, other: "RatPoly | Coefficient") -> tuple["RatPoly", "RatPoly"]:
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         if not other._p:
@@ -366,7 +365,7 @@ def _remainder_sequence(a: RatPoly, b: RatPoly) -> list[RatPoly]:
     J. ACM 18, 1971).
     """
     seq = [a]
-    while not b.is_zero():
+    while b:
         seq.append(b)
         r = a % b
         a, b = b, r * -r.primitive_scale()
@@ -398,7 +397,7 @@ class SturmChain:
 
 
 def sturm_chain(p: RatPoly) -> SturmChain:
-    if p.is_zero():
+    if not p:
         raise ZeroPolynomialError("Sturm chain of the zero polynomial")
     return SturmChain(tuple(_remainder_sequence(p, p.derivative())))
 
@@ -433,7 +432,7 @@ def _count_roots_between(chain: list[list[int]], a: Coefficient, b: Coefficient)
 
 def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, int]]]:
     """Yun decomposition p = c * prod(q_i ** m_i), q_i monic square-free, coprime."""
-    if p.is_zero():
+    if not p:
         raise ZeroPolynomialError("decomposition of the zero polynomial")
     if p.degree == 0:
         return p.leading, []
@@ -493,7 +492,7 @@ def is_nonneg_on_reals(p: RatPoly) -> bool:
 
 def positive_associate(p: RatPoly) -> RatPoly | None:
     """c * p nonnegative on R for some rational c != 0, if that is possible."""
-    if p.is_zero():
+    if not p:
         raise ZeroPolynomialError("zero polynomial has no positive associate")
     if p.degree % 2 == 1 or (p.degree > 0 and _sign_change_chain(p) is not None):
         return None
@@ -502,7 +501,7 @@ def positive_associate(p: RatPoly) -> RatPoly | None:
 
 def cauchy_root_bound(p: RatPoly) -> Fraction:
     """B with every real root of p inside (-B, B)."""
-    if p.is_zero() or p.degree == 0:
+    if p.degree < 1:
         return Fraction(1)
     # The ratio is the same on the stored primitive part.
     return 1 + Fraction(max(abs(c) for c in p._p[:-1]), abs(p._p[-1]))
@@ -649,7 +648,7 @@ def is_real_irreducible(p: RatPoly) -> bool:
     Irreducibility is certified first (see :func:`certify_irreducible`); a
     reducible p, or one of degree >= 4 with no certificate, raises.
     """
-    if p.is_zero() or p.degree < 1:
+    if p.degree < 1:
         raise ZeroPolynomialError("irreducibles have degree at least 1")
     certified = certify_irreducible(p)
     if certified is not True:
@@ -663,7 +662,7 @@ def is_real_irreducible(p: RatPoly) -> bool:
 
 def format_poly(p: RatPoly) -> str:
     """Render like "3/2*x^2 - x + 1", highest power first."""
-    if p.is_zero():
+    if not p:
         return "0"
     parts: list[str] = []
     for i in range(p.degree, -1, -1):

@@ -145,16 +145,13 @@ class QuadElem:
 
     # -- basic structure ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
-
     def __bool__(self) -> bool:
         return self.x != 0 or self.y != 0
 
     def height(self) -> int:
         return max(abs(self.x), abs(self.y))
 
-    def _coerce(self, other: "int | QuadElem") -> "QuadElem":
+    def _operand(self, other: "int | QuadElem") -> "QuadElem":
         if isinstance(other, QuadElem):
             if other.ring is not self.ring and other.ring != self.ring:
                 raise UnsupportedRingError("mixed quadratic rings")
@@ -167,7 +164,7 @@ class QuadElem:
 
     def __add__(self, other: "int | QuadElem") -> "QuadElem":
         if other.__class__ is not QuadElem or other.ring is not self.ring:
-            other = self._coerce(other)
+            other = self._operand(other)
             if other is NotImplemented:
                 return NotImplemented
         return _quad(self.x + other.x, self.y + other.y, self.ring)
@@ -179,7 +176,7 @@ class QuadElem:
 
     def __sub__(self, other: "int | QuadElem") -> "QuadElem":
         if other.__class__ is not QuadElem or other.ring is not self.ring:
-            other = self._coerce(other)
+            other = self._operand(other)
             if other is NotImplemented:
                 return NotImplemented
         return _quad(self.x - other.x, self.y - other.y, self.ring)
@@ -189,7 +186,7 @@ class QuadElem:
 
     def __mul__(self, other: "int | QuadElem") -> "QuadElem":
         if other.__class__ is not QuadElem or other.ring is not self.ring:
-            other = self._coerce(other)
+            other = self._operand(other)
             if other is NotImplemented:
                 return NotImplemented
         ring = self.ring
@@ -243,7 +240,7 @@ class QuadElem:
     # -- Euclidean division --------------------------------------------------
 
     def __divmod__(self, other: "int | QuadElem") -> tuple["QuadElem", "QuadElem"]:
-        other = self._coerce(other)
+        other = self._operand(other)
         if other is NotImplemented:
             return NotImplemented
         ring = self.ring
@@ -345,7 +342,7 @@ def pnri_holds(ring: RingSpec) -> bool:
 
 def positive_associate(a: QuadElem) -> QuadElem | None:
     """Some unit multiple of a that is positive at both embeddings, if one exists."""
-    if a.is_zero():
+    if not a:
         raise ZeroElementError("zero has no positive associate")
     pattern = a.sign_pattern()
     if pattern.is_totally_positive:

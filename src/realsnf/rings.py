@@ -1,7 +1,12 @@
 """Ring-generic Euclidean algorithms over the three supported families.
 
 Elements are plain ``int`` for Z, :class:`RatPoly` for Q[x], and
-:class:`QuadElem` for the quadratic rings.  Only these facts dispatch on the
+:class:`QuadElem` for the quadratic rings.  They are plain values: an element
+is zero exactly when it is falsy, and ``divmod`` is the Euclidean step.  Only
+the entry points that take values from outside the package coerce them
+(:func:`parse_element`, :func:`zero`, :func:`one`, :func:`is_unit`,
+:func:`gcd`, :func:`are_associated`, :func:`valuation`); everything else
+takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
 exact division, the canonical associate, the primitive part (Q[x] only, in
 xgcd), and pnri.  The rest is derived from them for every family: units
@@ -39,7 +44,9 @@ def one(ring: RingSpec) -> Element:
 
 
 def coerce(value: "Element | Fraction", ring: RingSpec) -> Element:
-    """Bring an int (or an element of the right type) into the ring."""
+    """Bring an int (or an element of the right type) into the ring; never a bool."""
+    if isinstance(value, bool):
+        raise UnsupportedRingError(f"a bool is not an element of {ring}")
     if ring.family is RingFamily.INTEGERS:
         if isinstance(value, int):
             return value
@@ -62,20 +69,15 @@ def coerce(value: "Element | Fraction", ring: RingSpec) -> Element:
     raise UnsupportedRingError(f"cannot interpret {value!r} as an element of {ring}")
 
 
-def is_zero(a: Element) -> bool:
-    if isinstance(a, int):
-        return a == 0
-    return a.is_zero()
-
-
 def is_unit(a: Element, ring: RingSpec) -> bool:
     """True when a is nonzero and 1 / a exists in the ring."""
-    return not is_zero(a) and exact_divide(1, a, ring) is not None
+    a = coerce(a, ring)
+    return bool(a) and exact_divide(one(ring), a, ring) is not None
 
 
 def euclidean_size(a: Element, ring: RingSpec) -> int:
     """|a| for Z, degree for Q[x], |N(a)| for quadratic rings.  a must be nonzero."""
-    if is_zero(a):
+    if not a:
         raise ZeroElementError("the zero element has no Euclidean size")
     if ring.family is RingFamily.INTEGERS:
         return abs(a)
@@ -86,18 +88,17 @@ def euclidean_size(a: Element, ring: RingSpec) -> int:
 
 def exact_divide(a: Element, b: Element, ring: RingSpec) -> Element | None:
     """a / b when b | a exactly, else None."""
-    a, b = coerce(a, ring), coerce(b, ring)
-    if is_zero(b):
+    if not b:
         raise ZeroDivisionError(f"division by zero over {ring}")
     if ring.family is RingFamily.QUADRATIC_INTEGERS:
         return quadratic.exact_divide(a, b)
     q, r = divmod(a, b)
-    return q if is_zero(r) else None
+    return None if r else q
 
 
 def divides(b: Element, a: Element, ring: RingSpec) -> bool:
     """True when b | a (everything divides zero)."""
-    if is_zero(a):
+    if not a:
         return True
     return exact_divide(a, b, ring) is not None
 
@@ -108,8 +109,7 @@ def canonicalize(a: Element, ring: RingSpec) -> Element:
     Nonnegative for Z, monic for Q[x]; for quadratic rings, positive at the
     plus embedding with minimal coordinate height.
     """
-    a = coerce(a, ring)
-    if is_zero(a):
+    if not a:
         return a
     if ring.family is RingFamily.INTEGERS:
         return abs(a)
@@ -120,7 +120,7 @@ def canonicalize(a: Element, ring: RingSpec) -> Element:
 
 def gcd(a: Element, b: Element, ring: RingSpec) -> Element:
     """Canonical generator of the ideal (a, b); raises when both are zero."""
-    return canonicalize(xgcd(a, b, ring)[0], ring)
+    return canonicalize(xgcd(coerce(a, ring), coerce(b, ring), ring)[0], ring)
 
 
 def xgcd(
@@ -135,8 +135,7 @@ def xgcd(
     and the quadratic rings).  The steps have determinants -c (c = 1 off a
     Q[x] rescale); the last cofactor row times their product's inverse is (u, v).
     """
-    a, b = coerce(a, ring), coerce(b, ring)
-    if is_zero(a) and is_zero(b):
+    if not (a or b):
         raise BothZeroError("gcd(0, 0) is undefined")
     primitive = ring.family is RingFamily.RATIONAL_POLYNOMIALS
     s0, s1 = one(ring), zero(ring)
@@ -144,7 +143,7 @@ def xgcd(
     # a and b are scale0 and scale1 times the classical remainders, and
     # (a mod b) is scale0 times the next one.
     scale0 = scale1 = inverse = 1
-    while not is_zero(b):
+    while b:
         q, r = divmod(a, b)
         s, t, scale, inverse = s0 - q * s1, t0 - q * t1, scale0, -inverse
         if primitive and r:
@@ -160,17 +159,17 @@ def xgcd(
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:
     """True when a = u * b for a unit u; (0, 0) counts."""
     a, b = coerce(a, ring), coerce(b, ring)
-    if is_zero(a) or is_zero(b):
-        return is_zero(a) and is_zero(b)
+    if not (a and b):
+        return not (a or b)
     return exact_divide(a, b, ring) is not None and exact_divide(b, a, ring) is not None
 
 
 def valuation(p: Element, a: Element, ring: RingSpec) -> int:
     """Largest k with p**k | a; p irreducible (caller-asserted), a nonzero."""
     p, a = coerce(p, ring), coerce(a, ring)
-    if is_zero(a):
+    if not a:
         raise ZeroElementError("valuation of zero is not defined")
-    if is_zero(p) or is_unit(p, ring):
+    if not p or is_unit(p, ring):
         raise UnitInputError("valuation base must be a nonzero non-unit")
     k = 0
     while True:
@@ -194,11 +193,6 @@ def pnri(ring: RingSpec) -> bool:
 
 
 # -- textual and JSON element forms -------------------------------------------
-
-
-def element_to_text(a: Element, ring: RingSpec) -> str:
-    """Text form of one element, also its JSON value: never a native number."""
-    return str(coerce(a, ring))
 
 
 _QUAD_TEXT = re.compile(r"^(?P<x>[+-]?\d+)(?P<y>[+-]\d+)w$")

@@ -34,7 +34,6 @@ PSD_SIZE_LIMIT = 8
 
 def negative_ordering(a: Element, ring: RingSpec) -> dict | None:
     """PsdWitness fields naming where a < 0 (plus embedding first), or None if a >= 0."""
-    a = rings.coerce(a, ring)
     if ring.family is RingFamily.INTEGERS:
         return {} if a < 0 else None
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
@@ -48,7 +47,7 @@ def negative_ordering(a: Element, ring: RingSpec) -> dict | None:
 
 def element_is_nonneg(a: Element, ring: RingSpec) -> bool:
     """a >= 0 at every point of the real spectrum."""
-    return negative_ordering(a, ring) is None
+    return negative_ordering(rings.coerce(a, ring), ring) is None
 
 
 @dataclass(frozen=True)

@@ -76,14 +76,11 @@ class TheoremReport:
         return {
             "ring": str(self.ring),
             "input_psd": self.input_psd,
-            "snf_diagonals": [
-                rings.element_to_text(d, self.ring) for d in self.snf_diagonals
-            ],
+            "snf_diagonals": [str(d) for d in self.snf_diagonals],
             "sign_data": list(self.sign_data),
             "positivizable": list(self.positivizable),
             "positive_associates": [
-                None if a is None else rings.element_to_text(a, self.ring)
-                for a in self.positive_associates
+                None if a is None else str(a) for a in self.positive_associates
             ],
             "pnri": self.pnri,
             "conclusion": self.conclusion.value,
@@ -113,7 +110,7 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
         raise TheoremConsistencyError(
             f"PSD input over {ring} (units realize every sign pattern) produced "
             f"a diagonal with no totally positive associate: "
-            f"{[rings.element_to_text(d, ring) for d in diagonals]}"
+            f"{[str(d) for d in diagonals]}"
         )
     return TheoremReport(
         ring=ring,
@@ -151,10 +148,7 @@ class CounterexampleRecipe:
     def to_json(self) -> dict:
         return {
             "ring": str(self.ring),
-            **{
-                name: rings.element_to_text(getattr(self, name), self.ring)
-                for name in ("a", "b", "c", "d1", "e1", "epsilon")
-            },
+            **{name: str(getattr(self, name)) for name in ("a", "b", "c", "d1", "e1", "epsilon")},
         }
 
 
@@ -198,7 +192,7 @@ def build_counterexample(recipe: CounterexampleRecipe) -> Matrix:
         raise CounterexampleConditionError("a*c - b^2*e1 does not equal epsilon")
     if not rings.is_unit(eps, ring):
         raise CounterexampleConditionError(
-            f"epsilon = {rings.element_to_text(eps, ring)} is not a unit of {ring}"
+            f"epsilon = {eps} is not a unit of {ring}"
         )
     conditions = {
         "a*d1": a * d1,
@@ -232,11 +226,11 @@ def check_valuation_lemma(a: RatPoly, b: RatPoly, p: RatPoly) -> bool:
         raise PreconditionFailedError(
             f"a - b^2 is negative at t = {point} (it must be nonnegative on R)"
         )
-    if p.is_zero() or p.degree < 1 or not polynomials.is_real_irreducible(p):
+    if p.degree < 1 or not polynomials.is_real_irreducible(p):
         raise PreconditionFailedError(
             f"p = {p} is not a real irreducible (it needs a real root)"
         )
-    if a.is_zero() or b.is_zero():
+    if not (a and b):
         return True
     nu_a = rings.valuation(p, a, RATIONAL_POLYNOMIALS)
     return nu_a <= 2 * rings.valuation(p, b, RATIONAL_POLYNOMIALS)

@@ -9,6 +9,9 @@ from realsnf.polynomials import RatPoly
 from realsnf.quadratic import _QUOTIENT_SHELLS, QuadElem, exact_divide, fundamental_unit
 from realsnf import rings
 
+# Every supported ring, by its ring string.
+RING_NAMES = ["Z", "Q[x]", "Zsqrt:2", "Zsqrt:3", "Zsqrt:6", "Zsqrt:7", "Zsqrt:11", "Zhalf:5", "Zhalf:13"]
+
 
 def unit_power(u, k):
     """u**k for a quadratic unit u and any integer k; k < 0 raises 1 / u to -k."""
@@ -40,7 +43,7 @@ def quad_divmod_oracle(a, b):
         for dx, dy in shell:
             q = QuadElem(x0 + dx, y0 + dy, a.ring)
             r = a - b * q
-            if r.is_zero() or abs(r.norm()) < abs(nb):
+            if not r or abs(r.norm()) < abs(nb):
                 return q, r, radius
     raise ArithmeticError("no Euclidean quotient in the shells")
 
@@ -54,7 +57,7 @@ def canonical_associate_by_orbit(a):
     each is taken with the sign that is positive at +sqrt(d), and the least
     (height, |y|, -x, -y) wins.  u0**-1 is N(u0) * conjugate(u0).
     """
-    if a.is_zero():
+    if not a:
         return a
     fu = fundamental_unit(a.ring)
     pool = [a]
@@ -90,7 +93,7 @@ def classical_xgcd(a, b, ring):
     g, r = a, b
     s0, s1 = rings.one(ring), rings.zero(ring)
     t0, t1 = rings.zero(ring), rings.one(ring)
-    while not rings.is_zero(r):
+    while r:
         q, rem = divmod(g, r)
         g, r = r, rem
         s0, s1 = s1, s0 - q * s1
@@ -270,7 +273,7 @@ def certify_irreducible_by_divisors(p):
     and Eisenstein's criterion is tried at every prime factor of the
     constant, found by trial division.
     """
-    if p.is_zero() or p.degree < 1:
+    if not p or p.degree < 1:
         return False
     if p.degree == 1:
         return True

@@ -187,7 +187,7 @@ def test_criterion_7_valuation_lemma_suite():
         s = RatPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 2))])
         t = RatPoly([rng.randint(-2, 2) for _ in range(rng.randint(1, 3))])
         a = b * b * (s * s + 1) + t * t
-        if a.is_zero():
+        if not a:
             continue
         p = rng.choice(real_irreducibles)
         assert check_valuation_lemma(a, b, p)
@@ -204,7 +204,7 @@ def test_criterion_8_sturm_and_nonnegativity_oracle():
     disagreements = 0
     for _ in range(200):
         p = RatPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 9))])
-        if p.is_zero():
+        if not p:
             p = RatPoly([1])
         verdict = is_nonneg_on_reals(p)
         signs = [p.sign_at(Fraction(u, denominator)) for u in numerators]
@@ -243,5 +243,5 @@ def test_criterion_9_fixed_concrete_snf():
     )
     result = smith_normal_form(poly_m)
     assert result.diagonals == (RatPoly([1]),)
-    assert result.D[1, 1].is_zero()
+    assert not result.D[1, 1]
     report(9, "[[2,4],[4,2]] -> (2,6); poly matrix has rank 1 with d1 = 1", started, 1.0)

@@ -42,7 +42,7 @@ def rand_poly(rng, max_degree=6, height=5, nonzero=False):
     while True:
         coeffs = [rng.randint(-height, height) for _ in range(rng.randint(0, max_degree) + 1)]
         p = RatPoly(coeffs)
-        if not nonzero or not p.is_zero():
+        if not nonzero or p:
             return p
 
 
@@ -118,7 +118,7 @@ class TestArithmetic:
             b = rand_poly(rng, nonzero=True)
             q, r = divmod(a, b)
             assert q * b + r == a
-            assert r.is_zero() or r.degree < b.degree
+            assert not r or r.degree < b.degree
 
     def test_divmod_matches_schoolbook_oracle(self):
         # Divisors with leading coefficients of either sign, rarely units of
@@ -279,7 +279,7 @@ class TestPrimitiveScale:
             a = rand_poly(rng, max_degree=4) * common
             b = rand_poly(rng, max_degree=4) * common
             x, y = a, b
-            while not y.is_zero():
+            while y:
                 x, y = y, x % y
             assert poly_gcd(a, b) == (x.monic() if x else x)
 
@@ -316,7 +316,7 @@ class TestSturm:
             p = rand_rat_poly(rng, max_degree=4)
             for _ in range(rng.randint(0, 2)):
                 p = p * rand_rat_poly(rng, max_degree=3) ** rng.randint(1, 3)
-            if p.is_zero() or p.degree > 12:
+            if not p or p.degree > 12:
                 continue
             chain, oracle = sturm_chain(p).chain, classical_sturm_chain(p)
             assert len(chain) == len(oracle), str(p)
@@ -418,7 +418,7 @@ class TestNonnegativity:
         found = 0
         for _ in range(400):
             p = rand_poly(rng, max_degree=6)
-            if p.is_zero() or is_nonneg_on_reals(p):
+            if not p or is_nonneg_on_reals(p):
                 continue
             t = find_negative_point(p)
             assert p(t) < 0
@@ -453,7 +453,7 @@ def rand_product(rng):
     p = RatPoly.constant(rng.choice([-2, -1, 1, 3]))
     for _ in range(rng.randint(0, 4)):
         factor = rand_poly(rng, max_degree=2, height=4)
-        if not factor.is_zero():
+        if factor:
             p = p * factor ** rng.randint(1, 3)
     return p
 
@@ -590,7 +590,7 @@ class TestIrreducibility:
             else:
                 lead = rng.randint(-12, 12) or 1
                 p = RatPoly([rng.randint(-30, 30) for _ in range(degree)] + [lead])
-            if p.is_zero() or p.degree < 1:
+            if not p or p.degree < 1:
                 continue
             expected = certify_irreducible_by_divisors(p)
             assert certify_irreducible(p) is expected, str(p)

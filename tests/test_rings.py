@@ -11,11 +11,13 @@ from realsnf.errors import (
     UnsupportedRingError,
     ZeroElementError,
 )
+from realsnf.matrices import Matrix
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
+from realsnf.ringspec import RingFamily
 from realsnf import quadratic, rings
 
-from helpers import classical_xgcd, unit_power
+from helpers import RING_NAMES, classical_xgcd, unit_power
 
 ALL_QUADRATIC = [quadratic_ring(d) for d in (2, 3, 5, 6, 7, 11, 13)]
 
@@ -52,8 +54,42 @@ class TestRingSpecGrammar:
             parse_ring("Zsqrt:x")
 
 
+class TestElementValues:
+    """An element is zero exactly when it is falsy, however it was built."""
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_zero_is_falsy_and_nonzero_truthy(self, name):
+        ring = parse_ring(name)
+
+        def draw():
+            rng = random.Random(8)
+            return [random_element(rng, ring) for _ in range(40)]
+
+        samples, twins = draw(), draw()  # equal elements, built twice
+        zeros = [rings.zero(ring), 0 * rings.one(ring)]
+        zeros += [a - a for a in samples] + [a - b for a, b in zip(samples, twins)]
+        if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+            zeros += [RatPoly([0, 0]), RatPoly.zero(), RatPoly()]
+        elif ring.family is RingFamily.QUADRATIC_INTEGERS:
+            zeros.append(QuadElem(0, 0, ring))
+        assert not any(zeros)
+        assert all(z == rings.zero(ring) for z in zeros)
+        nonzero = [a for a in samples if a != rings.zero(ring)]
+        assert len(nonzero) > 30
+        assert rings.one(ring) and all(nonzero)
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_bool_is_not_an_element(self, name):
+        ring = parse_ring(name)
+        for value in (True, False):
+            with pytest.raises(UnsupportedRingError):
+                rings.coerce(value, ring)
+        with pytest.raises(UnsupportedRingError):
+            Matrix.from_rows([[True, 2], [2, False]], ring)
+
+
 class TestEuclideanDivision:
-    """divmod on coerced elements: the Euclidean step of every ring."""
+    """divmod on ring elements: the Euclidean step of every ring."""
 
     def test_integers_schoolbook(self):
         assert divmod(rings.coerce(7, INTEGERS), rings.coerce(3, INTEGERS)) == (2, 1)
@@ -68,7 +104,7 @@ class TestEuclideanDivision:
         q, r = divmod(QuadElem(5, 1, ring), QuadElem(1, 1, ring))
         # (5+w)(1-w)/N(1+w) with N = -1 gives -3+4w, and the division is exact
         assert q == QuadElem(-3, 4, ring)
-        assert r.is_zero()
+        assert not r
 
     def test_division_by_zero(self):
         for ring in [INTEGERS, RATIONAL_POLYNOMIALS] + ALL_QUADRATIC:
@@ -86,12 +122,12 @@ class TestEuclideanDivision:
         for _ in range(300):
             a = random_element(rng, ring)
             b = random_element(rng, ring)
-            if rings.is_zero(b):
+            if not b:
                 continue
             a, b = rings.coerce(a, ring), rings.coerce(b, ring)
             q, r = divmod(a, b)
             assert a == b * q + r
-            if not rings.is_zero(r):
+            if r:
                 assert rings.euclidean_size(r, ring) < rings.euclidean_size(b, ring)
 
 
@@ -129,7 +165,7 @@ class TestGcd:
         for _ in range(40):
             a = random_element(rng, ring, height)
             b = random_element(rng, ring, height)
-            if rings.is_zero(a) and rings.is_zero(b):
+            if not a and not b:
                 continue
             g = rings.gcd(a, b, ring)
             assert rings.divides(g, a, ring) and rings.divides(g, b, ring)
@@ -156,14 +192,14 @@ class TestGcd:
         for a, b in pairs[:30]:  # a common factor gives the gcd a positive size
             c = element()
             pairs.append((a * c, b * c))
-        nonzero = [x for x in (element() for _ in range(10)) if not rings.is_zero(x)]
+        nonzero = [x for x in (element() for _ in range(10)) if x]
         pairs += [(zero, x) for x in nonzero] + [(x, zero) for x in nonzero]
         for a, b in pairs:
-            if rings.is_zero(a) and rings.is_zero(b):
+            if not a and not b:
                 continue
             g, ((s, t), (u, v)), _ = rings.xgcd(a, b, ring)
             assert s * a + t * b == g
-            assert rings.is_zero(u * a + v * b)
+            assert not u * a + v * b
             assert s * v - t * u == one
             assert (u, v) == (
                 zero - rings.exact_divide(b, g, ring),
@@ -178,7 +214,7 @@ class TestGcd:
             if ring is RATIONAL_POLYNOMIALS:  # products share factors, so gcds have degree
                 c = random_element(rng, ring)
                 a, b = a * c * random_element(rng, ring), b * c
-            if rings.is_zero(a) and rings.is_zero(b):
+            if not a and not b:
                 continue
             g, ((s, t), (u, v)), scale = rings.xgcd(a, b, ring)
             g0, ((s0, t0), (u0, v0)), _ = classical_xgcd(a, b, ring)
@@ -287,7 +323,7 @@ class TestValuation:
             p = rng.choice(primes)
             a = random_element(rng, ring, 8)
             b = random_element(rng, ring, 8)
-            if rings.is_zero(a) or rings.is_zero(b):
+            if not a or not b:
                 continue
             ab = rings.coerce(a, ring) * rings.coerce(b, ring)
             assert rings.valuation(p, ab, ring) == rings.valuation(p, a, ring) + rings.valuation(
@@ -298,8 +334,8 @@ class TestValuation:
 class TestElementText:
     def test_quadratic_forms(self):
         ring = quadratic_ring(3)
-        assert rings.element_to_text(QuadElem(1, 1, ring), ring) == "1+1w"
-        assert rings.element_to_text(QuadElem(-5, 0, ring), ring) == "-5+0w"
+        assert str(QuadElem(1, 1, ring)) == "1+1w"
+        assert str(QuadElem(-5, 0, ring)) == "-5+0w"
         assert rings.parse_element("2-3w", ring) == QuadElem(2, -3, ring)
         assert rings.parse_element("7", ring) == QuadElem(7, 0, ring)
         assert rings.parse_element({"x": "4", "y": "-1"}, ring) == QuadElem(4, -1, ring)

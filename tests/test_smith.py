@@ -69,7 +69,7 @@ class TestFixedInstances:
         )
         result = smith_normal_form(m)
         assert result.diagonals == (RatPoly([1]),)
-        assert result.D[1, 1].is_zero()
+        assert not result.D[1, 1]
         assert verify_snf(m, result)
 
     def test_zero_matrix(self):
@@ -150,7 +150,7 @@ class TestMinorProfile:
             m = rand_matrix(rng, ring, 3, 3, height=3)
             profile = minor_gcd_profile(m).per_order
             for k in range(len(profile) - 1):
-                if not rings.is_zero(profile[k]) and not rings.is_zero(profile[k + 1]):
+                if profile[k] and profile[k + 1]:
                     assert rings.divides(profile[k], profile[k + 1], ring)
 
 
@@ -311,7 +311,7 @@ class TestUniqueness:
             of_left = minor_gcd_profile(left).per_order
             of_product = minor_gcd_profile(left @ right).per_order
             for k in range(n):
-                if rings.is_zero(of_product[k]):
+                if not of_product[k]:
                     continue
                 assert rings.divides(of_left[k], of_product[k], ring)
 
@@ -369,6 +369,6 @@ class TestDeterminant:
                 for j in range(r - 1, n):
                     rows[i][j] = rows[i][j] * p
             det = determinant(Matrix.from_rows(rows, R3))
-            if det.is_zero():
+            if not det:
                 continue
             assert rings.valuation(p, det, R3) >= 1
