@@ -1,19 +1,19 @@
 """Matrices over the supported rings: Smith reduction, minors, determinants.
 
-The Smith routine runs the classical pivot-to-smallest-size reduction on D
-alone.  It has row operations only, and column work is done as row work on
-the transpose, since M^T = Q^T * D^T * P^T.  A Bezout step applies the
-block :func:`rings.xgcd` returns.  The divisibility chain is then enforced
-by the gcd/lcm fix-up on diagonal pairs, and each diagonal entry is scaled
-to its canonical associate.  Every step is appended to a log;
-:func:`smith_diagonals` reads the diagonals and discards it, while
-:func:`smith_normal_form` replays it on two identities, mirroring each row
-operation E on D by (E^-1)^T on the matching transform rows, to build P and
-Q with M = P * D * Q.  Determinants use fraction-free (Bareiss) elimination,
-which stays inside the ring.  :func:`verify_snf` certifies a result from
-M = P*D*Q, unimodular P and Q and the divisibility chain, which by uniqueness
-of invariant factors is a proof; the exponential :func:`minor_gcd_profile`
-is kept as an independent oracle for the tests.
+The Smith routine runs the classical pivot-to-smallest-size reduction.  It
+has row operations only, and column work is done as row work on the
+transpose, since M^T = Q^T * D^T * P^T.  A Bezout step applies the block
+:func:`rings.xgcd` returns.  The divisibility chain is then enforced by the
+gcd/lcm fix-up on diagonal pairs, and each diagonal entry is scaled to its
+canonical associate.  :func:`smith_diagonals` reduces D alone, while
+:func:`smith_normal_form` keeps two companions beside it, starting as
+identities, and mirrors each row operation E on D by (E^-1)^T on the
+matching companion rows, to build P and Q with M = P * D * Q.  Determinants
+use fraction-free (Bareiss) elimination, which stays inside the ring.
+:func:`verify_snf` certifies a result from M = P*D*Q, unimodular P and Q
+and the divisibility chain, which by uniqueness of invariant factors is a
+proof; the exponential :func:`minor_gcd_profile` is kept as an independent
+oracle for the tests.
 """
 
 from __future__ import annotations
@@ -66,10 +66,7 @@ class Matrix:
         return self.entries[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(
-            [[self.entries[i][j] for i in range(self.n_rows)] for j in range(self.n_cols)],
-            self.ring,
-        )
+        return Matrix(self.n_cols, self.n_rows, tuple(zip(*self.entries)), self.ring)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -86,8 +83,8 @@ class Matrix:
                 for k in range(self.n_cols):
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
-            out.append(row)
-        return Matrix.from_rows(out, self.ring)
+            out.append(tuple(row))
+        return Matrix(self.n_rows, other.n_cols, tuple(out), self.ring)
 
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
@@ -280,30 +277,39 @@ class SnfResult:
 
 
 class _Reduction:
-    """Mutable state for the reduction: D and the log of operations applied to it.
+    """Mutable state for the reduction: D and, on request, its two companions.
 
     There are no column operations: since M^T = Q^T * D^T * P^T, ``transpose``
     turns the columns of D into rows, and a second ``transpose`` restores the
     original frame.  Each row primitive applies an elementary E to D
-    (D <- E * D) and appends one entry to ``log``; no transform is built
-    during elimination.  :func:`_replay` rebuilds P and Q from the log on
-    request, so M = P * D * Q holds at the end.
+    (D <- E * D).  With ``transforms`` set, two companions start as
+    identities: ``rows`` is paired with the rows of D (rows of P^T), ``cols``
+    with its columns (rows of Q).  Each primitive then applies (E^-1)^T to the
+    same rows of ``rows``, which leaves P * D * Q unchanged, and ``transpose``
+    swaps the companions, so M = P * D * Q holds at the end.  Without it both
+    are None and the reduction builds no transform.
 
-    The row primitives, and their mirrors in :func:`_replay`, skip an entry
-    whose source entries are all zero: the sum would be the entry itself.  Before pivot t is placed, rows and
-    columns t, t+1, ... are zero outside the block they span, so the columns
-    left of t are clear in every row a shear or Bezout step at pivot t
-    touches.  On the transpose, row t is the cleared column t, zero except
-    at the pivot.  At the divisibility fix-up D is diagonal.  Those zeros
-    are most of the entries, and they are left as they are.
+    The row primitives, on D and on the companions, skip an entry whose
+    source entries are all zero: the sum would be the entry itself.  Before
+    pivot t is placed, rows and columns t, t+1, ... are zero outside the
+    block they span, so the columns left of t are clear in every row a shear
+    or Bezout step at pivot t touches.  On the transpose, row t is the
+    cleared column t, zero except at the pivot.  At the divisibility fix-up
+    D is diagonal.  Those zeros are most of the entries, and they are left
+    as they are.
     """
 
-    def __init__(self, m: Matrix):
+    def __init__(self, m: Matrix, transforms: bool):
         self.ring = m.ring
         self.d = [list(row) for row in m.entries]
         self.n = m.n_rows
         self.m = m.n_cols
-        self.log: list[tuple] = []
+        self.rows: list[list[Element]] | None = None
+        self.cols: list[list[Element]] | None = None
+        if transforms:
+            one, zero = rings.one(self.ring), rings.zero(self.ring)
+            self.rows = [[one if i == j else zero for j in range(self.n)] for i in range(self.n)]
+            self.cols = [[one if i == j else zero for j in range(self.m)] for i in range(self.m)]
         self._scalable = self.ring.family is RingFamily.RATIONAL_POLYNOMIALS
         for i in range(self.n):
             self.normalize(i)
@@ -312,7 +318,7 @@ class _Reduction:
         """D <- D^T: the rows of D now pair with the columns of the input."""
         self.d = [list(col) for col in zip(*self.d)]
         self.n, self.m = self.m, self.n
-        self.log.append(("transpose",))
+        self.rows, self.cols = self.cols, self.rows
 
     def normalize(self, i: int) -> None:
         """Over Q[x] every nonzero constant is a unit, so row i is rescaled to
@@ -328,26 +334,31 @@ class _Reduction:
         if i == j:
             return
         self.d[i], self.d[j] = self.d[j], self.d[i]
-        self.log.append(("swap", i, j))
+        if self.rows is not None:
+            self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
 
     def add_multiple(self, dst: int, src: int, c: Element) -> None:
-        """row_dst += c * row_src."""
+        """row_dst += c * row_src; the companion's row_src -= c * row_dst."""
         if not c:
             return
         self.d[dst] = [a + c * b if b else a for a, b in zip(self.d[dst], self.d[src])]
-        self.log.append(("add_multiple", dst, src, c))
+        if self.rows is not None:
+            rows = self.rows
+            rows[src] = [a - c * b if b else a for a, b in zip(rows[src], rows[dst])]
         self.normalize(dst)
 
     def scale(self, i: int, u: Element | Fraction, inverse: Element | Fraction) -> None:
-        """row_i *= u for a unit u (over Q[x] a nonzero rational); the log keeps
-        u's inverse for the replay."""
+        """row_i *= u for a unit u (over Q[x] a nonzero rational); the
+        companion's row_i *= u's inverse."""
         self.d[i] = [u * a if a else a for a in self.d[i]]
-        self.log.append(("scale", i, inverse))
+        if self.rows is not None:
+            self.rows[i] = [inverse * a if a else a for a in self.rows[i]]
 
     def apply_pair(
         self, i: int, j: int, block: list[list[Element]], scale: int | Fraction = 1
     ) -> None:
-        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1.
+        """Rows (i, j) <- block * (rows i, j) for a block of determinant 1; the
+        companion's rows take (block^-1)^T = [[d, -c], [-b, a]].
 
         A Bezout block from :func:`rings.xgcd` is diag(scale, 1/scale) times
         the classical one.  ``normalize`` takes that factor out of a nonzero
@@ -358,45 +369,14 @@ class _Reduction:
         ri, rj = self.d[i], self.d[j]
         self.d[i] = [a * x + b * y if x or y else x for x, y in zip(ri, rj)]
         self.d[j] = [c * x + d * y if x or y else y for x, y in zip(ri, rj)]
-        self.log.append(("apply_pair", i, j, block))
+        if self.rows is not None:
+            ri, rj = self.rows[i], self.rows[j]
+            self.rows[i] = [d * x - c * y if x or y else x for x, y in zip(ri, rj)]
+            self.rows[j] = [a * y - b * x if x or y else y for x, y in zip(ri, rj)]
         self.normalize(i)
         self.normalize(j)
         if scale != 1 and not any(self.d[j]):
             self.scale(j, scale, 1 / scale)
-
-
-def _replay(red: _Reduction) -> tuple[list[list[Element]], list[list[Element]]]:
-    """Rows of P^T and of Q, rebuilt from ``red.log``.
-
-    Two companions start as identities: one is paired with the rows of D
-    (rows of P^T), the other with its columns (rows of Q).  Each logged
-    D <- E * D is mirrored by applying (E^-1)^T to the same rows of the
-    companion paired with the rows of D, which leaves P * D * Q unchanged; a
-    logged ``transpose`` swaps the companions.  The log leaves D in the
-    input's frame, so the companions end in theirs.
-    """
-    ring = red.ring
-    one, zero = rings.one(ring), rings.zero(ring)
-    rows = [[one if i == j else zero for j in range(red.n)] for i in range(red.n)]
-    cols = [[one if i == j else zero for j in range(red.m)] for i in range(red.m)]
-    for kind, *args in red.log:
-        if kind == "transpose":
-            rows, cols = cols, rows
-        elif kind == "swap":
-            i, j = args
-            rows[i], rows[j] = rows[j], rows[i]
-        elif kind == "add_multiple":
-            dst, src, c = args
-            rows[src] = [a - c * b if b else a for a, b in zip(rows[src], rows[dst])]
-        elif kind == "scale":
-            i, inverse = args
-            rows[i] = [inverse * a if a else a for a in rows[i]]
-        else:  # apply_pair: (block^-1)^T = [[d, -c], [-b, a]]
-            i, j, ((a, b), (c, d)) = args
-            ri, rj = rows[i], rows[j]
-            rows[i] = [d * x - c * y if x or y else x for x, y in zip(ri, rj)]
-            rows[j] = [a * y - b * x if x or y else y for x, y in zip(ri, rj)]
-    return rows, cols
 
 
 def _min_size_position(red: _Reduction, t: int) -> tuple[int, int] | None:
@@ -454,9 +434,10 @@ def _clear_pivot(red: _Reduction, t: int) -> None:
             raise ArithmeticError("pivot clearing made no progress")
 
 
-def _reduce(m: Matrix) -> tuple[_Reduction, tuple[Element, ...]]:
-    """Bring M to Smith form D, logging every step; also return d_1, ..., d_rank."""
-    red = _Reduction(m)
+def _reduce(m: Matrix, transforms: bool) -> tuple[_Reduction, tuple[Element, ...]]:
+    """Bring M to Smith form D, with P and Q when ``transforms`` is set; also
+    return d_1, ..., d_rank."""
+    red = _Reduction(m, transforms)
     # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
     # so the nonzero diagonal entries form the prefix d_1..d_rank.
     rank = 0
@@ -479,17 +460,17 @@ def _reduce(m: Matrix) -> tuple[_Reduction, tuple[Element, ...]]:
 
 def smith_diagonals(m: Matrix) -> tuple[Element, ...]:
     """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q."""
-    return _reduce(m)[1]
+    return _reduce(m, transforms=False)[1]
 
 
 def smith_normal_form(m: Matrix) -> SnfResult:
     """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
-    red, diagonals = _reduce(m)
-    rows, cols = _replay(red)
+    red, diagonals = _reduce(m, transforms=True)
+    n, k, ring = m.n_rows, m.n_cols, m.ring
     return SnfResult(
-        P=Matrix.from_rows(list(zip(*rows)), m.ring),
-        D=Matrix.from_rows(red.d, m.ring),
-        Q=Matrix.from_rows(cols, m.ring),
+        P=Matrix(n, n, tuple(zip(*red.rows)), ring),
+        D=Matrix(n, k, tuple(map(tuple, red.d)), ring),
+        Q=Matrix(k, k, tuple(map(tuple, red.cols)), ring),
         diagonals=diagonals,
     )
 

@@ -16,6 +16,7 @@ valuations by repeated exact division.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from typing import Union
@@ -35,10 +36,12 @@ from .ringspec import RingFamily, RingSpec
 Element = Union[int, RatPoly, QuadElem]
 
 
+@functools.cache
 def zero(ring: RingSpec) -> Element:
     return coerce(0, ring)
 
 
+@functools.cache
 def one(ring: RingSpec) -> Element:
     return coerce(1, ring)
 

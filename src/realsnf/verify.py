@@ -226,7 +226,11 @@ def check_valuation_lemma(a: RatPoly, b: RatPoly, p: RatPoly) -> bool:
         raise PreconditionFailedError(
             f"a - b^2 is negative at t = {point} (it must be nonnegative on R)"
         )
-    if p.degree < 1 or not polynomials.is_real_irreducible(p):
+    if p.degree < 1:
+        raise PreconditionFailedError(
+            f"p = {p} has degree {p.degree}; an irreducible has degree at least 1"
+        )
+    if not polynomials.is_real_irreducible(p):
         raise PreconditionFailedError(
             f"p = {p} is not a real irreducible (it needs a real root)"
         )

@@ -205,6 +205,13 @@ class TestValuationLemmaCommand:
         assert (code, out) == (2, "")
         assert "cannot be certified" in err
 
+    @pytest.mark.parametrize("p, degree", [("2", 0), ("0", -1)])
+    def test_constant_p_names_its_degree(self, capsys, p, degree):
+        payload = {"a": "1", "b": "0", "p": p}
+        code, out, err = run(capsys, "valuation-lemma", "--input", json.dumps(payload))
+        assert (code, out) == (2, "")
+        assert f"has degree {degree}" in err and "real root" not in err
+
     @pytest.mark.parametrize(
         "p",
         ["x^2 - 1000000000000000000000000000007", "x^4 - 1000000000000000000000000000000000000006"],

@@ -79,6 +79,12 @@ class TestElementValues:
         assert rings.one(ring) and all(nonzero)
 
     @pytest.mark.parametrize("name", RING_NAMES)
+    def test_zero_and_one_are_built_once(self, name):
+        ring = parse_ring(name)
+        assert rings.zero(ring) is rings.zero(ring) and not rings.zero(ring)
+        assert rings.one(ring) is rings.one(ring) and rings.one(ring)
+
+    @pytest.mark.parametrize("name", RING_NAMES)
     def test_bool_is_not_an_element(self, name):
         ring = parse_ring(name)
         for value in (True, False):
