@@ -146,9 +146,14 @@ def xgcd(
     # a and b are scale0 and scale1 times the classical remainders, and
     # (a mod b) is scale0 times the next one.
     scale0 = scale1 = inverse = 1
+    first = True
     while b:
         q, r = divmod(a, b)
-        s, t, scale, inverse = s0 - q * s1, t0 - q * t1, scale0, -inverse
+        if first:  # s1 = 0 and t1 = 1 need no product
+            s, t, first = s0, -q, False
+        else:
+            s, t = s0 - q * s1, t0 - q * t1
+        scale, inverse = scale0, -inverse
         if primitive and r:
             c = r.primitive_scale()
             r, s, t, scale, inverse = r * c, s * c, t * c, scale * c, inverse / c
@@ -156,7 +161,10 @@ def xgcd(
         s0, s1 = s1, s
         t0, t1 = t1, t
         scale0, scale1 = scale1, scale
-    return a, [[s0, t0], [s1 * inverse, t1 * inverse]], scale0
+    if primitive:
+        return a, [[s0, t0], [s1 * inverse, t1 * inverse]], scale0
+    # inverse is 1 or -1 over Z and the quadratic rings
+    return a, [[s0, t0], [s1, t1] if inverse > 0 else [-s1, -t1]], scale0
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

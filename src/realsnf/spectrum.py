@@ -2,15 +2,22 @@
 
 For Z there is a single ordering; for Q[x] positivity means pointwise
 nonnegativity of polynomial functions on R; for a real quadratic ring it
-means nonnegativity under both real embeddings.  A symmetric matrix over an
-ordered field is positive semidefinite exactly when e_k >= 0 for k = 1..n,
-where e_k is the sum of its k x k principal minors: up to sign the e_k are
-the coefficients of the characteristic polynomial, whose roots are all real.
-That holds at each ordering separately, so the matrix is PSD at every
-ordering exactly when each e_k is nonnegative in the sense above.  The e_k
-come from one division-free charpoly computed exactly in the ring, so no
-embedding is ever evaluated with floating point.  The principal minors are
-enumerated only on a not-PSD verdict, to name the witness.
+means nonnegativity under both real embeddings.  PSD is decided per family,
+exactly in the ring, so no embedding is ever evaluated with floating point:
+
+- Z and the quadratic rings have one and two orderings.  A fraction-free
+  symmetric elimination (Bareiss, Math. Comp. 22, 1968) decides them in one
+  pass: every entry it makes is a ratio of principal minors, every pivot it
+  takes is positive at every ordering, and every division is exact.
+- Q[x] has infinitely many orderings.  A symmetric matrix over an ordered
+  field is PSD exactly when e_k >= 0 for k = 1..n, where e_k is the sum of
+  its k x k principal minors: up to sign the e_k are the coefficients of
+  the characteristic polynomial, whose roots are all real.  That holds at
+  each point separately, so the matrix is PSD on R exactly when each e_k is
+  a nonnegative polynomial.  The e_k come from one division-free charpoly.
+
+The principal minors are enumerated only on a not-PSD verdict, to name the
+witness.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -87,26 +94,76 @@ def _principal_index_sets(n: int):
         yield from itertools.combinations(range(n), k)
 
 
+def _psd_by_elimination(m: Matrix) -> bool:
+    """PSD at every ordering of Z or a real quadratic ring.
+
+    After pivots on the rows S, entry (i, j) is det M[S+i, S+j], and the
+    last pivot is det M[S, S] (Sylvester's identity), so each update divides
+    exactly by the pivot before.  A diagonal entry negative at some ordering
+    is a negative principal minor.  A nonzero pivot is nonzero at every
+    ordering, hence positive at each, so one pass serves every ordering.
+    When every remaining diagonal entry is zero, det M[S+i+j] is
+    -a_ij**2 / det M[S, S], so the matrix is PSD exactly when the remaining
+    block is zero.
+    """
+    ring = m.ring
+    a = [list(row) for row in m.entries]
+    rest = list(range(m.n_rows))
+    prev = None
+    while rest:
+        k = None
+        for i in rest:
+            v = a[i][i]
+            if v:
+                if negative_ordering(v, ring) is not None:
+                    return False
+                if k is None:
+                    k = i
+        if k is None:
+            return not any(a[i][j] for i in rest for j in rest)
+        rest.remove(k)
+        p, pivot_row = a[k][k], a[k]
+        for x, i in enumerate(rest):
+            row, aik = a[i], a[i][k]
+            for j in rest[x:]:
+                v = row[j]
+                if v:
+                    v = v * p
+                if aik and pivot_row[j]:
+                    v = v - aik * pivot_row[j]
+                if prev is not None and v:
+                    v = rings.exact_divide(v, prev, ring)
+                    if v is None:
+                        raise ArithmeticError("Bareiss division was not exact")
+                row[j] = a[j][i] = v
+        prev = p
+    return True
+
+
 def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     """Positive semidefiniteness over the whole real spectrum, exactly.
 
-    PSD is decided by e_k >= 0 at every ordering for k = 1..n (e_k the sum
-    of the k x k principal minors).  Only when that fails are the principal
-    minors enumerated, to report the first negative one (smallest size, then
-    lexicographic) as the witness.  The size cap stays because that witness
-    search is exponential.
+    Over Z and the quadratic rings PSD is decided by one fraction-free
+    symmetric elimination; over Q[x] by e_k >= 0 on R for k = 1..n (e_k the
+    sum of the k x k principal minors).  Only when that fails are the
+    principal minors enumerated, to report the first negative one (smallest
+    size, then lexicographic) as the witness.  The size cap stays because
+    that witness search is exponential.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
     ring = m.ring
-    sums = principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
-    if all(element_is_nonneg(e, ring) for e in sums):
+    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        sums = principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
+        psd = all(element_is_nonneg(e, ring) for e in sums)
+    else:
+        psd = _psd_by_elimination(m)
+    if psd:
         return PsdReport(True, None)
     for idx in _principal_index_sets(m.n_rows):
         where = negative_ordering(determinant(m.submatrix(idx, idx)), ring)
         if where is not None:
             return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
-    raise ArithmeticError("a principal minor sum is negative but no principal minor is")
-
+    raise ArithmeticError("the PSD test failed but no principal minor is negative")

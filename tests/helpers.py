@@ -136,8 +136,9 @@ def random_unimodular(rng, ring, n, steps=6):
 def psd_exact_ordered(rows):
     """PSD test for a symmetric matrix over Q, by exact symmetric Gaussian elimination.
 
-    It checks the charpoly decision in ``realsnf.spectrum`` and shares none
-    of its code: it pivots down the diagonal over ``Fraction``.
+    It checks the PSD decision in ``realsnf.spectrum`` and shares none of
+    its code: it pivots down the diagonal over ``Fraction``, dividing by each
+    pivot, where the decision stays in the ring.
     A negative pivot, or a zero pivot whose row is not zero (a 2x2 principal
     minor 0 * c - b**2 < 0), means not PSD; otherwise the pivot's row and
     column are eliminated and the test goes on with the Schur complement.

@@ -18,7 +18,7 @@ from helpers import (
     rand_matrix,
     random_unimodular,
 )
-from realsnf.spectrum import element_is_nonneg, is_psd_on_spectrum
+from realsnf.spectrum import PSD_SIZE_LIMIT, element_is_nonneg, is_psd_on_spectrum
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -261,7 +261,93 @@ class TestCharpolyDecision:
     def test_disagreement_with_the_enumeration_raises(self, monkeypatch):
         monkeypatch.setattr(spectrum, "principal_minor_sums", lambda rows, zero, one: [-1])
         with pytest.raises(ArithmeticError):
-            is_psd_on_spectrum(Matrix.from_rows([[1]], INTEGERS))
+            is_psd_on_spectrum(Matrix.from_rows([[1]], RATIONAL_POLYNOMIALS))
+
+
+def every_minor_nonneg_at(m, embedding):
+    """The oracle at one embedding of a quadratic ring: all principal minors."""
+    def sign(a):
+        pattern = a.sign_pattern()
+        return pattern.at_plus if embedding == "plus" else pattern.at_minus
+
+    return all(
+        sign(determinant(m.submatrix(idx, idx))) >= 0
+        for k in range(1, m.n_rows + 1)
+        for idx in itertools.combinations(range(m.n_rows), k)
+    )
+
+
+def elimination_inputs(rng, ring, trials):
+    """Symmetric inputs for the elimination route, each kind in turn:
+    N * N^T of rank < n; the same with one diagonal entry lowered by an
+    element that may be negative at one embedding only; and a zero diagonal
+    with one nonzero off-diagonal pair, so every pivot candidate is zero."""
+    lowerings = [1, 2, 3] if ring is INTEGERS else [
+        QuadElem(x, y, ring) for x, y in ((1, 0), (2, 0), (0, 1), (0, -1), (1, 1), (1, -1))
+    ]
+    for trial in range(trials):
+        n = rng.randint(2, 5)
+        a = rand_matrix(rng, ring, n, rng.randint(1, n - 1), height=3)
+        rows = [list(r) for r in (a @ a.transpose()).entries]
+        kind = trial % 3
+        if kind == 1:
+            i = rng.randrange(n)
+            rows[i][i] = rows[i][i] - rings.coerce(rng.choice(lowerings), ring)
+        elif kind == 2:
+            rows = [[rings.zero(ring)] * n for _ in range(n)]
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[j][i] = rings.coerce(rng.choice(lowerings), ring)
+        yield Matrix.from_rows(rows, ring)
+
+
+class TestEliminationDecision:
+    """Over Z and the quadratic rings PSD is decided by fraction-free
+    elimination; it agrees with oracles that share no code with it."""
+
+    def test_integers_agree_with_the_fraction_oracle(self):
+        verdicts = set()
+        for m in elimination_inputs(random.Random(40), INTEGERS, 150):
+            verdict = is_psd_on_spectrum(m).is_psd
+            assert verdict == psd_exact_ordered([list(r) for r in m.entries])
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", RING_NAMES[2:])
+    def test_quadratic_rings_agree_with_the_minors_at_both_embeddings(self, name):
+        ring = parse_ring(name)
+        verdicts, one_embedding_only = set(), 0
+        for m in elimination_inputs(random.Random(41), ring, 45):
+            at_plus, at_minus = every_minor_nonneg_at(m, "plus"), every_minor_nonneg_at(m, "minus")
+            verdict = is_psd_on_spectrum(m).is_psd
+            assert verdict == (at_plus and at_minus)
+            verdicts.add(verdict)
+            one_embedding_only += at_plus != at_minus
+        assert verdicts == {True, False}
+        assert one_embedding_only
+
+    def test_zero_diagonal_with_a_nonzero_entry_is_not_psd(self):
+        report = is_psd_on_spectrum(Matrix.from_rows([[0, 1], [1, 0]], INTEGERS))
+        assert report == spectrum.PsdReport(False, spectrum.PsdWitness((1, 2)))
+
+    @pytest.mark.parametrize("name", ["Z", "Zsqrt:2"])
+    def test_psd_input_enumerates_no_minor(self, name, monkeypatch):
+        def no_minors(m):
+            raise AssertionError("a principal minor was enumerated")
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("determinant") is matrices.determinant:
+                monkeypatch.setattr(module, "determinant", no_minors)
+        ring = parse_ring(name)
+        rng = random.Random(42)
+        for n in range(1, PSD_SIZE_LIMIT + 1):
+            a = rand_matrix(rng, ring, n, rng.randint(1, n), height=3)
+            assert is_psd_on_spectrum(a @ a.transpose()).is_psd
+
+    @pytest.mark.parametrize("name", ["Z", "Zsqrt:2"])
+    def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
+        monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: False)
+        with pytest.raises(ArithmeticError):
+            is_psd_on_spectrum(Matrix.from_rows([[1]], parse_ring(name)))
 
 
 class TestExactOrderedPsd:
