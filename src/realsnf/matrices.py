@@ -194,39 +194,9 @@ def determinant(m: Matrix) -> Element:
                 if q is None:
                     raise ArithmeticError("Bareiss division was not exact")
                 rows[i][j] = q
-            rows[i][k] = rows[k][k] - rows[k][k]  # typed zero
         prev = rows[k][k]
     det = rows[n - 1][n - 1]
     return -det if sign_flip else det
-
-
-def principal_minor_sums(rows: Sequence[Sequence], zero, one) -> list:
-    """[e_1, ..., e_n]: e_k is the sum of all k x k principal minors.
-
-    Division-free Berkowitz charpoly (Inf. Process. Lett. 18, 1984): the
-    coefficients of det(t*I - A_r) for the leading r x r block A_r follow from
-    those of A_{r-1} by a Toeplitz product, using ring +, - and * only.  The
-    coefficient of t^(n-k) is (-1)^k * e_k.
-    """
-
-    def dot(u, v):
-        return sum((a * b for a, b in zip(u, v)), zero)
-
-    coeffs = [one]
-    for r in range(len(rows)):
-        # A_{r+1} = [[A_r, C], [R, a]]: C is column r above the diagonal, R is
-        # row r left of it (zip truncates rows[i] to its first r entries).
-        column = [rows[i][r] for i in range(r)]
-        toeplitz = [one, zero - rows[r][r]]
-        for k in range(r):  # -R * A_r^k * C
-            if k:
-                column = [dot(rows[i], column) for i in range(r)]
-            toeplitz.append(zero - dot(rows[r], column))
-        coeffs = [
-            sum((toeplitz[i - j] * coeffs[j] for j in range(min(i, r) + 1)), zero)
-            for i in range(r + 2)
-        ]
-    return [c if k % 2 == 0 else zero - c for k, c in enumerate(coeffs) if k > 0]
 
 
 # -- minor ideals -----------------------------------------------------------------

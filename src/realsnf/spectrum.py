@@ -2,19 +2,12 @@
 
 For Z there is a single ordering; for Q[x] positivity means pointwise
 nonnegativity of polynomial functions on R; for a real quadratic ring it
-means nonnegativity under both real embeddings.  PSD is decided per family,
-exactly in the ring, so no embedding is ever evaluated with floating point:
-
-- Z and the quadratic rings have one and two orderings.  A fraction-free
-  symmetric elimination (Bareiss, Math. Comp. 22, 1968) decides them in one
-  pass: every entry it makes is a ratio of principal minors, every pivot it
-  takes is positive at every ordering, and every division is exact.
-- Q[x] has infinitely many orderings.  A symmetric matrix over an ordered
-  field is PSD exactly when e_k >= 0 for k = 1..n, where e_k is the sum of
-  its k x k principal minors: up to sign the e_k are the coefficients of
-  the characteristic polynomial, whose roots are all real.  That holds at
-  each point separately, so the matrix is PSD on R exactly when each e_k is
-  a nonnegative polynomial.  The e_k come from one division-free charpoly.
+means nonnegativity under both real embeddings.  Every ring is decided the
+same way, exactly in the ring, so no embedding is ever evaluated with
+floating point: one fraction-free symmetric elimination (Bareiss, Math.
+Comp. 22, 1968), whose every entry is a ratio of principal minors and whose
+every division is exact, with one sign test per pivot.  The only per-family
+fact it reads is where an element is negative (`negative_ordering`).
 
 The principal minors are enumerated only on a not-PSD verdict, to name the
 witness.
@@ -32,7 +25,7 @@ from fractions import Fraction
 
 from . import polynomials, rings
 from .errors import NotSymmetricError, SizeLimitError
-from .matrices import Matrix, determinant, principal_minor_sums
+from .matrices import Matrix, determinant
 from .rings import Element
 from .ringspec import RingFamily, RingSpec
 
@@ -95,32 +88,35 @@ def _principal_index_sets(n: int):
 
 
 def _psd_by_elimination(m: Matrix) -> bool:
-    """PSD at every ordering of Z or a real quadratic ring.
+    """PSD at every ordering of the ring: Z, Q[x] or a real quadratic ring.
 
     After pivots on the rows S, entry (i, j) is det M[S+i, S+j], and the
     last pivot is det M[S, S] (Sylvester's identity), so each update divides
-    exactly by the pivot before.  A diagonal entry negative at some ordering
-    is a negative principal minor.  A nonzero pivot is nonzero at every
-    ordering, hence positive at each, so one pass serves every ordering.
-    When every remaining diagonal entry is zero, det M[S+i+j] is
-    -a_ij**2 / det M[S, S], so the matrix is PSD exactly when the remaining
-    block is zero.
+    exactly by the pivot before.  Each round pivots on the first nonzero
+    remaining diagonal entry and tests only that pivot's sign:
+
+    - A pivot negative at some ordering is a negative principal minor, so M
+      is not PSD.
+    - Otherwise every pivot is >= 0 everywhere.  Take an ordering t at which
+      no pivot vanishes: over Z and the quadratic rings that is every
+      ordering, over Q[x] every real point but finitely many.  At t, M is
+      congruent to the pivots, all > 0, plus the remaining block.  If the
+      loop empties, M(t) is PSD.  If it stops because every remaining
+      diagonal entry is zero, det M[S+i+j] = -a_ij**2 / det M[S, S], which
+      is < 0 wherever a_ij != 0; so M is PSD exactly when the rest is zero.
+    - Over Q[x] a PSD verdict at all but finitely many points is a verdict
+      at every point, because PSD is a closed condition.
     """
     ring = m.ring
     a = [list(row) for row in m.entries]
     rest = list(range(m.n_rows))
     prev = None
     while rest:
-        k = None
-        for i in rest:
-            v = a[i][i]
-            if v:
-                if negative_ordering(v, ring) is not None:
-                    return False
-                if k is None:
-                    k = i
+        k = next((i for i in rest if a[i][i]), None)
         if k is None:
             return not any(a[i][j] for i in rest for j in rest)
+        if negative_ordering(a[k][k], ring) is not None:
+            return False
         rest.remove(k)
         p, pivot_row = a[k][k], a[k]
         for x, i in enumerate(rest):
@@ -143,25 +139,18 @@ def _psd_by_elimination(m: Matrix) -> bool:
 def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     """Positive semidefiniteness over the whole real spectrum, exactly.
 
-    Over Z and the quadratic rings PSD is decided by one fraction-free
-    symmetric elimination; over Q[x] by e_k >= 0 on R for k = 1..n (e_k the
-    sum of the k x k principal minors).  Only when that fails are the
-    principal minors enumerated, to report the first negative one (smallest
-    size, then lexicographic) as the witness.  The size cap stays because
-    that witness search is exponential.
+    One fraction-free symmetric elimination decides every ring.  Only when
+    it fails are the principal minors enumerated, to report the first
+    negative one (smallest size, then lexicographic) as the witness.  The
+    size cap stays because that witness search is exponential.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    ring = m.ring
-    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        sums = principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
-        psd = all(element_is_nonneg(e, ring) for e in sums)
-    else:
-        psd = _psd_by_elimination(m)
-    if psd:
+    if _psd_by_elimination(m):
         return PsdReport(True, None)
+    ring = m.ring
     for idx in _principal_index_sets(m.n_rows):
         where = negative_ordering(determinant(m.submatrix(idx, idx)), ring)
         if where is not None:

@@ -7,7 +7,7 @@ import pytest
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, quadratic_ring, rings, spectrum
 from realsnf.errors import NotSymmetricError
-from realsnf.matrices import Matrix, determinant, principal_minor_sums
+from realsnf.matrices import Matrix, determinant
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf.ringspec import RingFamily, parse_ring
@@ -27,15 +27,6 @@ R3 = quadratic_ring(3)
 def max_size(ring):
     """Largest n the oracle tests use: each Q[x] minor costs a Sturm chain."""
     return 3 if ring is RATIONAL_POLYNOMIALS else 4
-
-
-def minor_sums(m):
-    ring = m.ring
-    return principal_minor_sums(m.entries, rings.zero(ring), rings.one(ring))
-
-
-def charpoly_says_psd(m):
-    return all(element_is_nonneg(e, m.ring) for e in minor_sums(m))
 
 
 def every_minor_nonneg(m):
@@ -148,37 +139,8 @@ class TestPsdOnSpectrum:
                 assert is_psd_on_spectrum(m @ m.transpose()).is_psd
 
 
-class TestPrincipalMinorSums:
-    @pytest.mark.parametrize("name", RING_NAMES)
-    def test_trace_and_determinant(self, name):
-        ring = parse_ring(name)
-        rng = random.Random(20)
-        for n in range(1, max_size(ring) + 1):
-            m = rand_matrix(rng, ring, n, n, height=3)  # not symmetric
-            sums = minor_sums(m)
-            assert len(sums) == n
-            assert sums[0] == sum((m[i, i] for i in range(n)), rings.zero(ring))
-            assert sums[-1] == determinant(m)
-
-    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zhalf:13"])
-    def test_every_sum_matches_enumeration(self, name):
-        ring = parse_ring(name)
-        rng = random.Random(21)
-        for n in range(1, 5):
-            m = rand_matrix(rng, ring, n, n, height=3)
-            for k, e in enumerate(minor_sums(m), start=1):
-                expected = rings.zero(ring)
-                for idx in itertools.combinations(range(n), k):
-                    expected = expected + determinant(m.submatrix(idx, idx))
-                assert e == expected
-
-    def test_diag_minus_one_two(self):
-        # e_1 = 1 passes although the 1x1 minor -1 does not
-        assert principal_minor_sums([[-1, 0], [0, 2]], 0, 1) == [1, -2]
-
-
 class TestCharpolyDecision:
-    """The e_k >= 0 decision agrees with the minor enumeration it replaced."""
+    """PSD verdicts agree with the minor enumeration, on every ring."""
 
     @pytest.mark.parametrize("name", RING_NAMES)
     def test_full_rank_psd(self, name):
@@ -187,7 +149,7 @@ class TestCharpolyDecision:
         for n in range(1, max_size(ring) + 1):
             a = invertible_square(rng, ring, n)
             m = a @ a.transpose()
-            assert charpoly_says_psd(m) and every_minor_nonneg(m)
+            assert every_minor_nonneg(m)
             assert is_psd_on_spectrum(m).is_psd
 
     @pytest.mark.parametrize("name", RING_NAMES)
@@ -197,8 +159,8 @@ class TestCharpolyDecision:
         for n in range(2, max_size(ring) + 1):
             a = rand_matrix(rng, ring, n, n - 1, height=3)
             m = a @ a.transpose()
-            assert not minor_sums(m)[-1]  # e_n = det, rank < n
-            assert charpoly_says_psd(m) and every_minor_nonneg(m)
+            assert not determinant(m)  # rank < n
+            assert every_minor_nonneg(m)
             assert is_psd_on_spectrum(m).is_psd
 
     @pytest.mark.parametrize(
@@ -208,7 +170,7 @@ class TestCharpolyDecision:
     )
     def test_broken_at_one_ordering(self, name, embedding):
         # A * diag(1, .., 1, s, .., s) * A^T with 1 or 2 entries s that are
-        # negative at one ordering only; with two, e_n = det stays >= 0 there
+        # negative at one ordering only; with two, det stays >= 0 there
         ring = parse_ring(name)
         rng = random.Random(32)
         s = rings.coerce(negative_somewhere(ring, embedding), ring)
@@ -219,7 +181,7 @@ class TestCharpolyDecision:
                 for i in range(n):
                     diag[i][i] = s if i >= n - negatives else rings.one(ring)
                 m = a @ Matrix.from_rows(diag, ring) @ a.transpose()
-                assert not charpoly_says_psd(m) and not every_minor_nonneg(m)
+                assert not every_minor_nonneg(m)
                 report = is_psd_on_spectrum(m)
                 assert not report.is_psd
                 assert report.witness.embedding == embedding
@@ -237,7 +199,7 @@ class TestCharpolyDecision:
             i, j = rng.sample(range(n), 2)
             rows[i][j] = rows[j][i] = rows[i][i] + rows[j][j] + rings.one(ring)
             m = Matrix.from_rows(rows, ring)
-            assert not charpoly_says_psd(m) and not every_minor_nonneg(m)
+            assert not every_minor_nonneg(m)
             report = is_psd_on_spectrum(m)
             assert not report.is_psd and len(report.witness.minor_rows) == 2
 
@@ -254,14 +216,8 @@ class TestCharpolyDecision:
 
     def test_only_a_middle_sum_fails(self):
         m = Matrix.from_rows([[-1, 0, 0], [0, -1, 0], [0, 0, 5]], INTEGERS)
-        assert minor_sums(m) == [3, -9, 5]
         assert is_psd_on_spectrum(m).witness.minor_rows == (1,)
         assert not psd_exact_ordered([list(r) for r in m.entries])
-
-    def test_disagreement_with_the_enumeration_raises(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "principal_minor_sums", lambda rows, zero, one: [-1])
-        with pytest.raises(ArithmeticError):
-            is_psd_on_spectrum(Matrix.from_rows([[1]], RATIONAL_POLYNOMIALS))
 
 
 def every_minor_nonneg_at(m, embedding):
@@ -277,16 +233,21 @@ def every_minor_nonneg_at(m, embedding):
     )
 
 
-def elimination_inputs(rng, ring, trials):
+def elimination_inputs(rng, ring, trials, max_n=5):
     """Symmetric inputs for the elimination route, each kind in turn:
     N * N^T of rank < n; the same with one diagonal entry lowered by an
-    element that may be negative at one embedding only; and a zero diagonal
+    element that may be negative at some orderings only; and a zero diagonal
     with one nonzero off-diagonal pair, so every pivot candidate is zero."""
-    lowerings = [1, 2, 3] if ring is INTEGERS else [
-        QuadElem(x, y, ring) for x, y in ((1, 0), (2, 0), (0, 1), (0, -1), (1, 1), (1, -1))
-    ]
+    if ring is INTEGERS:
+        lowerings = [1, 2, 3]
+    elif ring is RATIONAL_POLYNOMIALS:
+        lowerings = [parse_poly(p) for p in ("1", "2", "x", "-x", "x^2+x", "-x^2")]
+    else:
+        lowerings = [
+            QuadElem(x, y, ring) for x, y in ((1, 0), (2, 0), (0, 1), (0, -1), (1, 1), (1, -1))
+        ]
     for trial in range(trials):
-        n = rng.randint(2, 5)
+        n = rng.randint(2, max_n)
         a = rand_matrix(rng, ring, n, rng.randint(1, n - 1), height=3)
         rows = [list(r) for r in (a @ a.transpose()).entries]
         kind = trial % 3
@@ -301,8 +262,8 @@ def elimination_inputs(rng, ring, trials):
 
 
 class TestEliminationDecision:
-    """Over Z and the quadratic rings PSD is decided by fraction-free
-    elimination; it agrees with oracles that share no code with it."""
+    """PSD is decided by fraction-free elimination on every ring; it agrees
+    with oracles that share no code with it."""
 
     def test_integers_agree_with_the_fraction_oracle(self):
         verdicts = set()
@@ -325,11 +286,26 @@ class TestEliminationDecision:
         assert verdicts == {True, False}
         assert one_embedding_only
 
+    def test_polynomials_agree_with_the_minors(self):
+        # each input again times c^2, c = x + k: then every pivot has a real
+        # double root, where the verdict rests on PSD being a closed condition
+        ring = RATIONAL_POLYNOMIALS
+        rng = random.Random(43)
+        verdicts = set()
+        for m in elimination_inputs(rng, ring, 60, max_n=4):
+            c = RatPoly([rng.randint(-3, 3), 1])
+            scaled = Matrix.from_rows([[v * c * c for v in row] for row in m.entries], ring)
+            for case in (m, scaled):
+                verdict = is_psd_on_spectrum(case).is_psd
+                assert verdict == every_minor_nonneg(case)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}
+
     def test_zero_diagonal_with_a_nonzero_entry_is_not_psd(self):
         report = is_psd_on_spectrum(Matrix.from_rows([[0, 1], [1, 0]], INTEGERS))
         assert report == spectrum.PsdReport(False, spectrum.PsdWitness((1, 2)))
 
-    @pytest.mark.parametrize("name", ["Z", "Zsqrt:2"])
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_psd_input_enumerates_no_minor(self, name, monkeypatch):
         def no_minors(m):
             raise AssertionError("a principal minor was enumerated")
@@ -343,7 +319,7 @@ class TestEliminationDecision:
             a = rand_matrix(rng, ring, n, rng.randint(1, n), height=3)
             assert is_psd_on_spectrum(a @ a.transpose()).is_psd
 
-    @pytest.mark.parametrize("name", ["Z", "Zsqrt:2"])
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
         monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: False)
         with pytest.raises(ArithmeticError):
@@ -396,7 +372,7 @@ SAMPLE_POINTS = [Fraction(k, 10) for k in range(-100, 100)]
 
 
 def sampling_checks(seed, trials):
-    """(charpoly verdict, whether the elimination oracle agrees) per Q[x] input.
+    """(PSD verdict, whether the elimination oracle agrees) per Q[x] input.
 
     Inputs are N * N^T, half of them with a constant taken off one diagonal
     entry.  A PSD verdict must survive the oracle at every sample point; a
@@ -440,15 +416,10 @@ class TestSamplingAgreement:
         assert not psd_exact_ordered(evaluate_poly_matrix(m, report.witness.point))
 
     def test_oracle_catches_a_decision_that_drops_the_determinant(self, monkeypatch):
-        # break every binding of principal_minor_sums so that it forgets
-        # e_n; the oracle must then refute some PSD verdict at a sample
-        # point, which an oracle deciding through the same sums never would
-        original = matrices.principal_minor_sums
+        # a broken decision that reads only the 1x1 principal minors; the
+        # oracle must then refute some PSD verdict at a sample point
+        def diagonal_only(m):
+            return all(element_is_nonneg(m[i, i], m.ring) for i in range(m.n_rows))
 
-        def without_determinant(rows, zero, one):
-            return original(rows, zero, one)[:-1]
-
-        for module in list(sys.modules.values()):
-            if getattr(module, "__dict__", {}).get("principal_minor_sums") is original:
-                monkeypatch.setattr(module, "principal_minor_sums", without_determinant)
+        monkeypatch.setattr(spectrum, "_psd_by_elimination", diagonal_only)
         assert any(is_psd and not agrees for is_psd, agrees in sampling_checks(seed=4, trials=60))
