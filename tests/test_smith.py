@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from pathlib import Path
@@ -340,6 +341,27 @@ class TestDeterminant:
             a = rand_matrix(rng, ring, n, n, height=3)
             b = rand_matrix(rng, ring, n, n, height=3)
             assert determinant(a @ b) == determinant(a) * determinant(b)
+
+    @pytest.mark.parametrize("name", RING_TEXTS)
+    def test_matches_the_permutation_expansion(self, name):
+        # the Leibniz sum shares no step with the elimination; zeroing the
+        # top of column 0 on every other input forces a row swap first
+        ring = parse_ring(name)
+        rng = random.Random(13)
+        for trial in range(12):
+            n = rng.randint(1, 4)
+            rows = [list(r) for r in rand_matrix(rng, ring, n, n, height=3).entries]
+            if trial % 2:
+                for i in range(rng.randint(1, n)):
+                    rows[i][0] = rings.zero(ring)
+            expected = rings.zero(ring)
+            for perm in itertools.permutations(range(n)):
+                term = rings.one(ring)
+                for i, j in enumerate(perm):
+                    term = term * rows[i][j]
+                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+                expected = expected - term if inversions % 2 else expected + term
+            assert determinant(Matrix.from_rows(rows, ring)) == expected
 
     def test_planted_divisor_divides_determinant(self):
         # p dividing the block {rows 1..r} x {cols r..n} forces p | det

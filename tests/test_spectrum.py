@@ -219,6 +219,10 @@ class TestCharpolyDecision:
         assert is_psd_on_spectrum(m).witness.minor_rows == (1,)
         assert not psd_exact_ordered([list(r) for r in m.entries])
 
+    def test_a_positive_trace_does_not_hide_a_negative_entry(self):
+        m = Matrix.from_rows([[-1, 0], [0, 2]], INTEGERS)
+        assert is_psd_on_spectrum(m) == spectrum.PsdReport(False, spectrum.PsdWitness((1,)))
+
 
 def every_minor_nonneg_at(m, embedding):
     """The oracle at one embedding of a quadratic ring: all principal minors."""
@@ -324,6 +328,37 @@ class TestEliminationDecision:
         monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: False)
         with pytest.raises(ArithmeticError):
             is_psd_on_spectrum(Matrix.from_rows([[1]], parse_ring(name)))
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zhalf:13"])
+    def test_pivots_are_the_leading_principal_minors(self, name, monkeypatch):
+        # with no zero pivot the elimination pivots on rows 1, 2, .. in turn,
+        # and the k-th pivot whose sign it tests is det M[1..k, 1..k]
+        ring = parse_ring(name)
+        rng = random.Random(44)
+        original = spectrum.negative_ordering
+        tested, verdicts = [], set()
+
+        def recording(a, ring):
+            tested.append(a)
+            return original(a, ring)
+
+        monkeypatch.setattr(spectrum, "negative_ordering", recording)
+        for n in range(1, max_size(ring) + 2):
+            a = rand_matrix(rng, ring, n, n, height=3)
+            both_ways = [[a[i, j] + a[j, i] for j in range(n)] for i in range(n)]
+            for m in (a @ a.transpose(), Matrix.from_rows(both_ways, ring)):
+                leading = [determinant(m.submatrix(range(k), range(k))) for k in range(1, n + 1)]
+                if not all(leading):
+                    continue
+                tested.clear()
+                is_psd = spectrum._psd_by_elimination(m)
+                assert tested == leading[: len(tested)]
+                if is_psd:
+                    assert len(tested) == n
+                else:
+                    assert original(tested[-1], ring) is not None
+                verdicts.add(is_psd)
+        assert verdicts == {True, False}
 
 
 class TestExactOrderedPsd:
