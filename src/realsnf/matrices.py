@@ -8,7 +8,10 @@ gcd/lcm fix-up on diagonal pairs, and each diagonal entry is scaled to its
 canonical associate.  :func:`smith_diagonals` reduces D alone, while
 :func:`smith_normal_form` keeps two companions beside it, starting as
 identities, and mirrors each row operation E on D by (E^-1)^T on the
-matching companion rows, to build P and Q with M = P * D * Q.  Determinants
+matching companion rows, to build P and Q with M = P * D * Q.  Given det M
+and coprime (n-1) x (n-1) minors, which the PSD elimination supplies for
+most full-rank inputs, :func:`smith_diagonals` reads off (1, ..., 1, det M)
+and skips the reduction.  Determinants
 use fraction-free (Bareiss) elimination, which stays inside the ring.
 :func:`verify_snf` certifies a result from M = P*D*Q, unimodular P and Q
 and the divisibility chain, which by uniqueness of invariant factors is a
@@ -428,8 +431,20 @@ def _reduce(m: Matrix, transforms: bool) -> tuple[_Reduction, tuple[Element, ...
     return red, tuple(red.d[k][k] for k in range(rank))
 
 
-def smith_diagonals(m: Matrix) -> tuple[Element, ...]:
-    """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q."""
+def smith_diagonals(m: Matrix, minors: Sequence[Element] = ()) -> tuple[Element, ...]:
+    """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q.
+
+    ``minors`` may hold det M of a square M followed by some of its
+    (n-1) x (n-1) minors, as the PSD elimination hands them over.  Write
+    D_k = d_1 * ... * d_k for the gcd of all k x k minors.  When det M != 0
+    and :func:`rings.coprime` proves the given minors coprime, D_{n-1} is a
+    unit, so the diagonals are (1, ..., 1, det M) up to associates and M is
+    not reduced.  Every other input, including one the predicate declines,
+    runs the reduction.
+    """
+    if minors and minors[0] and rings.coprime(minors[1:], m.ring):
+        one = rings.one(m.ring)
+        return (one,) * (m.n_rows - 1) + (rings.canonicalize(minors[0], m.ring),)
     return _reduce(m, transforms=False)[1]
 
 

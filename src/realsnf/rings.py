@@ -9,17 +9,19 @@ the entry points that take values from outside the package coerce them
 takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
 exact division, the canonical associate, the primitive part (Q[x] only, in
-xgcd), and pnri.  The rest is derived from them for every family: units
-(1 / a exists), gcd (the canonical xgcd generator), association, and p-adic
-valuations by repeated exact division.
+xgcd), a cheap coprimality proof (:func:`coprime`) and pnri.  The rest is
+derived from them for every family: units (1 / a exists), gcd (the
+canonical xgcd generator), association, and p-adic valuations by repeated
+exact division.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 from . import polynomials, quadratic
 from .errors import (
@@ -165,6 +167,29 @@ def xgcd(
         return a, [[s0, t0], [s1 * inverse, t1 * inverse]], scale0
     # inverse is 1 or -1 over Z and the quadratic rings
     return a, [[s0, t0], [s1, t1] if inverse > 0 else [-s1, -t1]], scale0
+
+
+def coprime(values: Sequence[Element], ring: RingSpec) -> bool:
+    """True only when the values generate the unit ideal, proven without xgcd.
+
+    Over Z and Q[x] the test is exact: ``math.gcd`` is 1, or the
+    polynomial gcd reaches a nonzero constant.  Over a quadratic ring it is
+    one-sided: it tests that the gcd of the norms is 1.  A common non-unit
+    factor g would make N(g) != +-1 divide every norm, so coprime norms
+    prove coprime values; but coprime values can have norms that share a
+    prime (3 + w and 3 - w in Z[sqrt(2)], both of norm 7), and then the
+    answer is False although they are coprime.
+    """
+    if ring.family is RingFamily.INTEGERS:
+        return math.gcd(*values) == 1
+    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        g = zero(ring)
+        for v in values:
+            g = polynomials.poly_gcd(g, v)
+            if g.degree == 0:
+                return True
+        return False
+    return math.gcd(*(v.norm() for v in values)) == 1
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

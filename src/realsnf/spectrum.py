@@ -9,8 +9,11 @@ Comp. 22, 1968), whose every entry is a ratio of principal minors and whose
 every division is exact, with one sign test per pivot.  The only per-family
 fact it reads is where an element is negative (`negative_ordering`).
 
-The principal minors are enumerated only on a not-PSD verdict, to name the
-witness.
+The principal minors are enumerated only on a not-PSD verdict, and only when
+the caller asks for the witness.  On a full-rank PSD verdict the elimination
+also hands over det M (its last pivot) and three (n-1) x (n-1) minors (the
+2 x 2 block left before the last two pivots), which the Smith stage of
+``verify`` reads instead of reducing M again.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -20,7 +23,7 @@ in the test suite, so they share no code with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import polynomials, rings
@@ -72,8 +75,14 @@ class PsdWitness:
 
 @dataclass(frozen=True)
 class PsdReport:
+    """The verdict and its witness.  ``minors`` is det M followed by three
+    (n-1) x (n-1) minors of M when the elimination ran all n pivots (a
+    full-rank PSD input), and empty otherwise; it is left out of equality
+    and JSON."""
+
     is_psd: bool
     witness: PsdWitness | None
+    minors: tuple[Element, ...] = field(default=(), compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -87,8 +96,13 @@ def _principal_index_sets(n: int):
         yield from itertools.combinations(range(n), k)
 
 
-def _psd_by_elimination(m: Matrix) -> bool:
+def _psd_by_elimination(m: Matrix) -> tuple[bool, tuple[Element, ...]]:
     """PSD at every ordering of the ring: Z, Q[x] or a real quadratic ring.
+
+    Returns the verdict and, when all n pivots ran, det M followed by the
+    three distinct entries of the 2 x 2 block left with two rows to go,
+    which are (n-1) x (n-1) minors of M (for n = 2 that block is M; for
+    n = 1 the one minor is the empty one, 1).  Otherwise the tuple is empty.
 
     After pivots on the rows S, entry (i, j) is det M[S+i, S+j], and the
     last pivot is det M[S, S] (Sylvester's identity), so each update divides
@@ -111,12 +125,16 @@ def _psd_by_elimination(m: Matrix) -> bool:
     a = [list(row) for row in m.entries]
     rest = list(range(m.n_rows))
     prev = None
+    cofactors = (rings.one(ring),)
     while rest:
+        if len(rest) == 2:
+            i, j = rest
+            cofactors = (a[i][i], a[i][j], a[j][j])
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
-            return not any(a[i][j] for i in rest for j in rest)
+            return not any(a[i][j] for i in rest for j in rest), ()
         if negative_ordering(a[k][k], ring) is not None:
-            return False
+            return False, ()
         rest.remove(k)
         p, pivot_row = a[k][k], a[k]
         for x, i in enumerate(rest):
@@ -133,23 +151,27 @@ def _psd_by_elimination(m: Matrix) -> bool:
                         raise ArithmeticError("Bareiss division was not exact")
                 row[j] = a[j][i] = v
         prev = p
-    return True
+    return True, (prev, *cofactors)
 
 
-def is_psd_on_spectrum(m: Matrix) -> PsdReport:
+def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
     """Positive semidefiniteness over the whole real spectrum, exactly.
 
     One fraction-free symmetric elimination decides every ring.  Only when
-    it fails are the principal minors enumerated, to report the first
-    negative one (smallest size, then lexicographic) as the witness.  The
+    it fails, and ``witness`` is set, are the principal minors enumerated,
+    to report the first negative one (smallest size, then lexicographic) as
+    the witness; ``verify`` reads only the verdict and passes False.  The
     size cap stays because that witness search is exponential.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    if _psd_by_elimination(m):
-        return PsdReport(True, None)
+    is_psd, minors = _psd_by_elimination(m)
+    if is_psd:
+        return PsdReport(True, None, minors)
+    if not witness:
+        return PsdReport(False, None)
     ring = m.ring
     for idx in _principal_index_sets(m.n_rows):
         where = negative_ordering(determinant(m.submatrix(idx, idx)), ring)

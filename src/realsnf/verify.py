@@ -92,8 +92,11 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     if not m.is_symmetric():
         raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
-    psd = spectrum.is_psd_on_spectrum(m).is_psd
-    diagonals = smith_diagonals(m)
+    # one elimination feeds both stages: a full-rank PSD verdict carries det M
+    # and (n-1)-minors, which often give the Smith form without a reduction
+    report = spectrum.is_psd_on_spectrum(m, witness=False)
+    psd = report.is_psd
+    diagonals = smith_diagonals(m, report.minors)
     positivity = [_positivity(d, ring) for d in diagonals]
     sign_data = tuple(signs for signs, _ in positivity)
     associates = tuple(associate for _, associate in positivity)

@@ -1,4 +1,5 @@
-"""Shared random-matrix builders and the elimination PSD oracle for the test suite."""
+"""Shared random-matrix builders, known-answer Smith instances and the elimination
+PSD oracle for the test suite."""
 
 import math
 from fractions import Fraction
@@ -131,6 +132,60 @@ def random_unimodular(rng, ring, n, steps=6):
     result = Matrix.from_rows(rows, ring)
     assert rings.is_unit(determinant(result), ring)
     return result
+
+
+def totally_positive_non_unit(rng, ring):
+    """A nonzero element >= 0 at every ordering that is not a unit: a small
+    prime over Z, (x - a)**2 + b with b >= 0 over Q[x], and over a quadratic
+    ring 2, 3 or the square of an element whose norm is not +-1."""
+    if ring is INTEGERS:
+        return rng.choice([2, 3, 5])
+    if ring is RATIONAL_POLYNOMIALS:
+        a, b = rng.randint(-2, 2), rng.randint(0, 2)
+        return RatPoly([a * a + b, -2 * a, 1])
+    if rng.random() < 0.3:
+        return QuadElem(rng.choice([2, 3]), 0, ring)
+    while True:
+        a = QuadElem(rng.randint(-2, 2), rng.randint(-2, 2), ring)
+        if abs(a.norm()) > 1:
+            return a * a
+
+
+def _shear_coefficient(rng, ring):
+    if ring is INTEGERS:
+        return rng.randint(-2, 2)
+    if ring is RATIONAL_POLYNOMIALS:
+        return RatPoly([rng.randint(-2, 2), rng.randint(-1, 1)])
+    return QuadElem(rng.randint(-1, 1), rng.randint(-1, 1), ring)
+
+
+def known_smith_congruence(rng, ring, n, cyclic, rank=None):
+    """(M, d) with M = U * diag(d) * U^T for a product U of random shears.
+
+    U is unimodular, so M has the Smith form diag(d) whenever d is a
+    divisibility chain; every d_k is >= 0 at every ordering, so M is PSD and
+    each nonzero d_k is its own totally positive associate.  With ``cyclic``
+    the chain is (1, ..., 1, delta); otherwise d_1 is a non-unit and each
+    step multiplies by a further factor half the time, so d_{n-1} is never a
+    unit.  Entries past ``rank`` (default n) are zero.  No package routine
+    beyond element arithmetic builds M or d.
+    """
+    rank = n if rank is None else rank
+    one, zero = rings.one(ring), rings.zero(ring)
+    d, value = [], one
+    for k in range(rank):
+        if (not cyclic and (k == 0 or rng.random() < 0.5)) or (cyclic and k == n - 1):
+            value = value * totally_positive_non_unit(rng, ring)
+        d.append(value)
+    d += [zero] * (n - rank)
+    rows = [[d[i] if i == j else zero for j in range(n)] for i in range(n)]
+    for _ in range(2 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rings.coerce(_shear_coefficient(rng, ring), ring)
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]  # row i += c * row j
+        for row in rows:  # column i += c * column j
+            row[i] = row[i] + c * row[j]
+    return Matrix.from_rows(rows, ring), tuple(d)
 
 
 def psd_exact_ordered(rows):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic_ring
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic_ring, spectrum
 from realsnf.errors import NotSquareError, ShapeMismatchError, SizeLimitError
 from realsnf import matrices
 from realsnf.matrices import (
@@ -19,9 +19,15 @@ from realsnf.matrices import (
 )
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
+from realsnf.ringspec import RingFamily
 from realsnf import rings
 
-from helpers import classical_xgcd, rand_matrix, random_unimodular
+from helpers import (
+    classical_xgcd,
+    rand_matrix,
+    random_unimodular,
+    totally_positive_non_unit,
+)
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -315,6 +321,65 @@ class TestUniqueness:
                 if not of_product[k]:
                     continue
                 assert rings.divides(of_left[k], of_product[k], ring)
+
+
+def certification_inputs(rng, ring, n):
+    """Symmetric PSD inputs of size n for the Smith shortcut: a full-rank Gram
+    matrix (mostly certified) and, to be declined, a rank-deficient one and a
+    non-unit times one, plus at n = 2 diag(2, 2) and, over a quadratic ring,
+    diag(t, conj(t)) for a totally positive t, whose norms are equal."""
+    full = rand_matrix(rng, ring, n, n, height=2)
+    yield full @ full.transpose()
+    if n > 1:
+        low = rand_matrix(rng, ring, n, n - 1, height=2)
+        yield low @ low.transpose()
+    c = rings.coerce(totally_positive_non_unit(rng, ring), ring)
+    yield Matrix.from_rows([[c * v for v in row] for row in (full @ full.transpose()).entries], ring)
+    if n == 2:
+        yield Matrix.from_rows([[2, 0], [0, 2]], ring)
+        if ring.family is RingFamily.QUADRATIC_INTEGERS:
+            t = totally_positive_non_unit(rng, ring)
+            yield Matrix.from_rows([[t, 0], [0, t.conjugate()]], ring)
+
+
+class TestCertifiedDiagonals:
+    """Smith diagonals read off the PSD elimination (det M and three
+    (n-1)-minors) against the reduction they skip."""
+
+    @pytest.mark.parametrize("name", RING_TEXTS)
+    def test_agrees_with_the_reduction(self, name, monkeypatch):
+        ring = parse_ring(name)
+        rng = random.Random(46)
+        reduce, reduced = matrices._reduce, []
+
+        def recording(m, transforms):
+            reduced.append(m)
+            return reduce(m, transforms)
+
+        monkeypatch.setattr(matrices, "_reduce", recording)
+        routes = []
+        for n in range(1, 9):
+            for m in certification_inputs(rng, ring, n):
+                minors = spectrum.is_psd_on_spectrum(m, witness=False).minors
+                reduced.clear()
+                diagonals = smith_diagonals(m, minors)
+                routes.append(not reduced)
+                assert diagonals == reduce(m, False)[1]
+        assert set(routes) == {True, False}
+
+    def test_declines_minors_it_cannot_prove_coprime(self):
+        # 3 + w and 3 - w in Z[sqrt(2)] are coprime, but both have norm 7:
+        # the quadratic test is one-sided, so the reduction finds d_1 = 1
+        m = Matrix.from_rows([[QuadElem(3, 1, R2), 0], [0, QuadElem(3, -1, R2)]], R2)
+        minors = spectrum.is_psd_on_spectrum(m).minors
+        assert minors[0] == QuadElem(7, 0, R2)
+        assert not rings.coprime(minors[1:], R2)
+        assert smith_diagonals(m, minors) == (QuadElem(1, 0, R2), QuadElem(7, 0, R2))
+
+    def test_a_zero_determinant_is_never_read_off(self):
+        # coprime (n-1)-minors but det M = 0: rank 1, not (1, 0)
+        m = Matrix.from_rows([[1, 1], [1, 1]], INTEGERS)
+        assert smith_diagonals(m, (0, 1, 1, 1)) == smith_diagonals(m) == (1,)
 
 
 class TestDeterminant:

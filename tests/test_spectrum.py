@@ -325,7 +325,7 @@ class TestEliminationDecision:
 
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
-        monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: False)
+        monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: (False, ()))
         with pytest.raises(ArithmeticError):
             is_psd_on_spectrum(Matrix.from_rows([[1]], parse_ring(name)))
 
@@ -351,7 +351,7 @@ class TestEliminationDecision:
                 if not all(leading):
                     continue
                 tested.clear()
-                is_psd = spectrum._psd_by_elimination(m)
+                is_psd, _ = spectrum._psd_by_elimination(m)
                 assert tested == leading[: len(tested)]
                 if is_psd:
                     assert len(tested) == n
@@ -454,7 +454,7 @@ class TestSamplingAgreement:
         # a broken decision that reads only the 1x1 principal minors; the
         # oracle must then refute some PSD verdict at a sample point
         def diagonal_only(m):
-            return all(element_is_nonneg(m[i, i], m.ring) for i in range(m.n_rows))
+            return all(element_is_nonneg(m[i, i], m.ring) for i in range(m.n_rows)), ()
 
         monkeypatch.setattr(spectrum, "_psd_by_elimination", diagonal_only)
         assert any(is_psd and not agrees for is_psd, agrees in sampling_checks(seed=4, trials=60))

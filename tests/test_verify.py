@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import rand_matrix
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring
+from helpers import RING_NAMES, known_smith_congruence, rand_matrix
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic_ring
 from realsnf.errors import (
     CounterexampleConditionError,
     NotCertifiedIrreducibleError,
@@ -15,7 +15,7 @@ from realsnf import matrices
 from realsnf.matrices import Matrix, smith_normal_form
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem, positive_associate
-from realsnf import rings
+from realsnf import rings, spectrum
 from realsnf.verify import (
     MAX_TRIAL_COUNT,
     MAX_TRIAL_DEGREE,
@@ -60,7 +60,8 @@ class TestVerifyMainTheorem:
 
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
     def test_verdict_builds_no_transforms(self, ring, monkeypatch):
-        n = rand_matrix(random.Random(5), ring, 3, 3, height=3)
+        # rank-deficient, so the Smith stage cannot read det M and must reduce
+        n = rand_matrix(random.Random(5), ring, 3, 2, height=3)
         m = n @ n.transpose()
         kept_companions = []
 
@@ -76,6 +77,51 @@ class TestVerifyMainTheorem:
         assert kept_companions[1:] and set(kept_companions[1:]) == {(False, False)}
         assert report.input_psd
         assert report.snf_diagonals == expected
+
+    @pytest.mark.parametrize(
+        "ring, rows, expected",
+        [
+            (INTEGERS, [[2, 1], [1, 2]], ("1", "3")),
+            (RATIONAL_POLYNOMIALS, [["x^2+1", "x"], ["x", "2"]], ("1", "x^2 + 2")),
+            (R2, [["3+1w", "1"], ["1", "3-1w"]], ("1+0w", "6+0w")),
+        ],
+        ids=["Z", "Q[x]", "Zsqrt:2"],
+    )
+    def test_certified_verdict_builds_no_reduction(self, ring, rows, expected, monkeypatch):
+        # coprime (n-1)-minors and det M != 0: the diagonals come from the PSD
+        # elimination, and no _Reduction is built at all
+        built = []
+
+        class Recorded(matrices._Reduction):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(args)
+
+        monkeypatch.setattr(matrices, "_Reduction", Recorded)
+        m = matrices.matrix_from_json(rows, ring)
+        report = verify_main_theorem(m)
+        assert built == []
+        assert tuple(str(d) for d in report.snf_diagonals) == expected
+        assert smith_normal_form(m).diagonals == report.snf_diagonals
+
+    @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
+    def test_not_psd_verdict_enumerates_no_minor(self, ring, monkeypatch):
+        # verify reads only the verdict, so it names no witness; the
+        # one-argument PSD call still does
+        def no_minors(m):
+            raise RuntimeError("a principal minor was enumerated")
+
+        g = rand_matrix(random.Random(6), ring, 3, 3, height=3)
+        rows = [list(r) for r in (g @ g.transpose()).entries]
+        rows[0][1] = rows[1][0] = rows[0][1] + rows[0][0] + rows[1][1] + 1
+        m = Matrix.from_rows(rows, ring)
+        witness = spectrum.is_psd_on_spectrum(m).witness
+        assert witness is not None and len(witness.minor_rows) == 2
+        monkeypatch.setattr(spectrum, "determinant", no_minors)
+        report = verify_main_theorem(m)
+        assert report.conclusion is Conclusion.NOT_APPLICABLE_NOT_PSD
+        with pytest.raises(RuntimeError):
+            spectrum.is_psd_on_spectrum(m)
 
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetricError):
@@ -100,6 +146,38 @@ class TestVerifyMainTheorem:
         payload = report.to_json()
         assert payload["snf_diagonals"] == ["2", "6"]
         assert payload["conclusion"] == "TheoremHolds"
+
+
+class TestKnownAnswers:
+    """M = U * D * U^T with U a product of shears: the Smith form is D."""
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_diagonals_are_the_planted_chain(self, name, monkeypatch):
+        ring = parse_ring(name)
+        rng = random.Random(48)
+        reduce, reduced = matrices._reduce, []
+
+        def recording(m, transforms):
+            reduced.append(m)
+            return reduce(m, transforms)
+
+        monkeypatch.setattr(matrices, "_reduce", recording)
+        routes = []
+        for n in range(1, 9):
+            for cyclic in (True, False):
+                for rank in (n, n - 1):
+                    m, d = known_smith_congruence(rng, ring, n, cyclic, rank)
+                    reduced.clear()
+                    report = verify_main_theorem(m)
+                    routes.append(not reduced)
+                    planted = [v for v in d if v]
+                    assert len(report.snf_diagonals) == len(planted)
+                    for got, want in zip(report.snf_diagonals, planted):
+                        assert rings.are_associated(got, want, ring)
+                        assert rings.canonicalize(got, ring) == got
+                    # every planted d_k is its own totally positive associate
+                    assert report.conclusion is Conclusion.THEOREM_HOLDS
+        assert set(routes) == {True, False}
 
 
 class TestCounterexampleRecipe:
