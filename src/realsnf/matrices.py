@@ -8,15 +8,15 @@ gcd/lcm fix-up on diagonal pairs, and each diagonal entry is scaled to its
 canonical associate.  :func:`smith_diagonals` reduces D alone, while
 :func:`smith_normal_form` keeps two companions beside it, starting as
 identities, and mirrors each row operation E on D by (E^-1)^T on the
-matching companion rows, to build P and Q with M = P * D * Q.  Given det M
-and coprime (n-1) x (n-1) minors, which the PSD elimination supplies for
-most full-rank inputs, :func:`smith_diagonals` reads off (1, ..., 1, det M)
-and skips the reduction.  Determinants
-use fraction-free (Bareiss) elimination, which stays inside the ring.
-:func:`verify_snf` certifies a result from M = P*D*Q, unimodular P and Q
-and the divisibility chain, which by uniqueness of invariant factors is a
-proof; the exponential :func:`minor_gcd_profile` is kept as an independent
-oracle for the tests.
+matching companion rows, to build P and Q with M = P * D * Q.  Determinants
+use fraction-free (Bareiss) elimination, which stays inside the ring;
+:func:`symmetric_elimination` runs it with diagonal pivots, which are
+principal minors, and when all n pivots run it ends with det M and three
+(n-1) x (n-1) minors.  When those are coprime, :func:`smith_diagonals`
+reads off (1, ..., 1, det M) and skips the reduction.  :func:`verify_snf`
+certifies a result from M = P*D*Q, unimodular P and Q and the divisibility
+chain, which by uniqueness of invariant factors is a proof; the exponential
+:func:`minor_gcd_profile` is kept as an independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -200,6 +200,51 @@ def determinant(m: Matrix) -> Element:
         prev = rows[k][k]
     det = rows[n - 1][n - 1]
     return -det if sign_flip else det
+
+
+def symmetric_elimination(m: Matrix) -> tuple[tuple[Element, ...], bool, tuple[Element, ...]]:
+    """Fraction-free symmetric elimination of a symmetric M: (pivots, stuck, minors).
+
+    Each round pivots on the first nonzero remaining diagonal entry, whatever
+    its sign, until none is left.  After pivots on the rows S, entry (i, j) is
+    det M[S+i, S+j] and the last pivot det M[S, S] (Sylvester's identity), so
+    every pivot is a principal minor and each update divides exactly by the
+    pivot before.  ``stuck`` says it stopped on a nonzero block with a zero
+    diagonal.  When all n pivots ran, ``minors`` is det M (the last pivot) and
+    the three distinct entries of the 2 x 2 block left with two rows to go,
+    (n-1) x (n-1) minors (for n = 2 the block is M; for n = 1 the one minor is
+    the empty one, 1); otherwise it is empty.
+    """
+    ring = m.ring
+    a = [list(row) for row in m.entries]
+    rest = list(range(m.n_rows))
+    pivots: list[Element] = []
+    cofactors = (rings.one(ring),)
+    while rest:
+        if len(rest) == 2:
+            i, j = rest
+            cofactors = (a[i][i], a[i][j], a[j][j])
+        k = next((i for i in rest if a[i][i]), None)
+        if k is None:
+            return tuple(pivots), any(a[i][j] for i in rest for j in rest), ()
+        rest.remove(k)
+        p, pivot_row = a[k][k], a[k]
+        prev = pivots[-1] if pivots else None
+        for x, i in enumerate(rest):
+            row, aik = a[i], a[i][k]
+            for j in rest[x:]:
+                v = row[j]
+                if v:
+                    v = v * p
+                if aik and pivot_row[j]:
+                    v = v - aik * pivot_row[j]
+                if prev is not None and v:
+                    v = rings.exact_divide(v, prev, ring)
+                    if v is None:
+                        raise ArithmeticError("Bareiss division was not exact")
+                row[j] = a[j][i] = v
+        pivots.append(p)
+    return tuple(pivots), False, (pivots[-1], *cofactors)
 
 
 # -- minor ideals -----------------------------------------------------------------
@@ -435,7 +480,7 @@ def smith_diagonals(m: Matrix, minors: Sequence[Element] = ()) -> tuple[Element,
     """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q.
 
     ``minors`` may hold det M of a square M followed by some of its
-    (n-1) x (n-1) minors, as the PSD elimination hands them over.  Write
+    (n-1) x (n-1) minors, as :func:`symmetric_elimination` returns them.  Write
     D_k = d_1 * ... * d_k for the gcd of all k x k minors.  When det M != 0
     and :func:`rings.coprime` proves the given minors coprime, D_{n-1} is a
     unit, so the diagonals are (1, ..., 1, det M) up to associates and M is

@@ -4,16 +4,16 @@ For Z there is a single ordering; for Q[x] positivity means pointwise
 nonnegativity of polynomial functions on R; for a real quadratic ring it
 means nonnegativity under both real embeddings.  Every ring is decided the
 same way, exactly in the ring, so no embedding is ever evaluated with
-floating point: one fraction-free symmetric elimination (Bareiss, Math.
-Comp. 22, 1968), whose every entry is a ratio of principal minors and whose
-every division is exact, with one sign test per pivot.  The only per-family
-fact it reads is where an element is negative (`negative_ordering`).
+floating point: the pivots of one fraction-free symmetric elimination
+(:func:`matrices.symmetric_elimination`), which are principal minors, get
+one sign test each, up to the first negative one.  The only per-family fact
+the decision reads is where an element is negative (`negative_ordering`).
 
 The principal minors are enumerated only on a not-PSD verdict, and only when
-the caller asks for the witness.  On a full-rank PSD verdict the elimination
-also hands over det M (its last pivot) and three (n-1) x (n-1) minors (the
-2 x 2 block left before the last two pivots), which the Smith stage of
-``verify`` reads instead of reducing M again.
+the caller asks for the witness.  Whenever the elimination ran all n pivots,
+whatever the verdict, the report also hands over det M and three
+(n-1) x (n-1) minors, which the Smith stage of ``verify`` reads instead of
+reducing M again.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import polynomials, rings
 from .errors import NotSymmetricError, SizeLimitError
-from .matrices import Matrix, determinant
+from .matrices import Matrix, determinant, symmetric_elimination
 from .rings import Element
 from .ringspec import RingFamily, RingSpec
 
@@ -76,9 +76,8 @@ class PsdWitness:
 @dataclass(frozen=True)
 class PsdReport:
     """The verdict and its witness.  ``minors`` is det M followed by three
-    (n-1) x (n-1) minors of M when the elimination ran all n pivots (a
-    full-rank PSD input), and empty otherwise; it is left out of equality
-    and JSON."""
+    (n-1) x (n-1) minors of M when the elimination ran all n pivots, PSD or
+    not, and empty otherwise; it is left out of equality and JSON."""
 
     is_psd: bool
     witness: PsdWitness | None
@@ -96,85 +95,41 @@ def _principal_index_sets(n: int):
         yield from itertools.combinations(range(n), k)
 
 
-def _psd_by_elimination(m: Matrix) -> tuple[bool, tuple[Element, ...]]:
-    """PSD at every ordering of the ring: Z, Q[x] or a real quadratic ring.
+def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
+    """Positive semidefiniteness over the whole real spectrum, exactly.
 
-    Returns the verdict and, when all n pivots ran, det M followed by the
-    three distinct entries of the 2 x 2 block left with two rows to go,
-    which are (n-1) x (n-1) minors of M (for n = 2 that block is M; for
-    n = 1 the one minor is the empty one, 1).  Otherwise the tuple is empty.
+    The pivots of :func:`matrices.symmetric_elimination` are principal
+    minors, tested in order up to the first negative one:
 
-    After pivots on the rows S, entry (i, j) is det M[S+i, S+j], and the
-    last pivot is det M[S, S] (Sylvester's identity), so each update divides
-    exactly by the pivot before.  Each round pivots on the first nonzero
-    remaining diagonal entry and tests only that pivot's sign:
-
-    - A pivot negative at some ordering is a negative principal minor, so M
-      is not PSD.
+    - A pivot negative at some ordering is a negative principal minor: not PSD.
     - Otherwise every pivot is >= 0 everywhere.  Take an ordering t at which
       no pivot vanishes: over Z and the quadratic rings that is every
       ordering, over Q[x] every real point but finitely many.  At t, M is
       congruent to the pivots, all > 0, plus the remaining block.  If the
-      loop empties, M(t) is PSD.  If it stops because every remaining
-      diagonal entry is zero, det M[S+i+j] = -a_ij**2 / det M[S, S], which
-      is < 0 wherever a_ij != 0; so M is PSD exactly when the rest is zero.
+      elimination ran out of rows or left a zero block, M(t) is PSD.  If it
+      is stuck after pivots on the rows S, on a nonzero block (a_ij) with a
+      zero diagonal, det M[S+i+j] = -a_ij**2 / det M[S, S] < 0 wherever
+      a_ij != 0, so M is not PSD.
     - Over Q[x] a PSD verdict at all but finitely many points is a verdict
       at every point, because PSD is a closed condition.
-    """
-    ring = m.ring
-    a = [list(row) for row in m.entries]
-    rest = list(range(m.n_rows))
-    prev = None
-    cofactors = (rings.one(ring),)
-    while rest:
-        if len(rest) == 2:
-            i, j = rest
-            cofactors = (a[i][i], a[i][j], a[j][j])
-        k = next((i for i in rest if a[i][i]), None)
-        if k is None:
-            return not any(a[i][j] for i in rest for j in rest), ()
-        if negative_ordering(a[k][k], ring) is not None:
-            return False, ()
-        rest.remove(k)
-        p, pivot_row = a[k][k], a[k]
-        for x, i in enumerate(rest):
-            row, aik = a[i], a[i][k]
-            for j in rest[x:]:
-                v = row[j]
-                if v:
-                    v = v * p
-                if aik and pivot_row[j]:
-                    v = v - aik * pivot_row[j]
-                if prev is not None and v:
-                    v = rings.exact_divide(v, prev, ring)
-                    if v is None:
-                        raise ArithmeticError("Bareiss division was not exact")
-                row[j] = a[j][i] = v
-        prev = p
-    return True, (prev, *cofactors)
 
-
-def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
-    """Positive semidefiniteness over the whole real spectrum, exactly.
-
-    One fraction-free symmetric elimination decides every ring.  Only when
-    it fails, and ``witness`` is set, are the principal minors enumerated,
-    to report the first negative one (smallest size, then lexicographic) as
-    the witness; ``verify`` reads only the verdict and passes False.  The
-    size cap stays because that witness search is exponential.
+    Only when M is not PSD, and ``witness`` is set, are the principal minors
+    enumerated, to report the first negative one (smallest size, then
+    lexicographic) as the witness; ``verify`` passes False.  The 8 x 8 cap
+    bounds that exponential search and ``verify``'s Smith stage (over 150 s
+    for an N * N^T input at n = 40 over Zsqrt:2).
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    is_psd, minors = _psd_by_elimination(m)
-    if is_psd:
+    pivots, stuck, minors = symmetric_elimination(m)
+    if not stuck and all(negative_ordering(p, m.ring) is None for p in pivots):
         return PsdReport(True, None, minors)
     if not witness:
-        return PsdReport(False, None)
-    ring = m.ring
+        return PsdReport(False, None, minors)
     for idx in _principal_index_sets(m.n_rows):
-        where = negative_ordering(determinant(m.submatrix(idx, idx)), ring)
+        where = negative_ordering(determinant(m.submatrix(idx, idx)), m.ring)
         if where is not None:
-            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
+            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where), minors)
     raise ArithmeticError("the PSD test failed but no principal minor is negative")

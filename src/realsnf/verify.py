@@ -92,8 +92,8 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     if not m.is_symmetric():
         raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
-    # one elimination feeds both stages: a full-rank PSD verdict carries det M
-    # and (n-1)-minors, which often give the Smith form without a reduction
+    # one elimination feeds both stages: when it ran all n pivots the report
+    # carries det M and (n-1)-minors, which often give the Smith form at once
     report = spectrum.is_psd_on_spectrum(m, witness=False)
     psd = report.is_psd
     diagonals = smith_diagonals(m, report.minors)

@@ -245,12 +245,26 @@ class TestPositiveAssociate:
     def test_mixed_without_pnri_is_stuck(self):
         assert positive_associate(QuadElem(1, 1, R3)) is None
 
-    def test_mixed_with_pnri(self):
-        a = QuadElem(1, -1, R2)  # 1 - sqrt(2) < 0 at plus, > 0 at minus
+    @pytest.mark.parametrize(
+        "name, x, y, pattern",
+        [
+            ("Zsqrt:2", 1, 1, (1, -1)),
+            ("Zsqrt:2", 1, -1, (-1, 1)),
+            ("Zhalf:5", 0, 1, (1, -1)),
+            ("Zhalf:5", 1, -1, (-1, 1)),
+            ("Zhalf:13", 0, 1, (1, -1)),
+            ("Zhalf:13", 1, -1, (-1, 1)),
+        ],
+    )
+    def test_mixed_with_pnri(self, name, x, y, pattern):
+        # every pnri ring, both mixed patterns: 1 +- w, and w, 1 - w for the
+        # Zhalf rings (no Smith diagonal reaches this branch on Zhalf:5)
+        a = QuadElem(x, y, parse_ring(name))
+        assert pnri_holds(a.ring) and a.sign_pattern() == SignPattern(*pattern)
         result = positive_associate(a)
         assert result is not None
         assert result.sign_pattern() == SignPattern(1, 1)
-        assert exact_divide(result, a) is not None  # unit multiple
+        assert exact_divide(result, a) is not None and exact_divide(a, result) is not None
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroElementError):

@@ -324,22 +324,37 @@ class TestUniqueness:
 
 
 def certification_inputs(rng, ring, n):
-    """Symmetric PSD inputs of size n for the Smith shortcut: a full-rank Gram
+    """Symmetric inputs of size n for the Smith shortcut: a full-rank Gram
     matrix (mostly certified) and, to be declined, a rank-deficient one and a
     non-unit times one, plus at n = 2 diag(2, 2) and, over a quadratic ring,
-    diag(t, conj(t)) for a totally positive t, whose norms are equal."""
+    diag(t, conj(t)) for a totally positive t, whose norms are equal.  Two
+    not-PSD variants of the Gram matrix G follow: one off-diagonal pair
+    raised to g_ij + g_ii + g_jj + 1, which exceeds sqrt(g_ii * g_jj) at
+    every ordering, and one diagonal entry lowered to -g_ii - 1."""
     full = rand_matrix(rng, ring, n, n, height=2)
-    yield full @ full.transpose()
+    g = full @ full.transpose()
+    gram = [list(r) for r in g.entries]
+    yield g
     if n > 1:
         low = rand_matrix(rng, ring, n, n - 1, height=2)
         yield low @ low.transpose()
     c = rings.coerce(totally_positive_non_unit(rng, ring), ring)
-    yield Matrix.from_rows([[c * v for v in row] for row in (full @ full.transpose()).entries], ring)
+    yield Matrix.from_rows([[c * v for v in row] for row in gram], ring)
     if n == 2:
         yield Matrix.from_rows([[2, 0], [0, 2]], ring)
         if ring.family is RingFamily.QUADRATIC_INTEGERS:
             t = totally_positive_non_unit(rng, ring)
             yield Matrix.from_rows([[t, 0], [0, t.conjugate()]], ring)
+    one = rings.one(ring)
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        raised = [row[:] for row in gram]
+        raised[i][j] = raised[j][i] = gram[i][j] + gram[i][i] + gram[j][j] + one
+        yield Matrix.from_rows(raised, ring)
+    i = rng.randrange(n)
+    lowered = [row[:] for row in gram]
+    lowered[i][i] = -gram[i][i] - one
+    yield Matrix.from_rows(lowered, ring)
 
 
 class TestCertifiedDiagonals:
@@ -360,12 +375,13 @@ class TestCertifiedDiagonals:
         routes = []
         for n in range(1, 9):
             for m in certification_inputs(rng, ring, n):
-                minors = spectrum.is_psd_on_spectrum(m, witness=False).minors
+                report = spectrum.is_psd_on_spectrum(m, witness=False)
                 reduced.clear()
-                diagonals = smith_diagonals(m, minors)
-                routes.append(not reduced)
+                diagonals = smith_diagonals(m, report.minors)
+                routes.append((report.is_psd, not reduced))
                 assert diagonals == reduce(m, False)[1]
-        assert set(routes) == {True, False}
+        assert {certified for _, certified in routes} == {True, False}
+        assert (False, True) in routes  # a not-PSD input read off the elimination
 
     def test_declines_minors_it_cannot_prove_coprime(self):
         # 3 + w and 3 - w in Z[sqrt(2)] are coprime, but both have norm 7:

@@ -325,24 +325,19 @@ class TestEliminationDecision:
 
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
-        monkeypatch.setattr(spectrum, "_psd_by_elimination", lambda m: (False, ()))
+        # a fake negative pivot: the enumeration then finds no negative minor
+        fake = lambda m: ((rings.coerce(-1, m.ring),), False, ())
+        monkeypatch.setattr(spectrum, "symmetric_elimination", fake)
         with pytest.raises(ArithmeticError):
             is_psd_on_spectrum(Matrix.from_rows([[1]], parse_ring(name)))
 
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zhalf:13"])
-    def test_pivots_are_the_leading_principal_minors(self, name, monkeypatch):
+    def test_pivots_are_the_leading_principal_minors(self, name):
         # with no zero pivot the elimination pivots on rows 1, 2, .. in turn,
-        # and the k-th pivot whose sign it tests is det M[1..k, 1..k]
+        # whatever their signs, and the k-th pivot is det M[1..k, 1..k]
         ring = parse_ring(name)
         rng = random.Random(44)
-        original = spectrum.negative_ordering
-        tested, verdicts = [], set()
-
-        def recording(a, ring):
-            tested.append(a)
-            return original(a, ring)
-
-        monkeypatch.setattr(spectrum, "negative_ordering", recording)
+        signs = set()
         for n in range(1, max_size(ring) + 2):
             a = rand_matrix(rng, ring, n, n, height=3)
             both_ways = [[a[i, j] + a[j, i] for j in range(n)] for i in range(n)]
@@ -350,15 +345,35 @@ class TestEliminationDecision:
                 leading = [determinant(m.submatrix(range(k), range(k))) for k in range(1, n + 1)]
                 if not all(leading):
                     continue
-                tested.clear()
-                is_psd, _ = spectrum._psd_by_elimination(m)
-                assert tested == leading[: len(tested)]
-                if is_psd:
-                    assert len(tested) == n
-                else:
-                    assert original(tested[-1], ring) is not None
-                verdicts.add(is_psd)
-        assert verdicts == {True, False}
+                pivots, stuck, minors = matrices.symmetric_elimination(m)
+                assert list(pivots) == leading
+                assert not stuck
+                assert minors[0] == determinant(m)
+                signs.update(element_is_nonneg(p, ring) for p in pivots[:-1])
+        # some pivot negative somewhere was not the last: the elimination ran past it
+        assert signs == {True, False}
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
+    def test_sign_tests_stop_at_the_first_negative_pivot(self, name, monkeypatch):
+        # diag(1, .., 1, -1, 1, ..) has pivot k as its first negative one, so
+        # the decision makes k sign tests; a stuck elimination makes none
+        ring = parse_ring(name)
+        original, tested = spectrum.negative_ordering, []
+
+        def recording(a, ring):
+            tested.append(a)
+            return original(a, ring)
+
+        monkeypatch.setattr(spectrum, "negative_ordering", recording)
+        n = 4
+        for k in range(1, n + 1):
+            rows = [[(-1 if i == k - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
+            tested.clear()
+            assert not is_psd_on_spectrum(Matrix.from_rows(rows, ring), witness=False).is_psd
+            assert len(tested) == k
+        tested.clear()
+        assert not is_psd_on_spectrum(Matrix.from_rows([[0, 1], [1, 0]], ring), witness=False).is_psd
+        assert tested == []
 
 
 class TestExactOrderedPsd:
@@ -454,7 +469,7 @@ class TestSamplingAgreement:
         # a broken decision that reads only the 1x1 principal minors; the
         # oracle must then refute some PSD verdict at a sample point
         def diagonal_only(m):
-            return all(element_is_nonneg(m[i, i], m.ring) for i in range(m.n_rows)), ()
+            return tuple(m[i, i] for i in range(m.n_rows)), False, ()
 
-        monkeypatch.setattr(spectrum, "_psd_by_elimination", diagonal_only)
+        monkeypatch.setattr(spectrum, "symmetric_elimination", diagonal_only)
         assert any(is_psd and not agrees for is_psd, agrees in sampling_checks(seed=4, trials=60))

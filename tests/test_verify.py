@@ -78,18 +78,10 @@ class TestVerifyMainTheorem:
         assert report.input_psd
         assert report.snf_diagonals == expected
 
-    @pytest.mark.parametrize(
-        "ring, rows, expected",
-        [
-            (INTEGERS, [[2, 1], [1, 2]], ("1", "3")),
-            (RATIONAL_POLYNOMIALS, [["x^2+1", "x"], ["x", "2"]], ("1", "x^2 + 2")),
-            (R2, [["3+1w", "1"], ["1", "3-1w"]], ("1+0w", "6+0w")),
-        ],
-        ids=["Z", "Q[x]", "Zsqrt:2"],
-    )
-    def test_certified_verdict_builds_no_reduction(self, ring, rows, expected, monkeypatch):
-        # coprime (n-1)-minors and det M != 0: the diagonals come from the PSD
-        # elimination, and no _Reduction is built at all
+    @staticmethod
+    def verify_without_reduction(ring, rows, expected, monkeypatch):
+        """The report on M, checked to build no _Reduction and to give the
+        expected diagonals, which smith_normal_form also gives."""
         built = []
 
         class Recorded(matrices._Reduction):
@@ -103,6 +95,37 @@ class TestVerifyMainTheorem:
         assert built == []
         assert tuple(str(d) for d in report.snf_diagonals) == expected
         assert smith_normal_form(m).diagonals == report.snf_diagonals
+        return report
+
+    @pytest.mark.parametrize(
+        "ring, rows, expected",
+        [
+            (INTEGERS, [[2, 1], [1, 2]], ("1", "3")),
+            (RATIONAL_POLYNOMIALS, [["x^2+1", "x"], ["x", "2"]], ("1", "x^2 + 2")),
+            (R2, [["3+1w", "1"], ["1", "3-1w"]], ("1+0w", "6+0w")),
+        ],
+        ids=["Z", "Q[x]", "Zsqrt:2"],
+    )
+    def test_certified_verdict_builds_no_reduction(self, ring, rows, expected, monkeypatch):
+        # coprime (n-1)-minors and det M != 0: the diagonals come from the PSD
+        # elimination, and no _Reduction is built at all
+        report = self.verify_without_reduction(ring, rows, expected, monkeypatch)
+        assert report.conclusion is Conclusion.THEOREM_HOLDS
+
+    @pytest.mark.parametrize(
+        "ring, rows, expected",
+        [
+            (INTEGERS, [[1, 2], [2, 1]], ("1", "3")),
+            (RATIONAL_POLYNOMIALS, [["1", "x"], ["x", "1"]], ("1", "x^2 - 1")),
+            (R2, [["1", "1+1w"], ["1+1w", "1"]], ("1+0w", "2+0w")),
+        ],
+        ids=["Z", "Q[x]", "Zsqrt:2"],
+    )
+    def test_not_psd_verdict_builds_no_reduction(self, ring, rows, expected, monkeypatch):
+        # the elimination runs past the negative pivot, so a not-PSD input
+        # hands over det M and its (n-1)-minors too
+        report = self.verify_without_reduction(ring, rows, expected, monkeypatch)
+        assert report.conclusion is Conclusion.NOT_APPLICABLE_NOT_PSD
 
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
     def test_not_psd_verdict_enumerates_no_minor(self, ring, monkeypatch):
