@@ -11,9 +11,13 @@ identities, and mirrors each row operation E on D by (E^-1)^T on the
 matching companion rows, to build P and Q with M = P * D * Q.  Determinants
 use fraction-free (Bareiss) elimination, which stays inside the ring;
 :func:`symmetric_elimination` runs it with diagonal pivots, which are
-principal minors, and when all n pivots run it ends with det M and three
-(n-1) x (n-1) minors.  When those are coprime, :func:`smith_diagonals`
-reads off (1, ..., 1, det M) and skips the reduction.  :func:`verify_snf`
+principal minors, and hands over k x k minors from a block it left: k = n - 1
+at full rank (det M is the last pivot), k = r at rank r < n.  Their ideal
+holds a modulus G that d_1 * ... * d_k divides (:func:`rings.ideal_element`).
+:func:`smith_diagonals` reads d_1, ..., d_k off G when it is a unit, and
+otherwise, over Z and the quadratic rings, reduces M with its entries taken
+modulo G, so their coordinates stay below G; over Q[x] it reduces M from
+scratch, as it does when the elimination got stuck.  :func:`verify_snf`
 certifies a result from M = P*D*Q, unimodular P and Q and the divisibility
 chain, which by uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
@@ -202,31 +206,56 @@ def determinant(m: Matrix) -> Element:
     return -det if sign_flip else det
 
 
-def symmetric_elimination(m: Matrix) -> tuple[tuple[Element, ...], bool, tuple[Element, ...]]:
-    """Fraction-free symmetric elimination of a symmetric M: (pivots, stuck, minors).
+@dataclass(frozen=True)
+class Elimination:
+    """What :func:`symmetric_elimination` finds in a symmetric n x n M.
+
+    ``pivots`` are principal minors, all nonzero; ``stuck`` says the
+    elimination stopped on a nonzero block with a zero diagonal.  Otherwise
+    M has rank r = len(pivots), and ``minors`` are some of its k x k minors,
+    k = ``order``, whose gcd is a multiple of d_1 * ... * d_k: at full rank
+    three (n-1) x (n-1) minors (k = n - 1, and det M is the last pivot), at
+    rank r < n every r x r minor in the block left before the last pivot
+    (k = r).  A stuck elimination hands over none.
+    """
+
+    pivots: tuple[Element, ...]
+    stuck: bool
+    minors: tuple[Element, ...] = ()
+    order: int = 0
+
+    @property
+    def rank(self) -> int | None:
+        """The rank of M, unknown (None) when the elimination got stuck."""
+        return None if self.stuck else len(self.pivots)
+
+
+def symmetric_elimination(m: Matrix) -> Elimination:
+    """Fraction-free symmetric elimination of a symmetric M.
 
     Each round pivots on the first nonzero remaining diagonal entry, whatever
     its sign, until none is left.  After pivots on the rows S, entry (i, j) is
     det M[S+i, S+j] and the last pivot det M[S, S] (Sylvester's identity), so
     every pivot is a principal minor and each update divides exactly by the
-    pivot before.  ``stuck`` says it stopped on a nonzero block with a zero
-    diagonal.  When all n pivots ran, ``minors`` is det M (the last pivot) and
-    the three distinct entries of the 2 x 2 block left with two rows to go,
-    (n-1) x (n-1) minors (for n = 2 the block is M; for n = 1 the one minor is
-    the empty one, 1); otherwise it is empty.
+    pivot before.  The minors handed over are the distinct entries of a block
+    as it stood before a pivot: the 2 x 2 block left with two rows to go when
+    all n pivots ran (for n = 1 the one minor is the empty one, 1), else the
+    block before the last pivot (for M = 0, again the empty minor).
     """
     ring = m.ring
     a = [list(row) for row in m.entries]
     rest = list(range(m.n_rows))
     pivots: list[Element] = []
-    cofactors = (rings.one(ring),)
+    block = cofactors = (rings.one(ring),)
     while rest:
-        if len(rest) == 2:
-            i, j = rest
-            cofactors = (a[i][i], a[i][j], a[j][j])
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
-            return tuple(pivots), any(a[i][j] for i in rest for j in rest), ()
+            if any(a[i][j] for i in rest for j in rest):
+                return Elimination(tuple(pivots), True)
+            return Elimination(tuple(pivots), False, block, len(pivots))
+        block = tuple(a[i][j] for x, i in enumerate(rest) for j in rest[x:])
+        if len(rest) == 2:
+            cofactors = block
         rest.remove(k)
         p, pivot_row = a[k][k], a[k]
         prev = pivots[-1] if pivots else None
@@ -244,7 +273,7 @@ def symmetric_elimination(m: Matrix) -> tuple[tuple[Element, ...], bool, tuple[E
                         raise ArithmeticError("Bareiss division was not exact")
                 row[j] = a[j][i] = v
         pivots.append(p)
-    return tuple(pivots), False, (pivots[-1], *cofactors)
+    return Elimination(tuple(pivots), False, cofactors, len(pivots) - 1)
 
 
 # -- minor ideals -----------------------------------------------------------------
@@ -317,8 +346,9 @@ class _Reduction:
     as they are.
     """
 
-    def __init__(self, m: Matrix, transforms: bool):
+    def __init__(self, m: Matrix, transforms: bool, modulus: Element | None = None):
         self.ring = m.ring
+        self.modulus = modulus
         self.d = [list(row) for row in m.entries]
         self.n = m.n_rows
         self.m = m.n_cols
@@ -331,6 +361,7 @@ class _Reduction:
         self._scalable = self.ring.family is RingFamily.RATIONAL_POLYNOMIALS
         for i in range(self.n):
             self.normalize(i)
+            self.reduce(i)
 
     def transpose(self) -> None:
         """D <- D^T: the rows of D now pair with the columns of the input."""
@@ -347,6 +378,18 @@ class _Reduction:
         factor = row_primitive_scale(self.d[i])
         if factor != 1:
             self.scale(i, factor, 1 / factor)
+
+    def reduce(self, i: int, pivot: int = -1) -> None:
+        """With a modulus G, take row i modulo G, all but its entry in column
+        ``pivot``: a pivot taken modulo G could undo the Bezout step that
+        shrank it, and the clearing would not terminate."""
+        g = self.modulus
+        if g is None:
+            return
+        ring = self.ring
+        self.d[i] = [
+            rings.residue(v, g, ring) if v and j != pivot else v for j, v in enumerate(self.d[i])
+        ]
 
     def swap(self, i: int, j: int) -> None:
         if i == j:
@@ -427,7 +470,9 @@ def _clear_column(red: _Reduction, t: int) -> bool:
             red.add_multiple(i, t, -quotient)
         else:
             red.apply_pair(t, i, *rings.xgcd(red.d[t][t], red.d[i][t], ring)[1:])
+            red.reduce(t, pivot=t)
             used_bezout = True
+        red.reduce(i)
     return used_bezout
 
 
@@ -452,10 +497,19 @@ def _clear_pivot(red: _Reduction, t: int) -> None:
             raise ArithmeticError("pivot clearing made no progress")
 
 
-def _reduce(m: Matrix, transforms: bool) -> tuple[_Reduction, tuple[Element, ...]]:
+def _reduce(
+    m: Matrix, transforms: bool, modulus: Element | None = None
+) -> tuple[_Reduction, tuple[Element, ...]]:
     """Bring M to Smith form D, with P and Q when ``transforms`` is set; also
-    return d_1, ..., d_rank."""
-    red = _Reduction(m, transforms)
+    return d_1, ..., d_rank.
+
+    With a ``modulus`` G (a rational integer, over Z or a quadratic ring,
+    without transforms) every entry but the current pivot is kept reduced
+    modulo G.  That reduces some M' congruent to M modulo G instead, and
+    [M' | G*I] and [M | G*I] are equivalent, so the i-th diagonal e_i
+    returned (0 past the rank of M') has gcd(e_i, G) = gcd(d_i, G).
+    """
+    red = _Reduction(m, transforms, modulus)
     # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
     # so the nonzero diagonal entries form the prefix d_1..d_rank.
     rank = 0
@@ -476,21 +530,43 @@ def _reduce(m: Matrix, transforms: bool) -> tuple[_Reduction, tuple[Element, ...
     return red, tuple(red.d[k][k] for k in range(rank))
 
 
-def smith_diagonals(m: Matrix, minors: Sequence[Element] = ()) -> tuple[Element, ...]:
+def smith_diagonals(m: Matrix, elimination: Elimination | None = None) -> tuple[Element, ...]:
     """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q.
 
-    ``minors`` may hold det M of a square M followed by some of its
-    (n-1) x (n-1) minors, as :func:`symmetric_elimination` returns them.  Write
-    D_k = d_1 * ... * d_k for the gcd of all k x k minors.  When det M != 0
-    and :func:`rings.coprime` proves the given minors coprime, D_{n-1} is a
-    unit, so the diagonals are (1, ..., 1, det M) up to associates and M is
-    not reduced.  Every other input, including one the predicate declines,
-    runs the reduction.
+    ``elimination`` may be M's :func:`symmetric_elimination`.  Its minors of
+    order k lie in the ideal of all k x k minors, generated by D_k = d_1 *
+    ... * d_k, so the element G of their ideal that :func:`rings.ideal_element`
+    returns is a multiple of every d_i, i <= k.  Three routes follow:
+
+    - G a unit: d_1 = ... = d_k = 1 and M is not reduced.
+    - Otherwise, over Z and the quadratic rings, where G is a rational
+      integer: M is reduced modulo G (see :func:`_reduce`), and d_i is the
+      canonical gcd(e_i, G), which is G where e_i = 0.
+    - Over Q[x] with G not a unit, for a stuck elimination, and without
+      one: the plain reduction of M.
+
+    At full rank k = n - 1 and d_n = det M / (d_1 * ... * d_{n-1}); at rank
+    k < n the k diagonals are all.
     """
-    if minors and minors[0] and rings.coprime(minors[1:], m.ring):
-        one = rings.one(m.ring)
-        return (one,) * (m.n_rows - 1) + (rings.canonicalize(minors[0], m.ring),)
-    return _reduce(m, transforms=False)[1]
+    ring = m.ring
+    if elimination is None or not elimination.minors:
+        return _reduce(m, transforms=False)[1]
+    k = elimination.order
+    g = rings.ideal_element(elimination.minors, ring)
+    if rings.is_unit(g, ring):
+        head = (rings.one(ring),) * k
+    elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        return _reduce(m, transforms=False)[1]
+    else:
+        e = _reduce(m, False, modulus=g)[1][:k]
+        head = tuple(rings.gcd(v, g, ring) for v in e)
+        head += (rings.canonicalize(g, ring),) * (k - len(e))
+    if elimination.rank == k:
+        return head
+    last = rings.exact_divide(elimination.pivots[-1], prod(head, start=rings.one(ring)), ring)
+    if last is None:
+        raise ArithmeticError("d_1 * ... * d_(n-1) does not divide det M")
+    return head + (rings.canonicalize(last, ring),)
 
 
 def smith_normal_form(m: Matrix) -> SnfResult:

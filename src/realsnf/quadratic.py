@@ -296,6 +296,13 @@ def _quad(x: int, y: int, ring: RingSpec) -> QuadElem:
     return a
 
 
+def coordinates_modulo(a: QuadElem, g: int) -> QuadElem:
+    """a with both coordinates taken into [0, g), g > 0: a minus it is g times
+    an integer of the ring, whichever integral basis the ring uses."""
+    x, y = a.x % g, a.y % g
+    return a if x == a.x and y == a.y else _quad(x, y, a.ring)
+
+
 @dataclass(frozen=True)
 class FundamentalUnit:
     """Generator of the infinite part of the unit group, larger than 1 at +sqrt(d)."""

@@ -9,10 +9,12 @@ the entry points that take values from outside the package coerce them
 takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
 exact division, the canonical associate, the primitive part (Q[x] only, in
-xgcd), a cheap coprimality proof (:func:`coprime`) and pnri.  The rest is
-derived from them for every family: units (1 / a exists), gcd (the
-canonical xgcd generator), association, and p-adic valuations by repeated
-exact division.
+xgcd), a nonzero element G of the ideal some values generate
+(:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
+residues modulo a rational integer (:func:`residue`, Z and the quadratic
+rings) and pnri.  The rest is derived from them for every family: units
+(1 / a exists), gcd (the canonical xgcd generator), association, and p-adic
+valuations by repeated exact division.
 """
 
 from __future__ import annotations
@@ -169,27 +171,35 @@ def xgcd(
     return a, [[s0, t0], [s1, t1] if inverse > 0 else [-s1, -t1]], scale0
 
 
-def coprime(values: Sequence[Element], ring: RingSpec) -> bool:
-    """True only when the values generate the unit ideal, proven without xgcd.
+def ideal_element(values: Sequence[Element], ring: RingSpec) -> Element:
+    """A nonzero element G of the ideal the values generate, found without xgcd;
+    the values must not all be zero.
 
-    Over Z and Q[x] the test is exact: ``math.gcd`` is 1, or the
-    polynomial gcd reaches a nonzero constant.  Over a quadratic ring it is
-    one-sided: it tests that the gcd of the norms is 1.  A common non-unit
-    factor g would make N(g) != +-1 divide every norm, so coprime norms
-    prove coprime values; but coprime values can have norms that share a
-    prime (3 + w and 3 - w in Z[sqrt(2)], both of norm 7), and then the
-    answer is False although they are coprime.
+    Over Z it is their gcd (``math.gcd``), and over Q[x] their gcd, or the
+    gcd of a prefix once that is a nonzero constant.  Over a quadratic ring
+    it is the rational integer gcd of their norms, which lies in the ideal
+    since N(v) = v * conj(v).  G is a unit only if the values are coprime;
+    over a quadratic ring the converse fails: 3 + w and 3 - w in Z[sqrt(2)]
+    are coprime, but both have norm 7, so G = 7.
     """
     if ring.family is RingFamily.INTEGERS:
-        return math.gcd(*values) == 1
+        return math.gcd(*values)
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         g = zero(ring)
         for v in values:
             g = polynomials.poly_gcd(g, v)
             if g.degree == 0:
-                return True
-        return False
-    return math.gcd(*(v.norm() for v in values)) == 1
+                break
+        return g
+    return coerce(math.gcd(*(v.norm() for v in values)), ring)
+
+
+def residue(a: Element, g: Element, ring: RingSpec) -> Element:
+    """a modulo a rational integer g > 0, over Z or a quadratic ring: each
+    coordinate taken into [0, g), so that a minus the result lies in g * R."""
+    if ring.family is RingFamily.INTEGERS:
+        return a % g
+    return quadratic.coordinates_modulo(a, g.x)
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

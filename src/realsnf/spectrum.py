@@ -10,10 +10,11 @@ one sign test each, up to the first negative one.  The only per-family fact
 the decision reads is where an element is negative (`negative_ordering`).
 
 The principal minors are enumerated only on a not-PSD verdict, and only when
-the caller asks for the witness.  Whenever the elimination ran all n pivots,
-whatever the verdict, the report also hands over det M and three
-(n-1) x (n-1) minors, which the Smith stage of ``verify`` reads instead of
-reducing M again.
+the caller asks for the witness.  Whatever the verdict, the report also
+carries the elimination itself: the Smith stage of ``verify`` takes a
+modulus G from the minors it hands over, reads the diagonals off G when it
+is a unit, and otherwise, over Z and the quadratic rings, reduces M modulo G
+rather than from scratch.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 from . import polynomials, rings
 from .errors import NotSymmetricError, SizeLimitError
-from .matrices import Matrix, determinant, symmetric_elimination
+from .matrices import Elimination, Matrix, determinant, symmetric_elimination
 from .rings import Element
 from .ringspec import RingFamily, RingSpec
 
@@ -75,13 +76,14 @@ class PsdWitness:
 
 @dataclass(frozen=True)
 class PsdReport:
-    """The verdict and its witness.  ``minors`` is det M followed by three
-    (n-1) x (n-1) minors of M when the elimination ran all n pivots, PSD or
-    not, and empty otherwise; it is left out of equality and JSON."""
+    """The verdict and its witness.  ``elimination`` is the
+    :func:`matrices.symmetric_elimination` of M the verdict was read from,
+    PSD or not, which :func:`matrices.smith_diagonals` takes its modulus G
+    from; it is left out of equality and JSON."""
 
     is_psd: bool
     witness: PsdWitness | None
-    minors: tuple[Element, ...] = field(default=(), compare=False, repr=False)
+    elimination: Elimination | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -116,20 +118,26 @@ def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
     Only when M is not PSD, and ``witness`` is set, are the principal minors
     enumerated, to report the first negative one (smallest size, then
     lexicographic) as the witness; ``verify`` passes False.  The 8 x 8 cap
-    bounds that exponential search and ``verify``'s Smith stage (over 150 s
-    for an N * N^T input at n = 40 over Zsqrt:2).
+    bounds that exponential search and ``verify``'s Smith stage on the
+    inputs it still reduces from scratch, stuck ones and Q[x] ones whose
+    modulus G is not a unit (an N * N^T input at n = 40 over Zsqrt:2 once
+    took over 150 s).
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
-    pivots, stuck, minors = symmetric_elimination(m)
-    if not stuck and all(negative_ordering(p, m.ring) is None for p in pivots):
-        return PsdReport(True, None, minors)
+    elimination = symmetric_elimination(m)
+    if not elimination.stuck and all(
+        negative_ordering(p, m.ring) is None for p in elimination.pivots
+    ):
+        return PsdReport(True, None, elimination)
     if not witness:
-        return PsdReport(False, None, minors)
+        return PsdReport(False, None, elimination)
     for idx in _principal_index_sets(m.n_rows):
         where = negative_ordering(determinant(m.submatrix(idx, idx)), m.ring)
         if where is not None:
-            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where), minors)
+            return PsdReport(
+                False, PsdWitness(tuple(i + 1 for i in idx), **where), elimination
+            )
     raise ArithmeticError("the PSD test failed but no principal minor is negative")

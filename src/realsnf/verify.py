@@ -92,11 +92,11 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     if not m.is_symmetric():
         raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
-    # one elimination feeds both stages: when it ran all n pivots the report
-    # carries det M and (n-1)-minors, which often give the Smith form at once
+    # one elimination feeds both stages: its minors give the Smith stage a
+    # modulus G, and with it the diagonals at once or modulo G
     report = spectrum.is_psd_on_spectrum(m, witness=False)
     psd = report.is_psd
-    diagonals = smith_diagonals(m, report.minors)
+    diagonals = smith_diagonals(m, report.elimination)
     positivity = [_positivity(d, ring) for d in diagonals]
     sign_data = tuple(signs for signs, _ in positivity)
     associates = tuple(associate for _, associate in positivity)

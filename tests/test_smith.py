@@ -24,6 +24,7 @@ from realsnf import rings
 
 from helpers import (
     classical_xgcd,
+    known_smith_congruence,
     rand_matrix,
     random_unimodular,
     totally_positive_non_unit,
@@ -324,13 +325,14 @@ class TestUniqueness:
 
 
 def certification_inputs(rng, ring, n):
-    """Symmetric inputs of size n for the Smith shortcut: a full-rank Gram
-    matrix (mostly certified) and, to be declined, a rank-deficient one and a
-    non-unit times one, plus at n = 2 diag(2, 2) and, over a quadratic ring,
-    diag(t, conj(t)) for a totally positive t, whose norms are equal.  Two
-    not-PSD variants of the Gram matrix G follow: one off-diagonal pair
-    raised to g_ij + g_ii + g_jj + 1, which exceeds sqrt(g_ii * g_jj) at
-    every ordering, and one diagonal entry lowered to -g_ii - 1."""
+    """Symmetric inputs of size n for the routes of the Smith stage: a
+    full-rank Gram matrix and a rank-deficient one (mostly a unit G) and, for
+    a non-unit G, a non-unit times one, plus at n = 2 diag(2, 2) and, over a
+    quadratic ring, diag(t, conj(t)) for a totally positive t, whose norms
+    are equal.  Two not-PSD variants of the Gram matrix G follow: one
+    off-diagonal pair raised to g_ij + g_ii + g_jj + 1, which exceeds
+    sqrt(g_ii * g_jj) at every ordering, and one diagonal entry lowered to
+    -g_ii - 1."""
     full = rand_matrix(rng, ring, n, n, height=2)
     g = full @ full.transpose()
     gram = [list(r) for r in g.entries]
@@ -358,44 +360,78 @@ def certification_inputs(rng, ring, n):
 
 
 class TestCertifiedDiagonals:
-    """Smith diagonals read off the PSD elimination (det M and three
-    (n-1)-minors) against the reduction they skip."""
+    """Smith diagonals read off the PSD elimination's modulus G, on each of
+    its three routes (G a unit, a reduction modulo G, the plain reduction),
+    against the plain reduction and against planted Smith forms."""
+
+    @staticmethod
+    def recording_reduce(monkeypatch):
+        """Patch matrices._reduce to append each call's modulus (None for the
+        plain reduction) to the list returned."""
+        reduce, moduli = matrices._reduce, []
+
+        def recording(m, transforms, modulus=None):
+            moduli.append(modulus)
+            return reduce(m, transforms, modulus)
+
+        monkeypatch.setattr(matrices, "_reduce", recording)
+        return moduli
 
     @pytest.mark.parametrize("name", RING_TEXTS)
     def test_agrees_with_the_reduction(self, name, monkeypatch):
         ring = parse_ring(name)
         rng = random.Random(46)
-        reduce, reduced = matrices._reduce, []
+        reduce = matrices._reduce
+        moduli = self.recording_reduce(monkeypatch)
+        routes = set()
 
-        def recording(m, transforms):
-            reduced.append(m)
-            return reduce(m, transforms)
+        def diagonals_on_a_route(m):
+            report = spectrum.is_psd_on_spectrum(m, witness=False)
+            moduli.clear()
+            diagonals = smith_diagonals(m, report.elimination)
+            route = "unit" if not moduli else "plain" if moduli == [None] else "modulo"
+            routes.add((report.is_psd, route))
+            assert diagonals == reduce(m, False)[1]
+            return diagonals
 
-        monkeypatch.setattr(matrices, "_reduce", recording)
-        routes = []
         for n in range(1, 9):
             for m in certification_inputs(rng, ring, n):
-                report = spectrum.is_psd_on_spectrum(m, witness=False)
-                reduced.clear()
-                diagonals = smith_diagonals(m, report.minors)
-                routes.append((report.is_psd, not reduced))
-                assert diagonals == reduce(m, False)[1]
-        assert {certified for _, certified in routes} == {True, False}
-        assert (False, True) in routes  # a not-PSD input read off the elimination
+                diagonals_on_a_route(m)
+            for rank in range(max(n - 2, 0), n + 1):
+                for cyclic in (True, False):
+                    m, d = known_smith_congruence(rng, ring, n, cyclic, rank)
+                    planted = [v for v in d if v]
+                    diagonals = diagonals_on_a_route(m)
+                    assert len(diagonals) == len(planted)
+                    for got, want in zip(diagonals, planted):
+                        assert rings.are_associated(got, want, ring)
+        # a zero diagonal with a nonzero entry: the elimination is stuck
+        a, b, c = (totally_positive_non_unit(rng, ring) for _ in range(3))
+        diagonals_on_a_route(Matrix.from_rows([[0, a, b], [a, 0, c], [b, c, 0]], ring))
+        expected = {"unit", "plain"}
+        if ring.family is not RingFamily.RATIONAL_POLYNOMIALS:
+            expected.add("modulo")
+        assert {route for _, route in routes} == expected
+        assert (False, "unit") in routes  # a not-PSD input read off the elimination
 
-    def test_declines_minors_it_cannot_prove_coprime(self):
+    def test_declines_minors_it_cannot_prove_coprime(self, monkeypatch):
         # 3 + w and 3 - w in Z[sqrt(2)] are coprime, but both have norm 7:
-        # the quadratic test is one-sided, so the reduction finds d_1 = 1
+        # G = 7 is not a unit, so M is reduced modulo 7, not from scratch
         m = Matrix.from_rows([[QuadElem(3, 1, R2), 0], [0, QuadElem(3, -1, R2)]], R2)
-        minors = spectrum.is_psd_on_spectrum(m).minors
-        assert minors[0] == QuadElem(7, 0, R2)
-        assert not rings.coprime(minors[1:], R2)
-        assert smith_diagonals(m, minors) == (QuadElem(1, 0, R2), QuadElem(7, 0, R2))
+        elimination = spectrum.is_psd_on_spectrum(m).elimination
+        assert elimination.pivots[-1] == QuadElem(7, 0, R2)
+        g = rings.ideal_element(elimination.minors, R2)
+        assert g == QuadElem(7, 0, R2) and not rings.is_unit(g, R2)
+        moduli = self.recording_reduce(monkeypatch)
+        assert smith_diagonals(m, elimination) == (QuadElem(1, 0, R2), QuadElem(7, 0, R2))
+        assert moduli == [g]  # one reduction, modulo G, and no full one
 
     def test_a_zero_determinant_is_never_read_off(self):
-        # coprime (n-1)-minors but det M = 0: rank 1, not (1, 0)
+        # coprime minors but det M = 0: rank 1, not (1, 0)
         m = Matrix.from_rows([[1, 1], [1, 1]], INTEGERS)
-        assert smith_diagonals(m, (0, 1, 1, 1)) == smith_diagonals(m) == (1,)
+        elimination = matrices.symmetric_elimination(m)
+        assert elimination.rank == elimination.order == 1
+        assert smith_diagonals(m, elimination) == smith_diagonals(m) == (1,)
 
 
 class TestDeterminant:

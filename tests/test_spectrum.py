@@ -326,7 +326,7 @@ class TestEliminationDecision:
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
         # a fake negative pivot: the enumeration then finds no negative minor
-        fake = lambda m: ((rings.coerce(-1, m.ring),), False, ())
+        fake = lambda m: matrices.Elimination((rings.coerce(-1, m.ring),), False)
         monkeypatch.setattr(spectrum, "symmetric_elimination", fake)
         with pytest.raises(ArithmeticError):
             is_psd_on_spectrum(Matrix.from_rows([[1]], parse_ring(name)))
@@ -345,11 +345,22 @@ class TestEliminationDecision:
                 leading = [determinant(m.submatrix(range(k), range(k))) for k in range(1, n + 1)]
                 if not all(leading):
                     continue
-                pivots, stuck, minors = matrices.symmetric_elimination(m)
-                assert list(pivots) == leading
-                assert not stuck
-                assert minors[0] == determinant(m)
-                signs.update(element_is_nonneg(p, ring) for p in pivots[:-1])
+                elimination = matrices.symmetric_elimination(m)
+                assert list(elimination.pivots) == leading
+                assert not elimination.stuck
+                assert elimination.pivots[-1] == determinant(m)
+                # the 2 x 2 block left after pivots on rows 1..n-2: (n-1)-minors
+                assert (elimination.rank, elimination.order) == (n, n - 1)
+                block = [rings.one(ring)]  # for n = 1, the empty minor
+                if n > 1:
+                    head, last = list(range(n - 2)), [n - 2, n - 1]
+                    block = [
+                        determinant(m.submatrix(head + [i], head + [j]))
+                        for x, i in enumerate(last)
+                        for j in last[x:]
+                    ]
+                assert list(elimination.minors) == block
+                signs.update(element_is_nonneg(p, ring) for p in elimination.pivots[:-1])
         # some pivot negative somewhere was not the last: the elimination ran past it
         assert signs == {True, False}
 
@@ -469,7 +480,7 @@ class TestSamplingAgreement:
         # a broken decision that reads only the 1x1 principal minors; the
         # oracle must then refute some PSD verdict at a sample point
         def diagonal_only(m):
-            return tuple(m[i, i] for i in range(m.n_rows)), False, ()
+            return matrices.Elimination(tuple(m[i, i] for i in range(m.n_rows)), False)
 
         monkeypatch.setattr(spectrum, "symmetric_elimination", diagonal_only)
         assert any(is_psd and not agrees for is_psd, agrees in sampling_checks(seed=4, trials=60))

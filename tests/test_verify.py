@@ -60,9 +60,12 @@ class TestVerifyMainTheorem:
 
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
     def test_verdict_builds_no_transforms(self, ring, monkeypatch):
-        # rank-deficient, so the Smith stage cannot read det M and must reduce
+        # c * N * N^T with c a non-unit (2, or x^2 + 1 over Q[x]) is PSD and
+        # its modulus G is not a unit, so the Smith stage must reduce: modulo
+        # G over Z and Zsqrt:3, from scratch over Q[x]
         n = rand_matrix(random.Random(5), ring, 3, 2, height=3)
-        m = n @ n.transpose()
+        c = parse_poly("x^2+1") if ring is RATIONAL_POLYNOMIALS else rings.coerce(2, ring)
+        m = Matrix.from_rows([[c * v for v in row] for row in (n @ n.transpose()).entries], ring)
         kept_companions = []
 
         class Recorded(matrices._Reduction):
@@ -180,9 +183,9 @@ class TestKnownAnswers:
         rng = random.Random(48)
         reduce, reduced = matrices._reduce, []
 
-        def recording(m, transforms):
+        def recording(m, transforms, modulus=None):
             reduced.append(m)
-            return reduce(m, transforms)
+            return reduce(m, transforms, modulus)
 
         monkeypatch.setattr(matrices, "_reduce", recording)
         routes = []
