@@ -14,10 +14,10 @@ use fraction-free (Bareiss) elimination, which stays inside the ring;
 principal minors, and hands over k x k minors from a block it left: k = n - 1
 at full rank (det M is the last pivot), k = r at rank r < n.  Their ideal
 holds a modulus G that d_1 * ... * d_k divides (:func:`rings.ideal_element`).
-:func:`smith_diagonals` reads d_1, ..., d_k off G when it is a unit, and
-otherwise, over Z and the quadratic rings, reduces M with its entries taken
-modulo G, so their coordinates stay below G; over Q[x] it reduces M from
-scratch, as it does when the elimination got stuck.  :func:`verify_snf`
+:func:`smith_diagonals`, handed the elimination (``verify`` has it from
+:func:`spectrum.psd_decision`), reads d_1, ..., d_k off G when it is a unit;
+otherwise it reduces M modulo G over Z and the quadratic rings, and from
+scratch over Q[x] or when the elimination got stuck.  :func:`verify_snf`
 certifies a result from M = P*D*Q, unimodular P and Q and the divisibility
 chain, which by uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
@@ -507,7 +507,8 @@ def _reduce(
     without transforms) every entry but the current pivot is kept reduced
     modulo G.  That reduces some M' congruent to M modulo G instead, and
     [M' | G*I] and [M | G*I] are equivalent, so the i-th diagonal e_i
-    returned (0 past the rank of M') has gcd(e_i, G) = gcd(d_i, G).
+    returned (0 past the rank of M') has gcd(e_i, G) = gcd(d_i, G).  That
+    gcd is the same for every associate of e_i, so e_i is not canonicalized.
     """
     red = _Reduction(m, transforms, modulus)
     # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
@@ -526,14 +527,15 @@ def _reduce(
         rank += 1
 
     _enforce_divisibility(red, rank)
-    _canonicalize_diagonal(red, rank)
+    if modulus is None:
+        _canonicalize_diagonal(red, rank)
     return red, tuple(red.d[k][k] for k in range(rank))
 
 
-def smith_diagonals(m: Matrix, elimination: Elimination | None = None) -> tuple[Element, ...]:
+def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
     """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q.
 
-    ``elimination`` may be M's :func:`symmetric_elimination`.  Its minors of
+    ``elimination`` is M's :func:`symmetric_elimination`.  Its minors of
     order k lie in the ideal of all k x k minors, generated by D_k = d_1 *
     ... * d_k, so the element G of their ideal that :func:`rings.ideal_element`
     returns is a multiple of every d_i, i <= k.  Three routes follow:
@@ -542,14 +544,14 @@ def smith_diagonals(m: Matrix, elimination: Elimination | None = None) -> tuple[
     - Otherwise, over Z and the quadratic rings, where G is a rational
       integer: M is reduced modulo G (see :func:`_reduce`), and d_i is the
       canonical gcd(e_i, G), which is G where e_i = 0.
-    - Over Q[x] with G not a unit, for a stuck elimination, and without
-      one: the plain reduction of M.
+    - Over Q[x] with G not a unit, and for a stuck elimination: the plain
+      reduction of M.
 
     At full rank k = n - 1 and d_n = det M / (d_1 * ... * d_{n-1}); at rank
     k < n the k diagonals are all.
     """
     ring = m.ring
-    if elimination is None or not elimination.minors:
+    if elimination.stuck:
         return _reduce(m, transforms=False)[1]
     k = elimination.order
     g = rings.ideal_element(elimination.minors, ring)

@@ -9,12 +9,10 @@ floating point: the pivots of one fraction-free symmetric elimination
 one sign test each, up to the first negative one.  The only per-family fact
 the decision reads is where an element is negative (`negative_ordering`).
 
-The principal minors are enumerated only on a not-PSD verdict, and only when
-the caller asks for the witness.  Whatever the verdict, the report also
-carries the elimination itself: the Smith stage of ``verify`` takes a
-modulus G from the minors it hands over, reads the diagonals off G when it
-is a unit, and otherwise, over Z and the quadratic rings, reduces M modulo G
-rather than from scratch.
+:func:`psd_decision` returns the verdict with the elimination, whose minors
+give the Smith stage of ``verify`` a modulus G (see
+:func:`matrices.smith_diagonals`).  :func:`is_psd_on_spectrum` adds the
+witness of a not-PSD verdict, and only then enumerates principal minors.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -24,7 +22,7 @@ in the test suite, so they share no code with it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polynomials, rings
@@ -76,14 +74,10 @@ class PsdWitness:
 
 @dataclass(frozen=True)
 class PsdReport:
-    """The verdict and its witness.  ``elimination`` is the
-    :func:`matrices.symmetric_elimination` of M the verdict was read from,
-    PSD or not, which :func:`matrices.smith_diagonals` takes its modulus G
-    from; it is left out of equality and JSON."""
+    """The verdict of :func:`is_psd_on_spectrum` and, when M is not PSD, its witness."""
 
     is_psd: bool
     witness: PsdWitness | None
-    elimination: Elimination | None = field(default=None, compare=False, repr=False)
 
     def to_json(self) -> dict:
         return {
@@ -97,11 +91,12 @@ def _principal_index_sets(n: int):
         yield from itertools.combinations(range(n), k)
 
 
-def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
-    """Positive semidefiniteness over the whole real spectrum, exactly.
+def psd_decision(m: Matrix) -> tuple[bool, Elimination]:
+    """Whether M is PSD over the whole real spectrum, exactly, and the
+    :func:`matrices.symmetric_elimination` of M the verdict was read from.
 
-    The pivots of :func:`matrices.symmetric_elimination` are principal
-    minors, tested in order up to the first negative one:
+    The pivots of the elimination are principal minors, tested in order up
+    to the first negative one:
 
     - A pivot negative at some ordering is a negative principal minor: not PSD.
     - Otherwise every pivot is >= 0 everywhere.  Take an ordering t at which
@@ -115,29 +110,33 @@ def is_psd_on_spectrum(m: Matrix, witness: bool = True) -> PsdReport:
     - Over Q[x] a PSD verdict at all but finitely many points is a verdict
       at every point, because PSD is a closed condition.
 
-    Only when M is not PSD, and ``witness`` is set, are the principal minors
-    enumerated, to report the first negative one (smallest size, then
-    lexicographic) as the witness; ``verify`` passes False.  The 8 x 8 cap
-    bounds that exponential search and ``verify``'s Smith stage on the
-    inputs it still reduces from scratch, stuck ones and Q[x] ones whose
-    modulus G is not a unit (an N * N^T input at n = 40 over Zsqrt:2 once
-    took over 150 s).
+    The 8 x 8 cap bounds the witness search of :func:`is_psd_on_spectrum`,
+    which is exponential, and ``verify``'s Smith stage on the inputs it
+    still reduces from scratch, stuck ones and Q[x] ones whose modulus G is
+    not a unit (an N * N^T input at n = 40 over Zsqrt:2 once took over 150 s).
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
     elimination = symmetric_elimination(m)
-    if not elimination.stuck and all(
+    psd = not elimination.stuck and all(
         negative_ordering(p, m.ring) is None for p in elimination.pivots
-    ):
-        return PsdReport(True, None, elimination)
-    if not witness:
-        return PsdReport(False, None, elimination)
+    )
+    return psd, elimination
+
+
+def is_psd_on_spectrum(m: Matrix) -> PsdReport:
+    """Positive semidefiniteness over the whole real spectrum, exactly, as
+    :func:`psd_decision` decides it.
+
+    Only when M is not PSD are the principal minors enumerated, to report
+    the first negative one (smallest size, then lexicographic) as the witness.
+    """
+    if psd_decision(m)[0]:
+        return PsdReport(True, None)
     for idx in _principal_index_sets(m.n_rows):
         where = negative_ordering(determinant(m.submatrix(idx, idx)), m.ring)
         if where is not None:
-            return PsdReport(
-                False, PsdWitness(tuple(i + 1 for i in idx), **where), elimination
-            )
+            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
     raise ArithmeticError("the PSD test failed but no principal minor is negative")

@@ -28,7 +28,6 @@ from enum import Enum
 from . import polynomials, quadratic, rings, spectrum
 from .errors import (
     CounterexampleConditionError,
-    NotSymmetricError,
     PreconditionFailedError,
     RealSnfError,
     TheoremConsistencyError,
@@ -89,14 +88,12 @@ class TheoremReport:
 
 def verify_main_theorem(m: Matrix) -> TheoremReport:
     """Run the full pipeline on a symmetric matrix and assemble the verdict."""
-    if not m.is_symmetric():
-        raise NotSymmetricError("the statement concerns symmetric matrices")
     ring = m.ring
-    # one elimination feeds both stages: its minors give the Smith stage a
-    # modulus G, and with it the diagonals at once or modulo G
-    report = spectrum.is_psd_on_spectrum(m, witness=False)
-    psd = report.is_psd
-    diagonals = smith_diagonals(m, report.elimination)
+    # one elimination feeds both stages: its pivots decide PSD, and its
+    # minors give the Smith stage a modulus G, and with it the diagonals at
+    # once or modulo G; no witness is looked for
+    psd, elimination = spectrum.psd_decision(m)
+    diagonals = smith_diagonals(m, elimination)
     positivity = [_positivity(d, ring) for d in diagonals]
     sign_data = tuple(signs for signs, _ in positivity)
     associates = tuple(associate for _, associate in positivity)

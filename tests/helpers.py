@@ -130,7 +130,8 @@ def random_unimodular(rng, ring, n, steps=6):
             u = rings.coerce(u, ring)
             rows[i] = [u * a for a in rows[i]]
     result = Matrix.from_rows(rows, ring)
-    assert rings.is_unit(determinant(result), ring)
+    if not rings.is_unit(determinant(result), ring):
+        raise ArithmeticError("a product of elementary matrices is not unimodular")
     return result
 
 

@@ -151,6 +151,13 @@ class TestPsdAndVerify:
         assert code == 0
         assert json.loads(out)["conclusion"] == "TheoremHolds"
 
+    @pytest.mark.parametrize("command", ["psd", "verify"])
+    def test_over_the_size_cap_is_input_error(self, capsys, command):
+        identity = [[int(i == j) for j in range(9)] for i in range(9)]
+        code, out, err = run(capsys, command, "--ring", "Z", "--input", json.dumps(identity))
+        assert code == 2
+        assert out == "" and "capped at 8x8" in err
+
     def test_not_symmetric_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", "--ring", "Z", "--input", "[[1,2],[3,4]]")
         assert code == 2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, quadratic_ring, rings, spectrum
-from realsnf.errors import NotSymmetricError
+from realsnf.errors import NotSymmetricError, SizeLimitError
 from realsnf.matrices import Matrix, determinant
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
@@ -19,6 +19,7 @@ from helpers import (
     random_unimodular,
 )
 from realsnf.spectrum import PSD_SIZE_LIMIT, element_is_nonneg, is_psd_on_spectrum
+from realsnf.verify import verify_main_theorem
 
 R2 = quadratic_ring(2)
 R3 = quadratic_ring(3)
@@ -324,6 +325,23 @@ class TestEliminationDecision:
             assert is_psd_on_spectrum(a @ a.transpose()).is_psd
 
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
+    @pytest.mark.parametrize("decide", [is_psd_on_spectrum, verify_main_theorem])
+    def test_the_size_cap_comes_after_the_symmetry_check(self, name, decide, monkeypatch):
+        # past the cap no elimination runs; a non-symmetric input is refused
+        # as such whatever its size
+        def no_elimination(m):
+            raise AssertionError("the elimination ran past the size cap")
+
+        monkeypatch.setattr(spectrum, "symmetric_elimination", no_elimination)
+        ring, n = parse_ring(name), PSD_SIZE_LIMIT + 1
+        with pytest.raises(SizeLimitError):
+            decide(Matrix.identity(n, ring))
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows[0][1] = 1
+        with pytest.raises(NotSymmetricError):
+            decide(Matrix.from_rows(rows, ring))
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_disagreement_with_the_enumeration_raises(self, name, monkeypatch):
         # a fake negative pivot: the enumeration then finds no negative minor
         fake = lambda m: matrices.Elimination((rings.coerce(-1, m.ring),), False)
@@ -380,10 +398,10 @@ class TestEliminationDecision:
         for k in range(1, n + 1):
             rows = [[(-1 if i == k - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]
             tested.clear()
-            assert not is_psd_on_spectrum(Matrix.from_rows(rows, ring), witness=False).is_psd
+            assert not spectrum.psd_decision(Matrix.from_rows(rows, ring))[0]
             assert len(tested) == k
         tested.clear()
-        assert not is_psd_on_spectrum(Matrix.from_rows([[0, 1], [1, 0]], ring), witness=False).is_psd
+        assert not spectrum.psd_decision(Matrix.from_rows([[0, 1], [1, 0]], ring))[0]
         assert tested == []
 
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -132,8 +133,8 @@ class TestVerifyMainTheorem:
 
     @pytest.mark.parametrize("ring", [INTEGERS, RATIONAL_POLYNOMIALS, R3], ids=str)
     def test_not_psd_verdict_enumerates_no_minor(self, ring, monkeypatch):
-        # verify reads only the verdict, so it names no witness; the
-        # one-argument PSD call still does
+        # verify reads only the verdict of the PSD decision, so it names no
+        # witness; is_psd_on_spectrum still does
         def no_minors(m):
             raise RuntimeError("a principal minor was enumerated")
 
@@ -148,6 +149,54 @@ class TestVerifyMainTheorem:
         assert report.conclusion is Conclusion.NOT_APPLICABLE_NOT_PSD
         with pytest.raises(RuntimeError):
             spectrum.is_psd_on_spectrum(m)
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
+    def test_one_elimination_and_the_sign_tests_of_one_decision(self, name, monkeypatch):
+        # the PSD stage and the Smith stage share one elimination, and verify
+        # makes exactly the sign tests of one PSD decision
+        ring, rng = parse_ring(name), random.Random(47)
+        eliminate, negative = matrices.symmetric_elimination, spectrum.negative_ordering
+        eliminations, tested = [], []
+
+        def eliminating(m):
+            eliminations.append(m)
+            return eliminate(m)
+
+        def testing(a, ring):
+            tested.append(a)
+            return negative(a, ring)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__dict__", {}).get("symmetric_elimination") is eliminate:
+                monkeypatch.setattr(module, "symmetric_elimination", eliminating)
+        monkeypatch.setattr(spectrum, "negative_ordering", testing)
+        one = rings.one(ring)
+        cases = [[[one, 0, 0], [0, 0, one], [0, one, 0]]]  # stuck after one pivot
+        for n in range(1, 5):
+            g = rand_matrix(rng, ring, n, rng.randint(1, n), height=3)
+            psd = [list(r) for r in (g @ g.transpose()).entries]
+            not_psd = [list(r) for r in psd]
+            k = rng.randrange(n)
+            not_psd[k][k] = -not_psd[k][k] - one  # a negative 1 x 1 minor
+            stuck = [[0 if i == j else v for j, v in enumerate(r)] for i, r in enumerate(psd)]
+            if n > 1:
+                stuck[0][1] = stuck[1][0] = one
+            cases += [psd, not_psd, stuck]
+        kinds = set()
+        for rows in cases:
+            m = Matrix.from_rows(rows, ring)
+            eliminations.clear()
+            tested.clear()
+            psd, elimination = spectrum.psd_decision(m)
+            decided = len(tested)
+            eliminations.clear()
+            tested.clear()
+            report = verify_main_theorem(m)
+            assert len(eliminations) == 1
+            assert len(tested) == decided
+            assert report.input_psd is psd
+            kinds.add("stuck" if elimination.stuck else psd)
+        assert kinds == {True, False, "stuck"}
 
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetricError):
