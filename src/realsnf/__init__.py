@@ -7,7 +7,6 @@ there is no floating point anywhere in the decision paths.
 
 from .matrices import (
     Matrix,
-    MinorGcdProfile,
     SnfResult,
     determinant,
     minor_gcd_profile,
@@ -66,7 +65,6 @@ __all__ = [
     "FundamentalUnit",
     "INTEGERS",
     "Matrix",
-    "MinorGcdProfile",
     "PsdReport",
     "QuadElem",
     "RATIONAL_POLYNOMIALS",

@@ -201,9 +201,9 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         max_degree=args.degree,
     )
     summary = verify.run_property_suite(cfg)
-    for index, report in enumerate(summary.reports):
-        line = {"trial": index, **report.to_json()}
-        print(json.dumps(line))
+    for index, outcome in enumerate(summary.outcomes):
+        if isinstance(outcome, verify.TheoremReport):
+            print(json.dumps({"trial": index, **outcome.to_json()}))
     _emit(summary.to_json(), args.pretty)
     if not summary.ok:
         return EXIT_BREACH

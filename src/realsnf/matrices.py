@@ -135,7 +135,7 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
             ring = declared_ring
         if ring is None:
             raise ParseError("field 'ring': missing and no ring was requested")
-        m = Matrix.from_rows(_parse_entries(data.get("entries"), ring), ring)
+        m = _parse_entries(data.get("entries"), ring)
         for field, size in (("rows", m.n_rows), ("cols", m.n_cols)):
             value = data.get(field, size)
             if type(value) is not int or value != size:  # bool and float are not JSON integers
@@ -147,12 +147,13 @@ def matrix_from_json(data: object, ring: RingSpec | None = None) -> Matrix:
     if isinstance(data, list):
         if ring is None:
             raise ParseError("a bare entry array needs an explicit ring")
-        return Matrix.from_rows(_parse_entries(data, ring), ring)
+        return _parse_entries(data, ring)
     raise ParseError(f"matrix must be an object or 2D array, got {data!r}")
 
 
-def _parse_entries(entries: object, ring: RingSpec) -> list[list[Element]]:
-    """Rows of parsed elements; errors name the offending entries[i] or entries[i][j]."""
+def _parse_entries(entries: object, ring: RingSpec) -> Matrix:
+    """The matrix of parsed elements, built from them as they are (``from_rows``
+    would check them again); errors name the offending entries[i] or entries[i][j]."""
     if not isinstance(entries, list) or not entries:
         raise ParseError(f"field 'entries': expected a nonempty 2D array, got {entries!r}")
     rows = []
@@ -170,8 +171,8 @@ def _parse_entries(entries: object, ring: RingSpec) -> list[list[Element]]:
                 parsed.append(rings.parse_element(v, ring))
             except ParseError as exc:
                 raise ParseError(f"field 'entries[{i}][{j}]': {exc}") from None
-        rows.append(parsed)
-    return rows
+        rows.append(tuple(parsed))
+    return Matrix(len(rows), len(rows[0]), tuple(rows), ring)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -279,15 +280,9 @@ def symmetric_elimination(m: Matrix) -> Elimination:
 # -- minor ideals -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MinorGcdProfile:
-    """Entry k-1 generates the ideal of all k x k minors (zero when they vanish)."""
-
-    per_order: tuple[Element, ...]
-
-
-def minor_gcd_profile(m: Matrix) -> MinorGcdProfile:
-    """Canonical gcd of all k x k minors for each k, by explicit enumeration.
+def minor_gcd_profile(m: Matrix) -> tuple[Element, ...]:
+    """Canonical gcd of all k x k minors for each k, by explicit enumeration:
+    entry k-1 generates the ideal of all k x k minors (zero when they vanish).
 
     This is an oracle, exponential in k, and refuses matrices larger than
     6 x 6.
@@ -307,7 +302,7 @@ def minor_gcd_profile(m: Matrix) -> MinorGcdProfile:
                 if minor:
                     g = rings.gcd(g, minor, ring) if g else minor
         out.append(rings.canonicalize(g, ring))
-    return MinorGcdProfile(tuple(out))
+    return tuple(out)
 
 
 # -- Smith normal form ---------------------------------------------------------
@@ -315,12 +310,18 @@ def minor_gcd_profile(m: Matrix) -> MinorGcdProfile:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """M = P * D * Q with unimodular P, Q and D = diag(d_1, ..., d_r, 0, ...)."""
+    """M = P * D * Q with unimodular P, Q and D = diag(d_1, ..., d_r, 0, ...);
+    D is the only copy of the diagonals, and ``diagonals`` reads them off it."""
 
     P: Matrix
     D: Matrix
     Q: Matrix
-    diagonals: tuple[Element, ...]
+
+    @property
+    def diagonals(self) -> tuple[Element, ...]:
+        """d_1, ..., d_r: the nonzero prefix of D's diagonal."""
+        d = self.D
+        return tuple(itertools.takewhile(bool, (d[k, k] for k in range(min(d.n_rows, d.n_cols)))))
 
 
 class _Reduction:
@@ -573,13 +574,12 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
 
 def smith_normal_form(m: Matrix) -> SnfResult:
     """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
-    red, diagonals = _reduce(m, transforms=True)
+    red = _reduce(m, transforms=True)[0]
     n, k, ring = m.n_rows, m.n_cols, m.ring
     return SnfResult(
         P=Matrix(n, n, tuple(zip(*red.rows)), ring),
         D=Matrix(n, k, tuple(map(tuple, red.d)), ring),
         Q=Matrix(k, k, tuple(map(tuple, red.cols)), ring),
-        diagonals=diagonals,
     )
 
 
@@ -629,16 +629,14 @@ def _canonicalize_diagonal(red: _Reduction, rank: int) -> None:
 class SnfCheck:
     """Outcome of verify_snf; falsy when any check failed."""
 
-    ok: bool
     failures: tuple[str, ...]
 
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
 
 def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
-    """Check M = P*D*Q, unimodular P and Q, D diagonal with its zeros last and
-    d_k | d_{k+1}, and ``result.diagonals`` equal to D's nonzero prefix.
+    """Check M = P*D*Q, unimodular P and Q, and D diagonal, zeros last, d_k | d_{k+1}.
 
     Invariant factors over a PID are unique up to associates, so passing
     proves that D is the Smith form of M.  Every check is polynomial-time.
@@ -651,8 +649,9 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
 
     # With D diagonal, P*D*Q = (P's columns scaled by D's diagonal) * (Q's matching rows).
     diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
-    pd = Matrix.from_rows([[p * d for p, d in zip(row, diag)] for row in result.P.entries], ring)
-    if (pd @ result.Q.submatrix(range(len(diag)), range(m.n_cols))).entries != m.entries:
+    pd = tuple(tuple(p * d for p, d in zip(row, diag)) for row in result.P.entries)
+    q_head = Matrix(len(diag), m.n_cols, result.Q.entries[: len(diag)], ring)
+    if (Matrix(m.n_rows, len(diag), pd, ring) @ q_head).entries != m.entries:
         failures.append("P*D*Q does not reproduce the input")
     if not result.D.is_diagonal():
         failures.append("D is not diagonal")
@@ -669,12 +668,10 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
             if not rings.is_unit(determinant(t), ring):
                 failures.append(f"det({name}) is not a unit")
 
-    nonzero = tuple(itertools.takewhile(bool, diag))
+    nonzero = result.diagonals
     if any(diag[len(nonzero) :]):
         failures.append("a zero diagonal entry precedes a nonzero one")
     for k in range(len(nonzero) - 1):
         if not rings.divides(nonzero[k], nonzero[k + 1], ring):
             failures.append(f"divisibility chain broken at d_{k + 1} | d_{k + 2}")
-    if tuple(result.diagonals) != nonzero:
-        failures.append("diagonals differ from the nonzero prefix of D's diagonal")
-    return SnfCheck(not failures, tuple(failures))
+    return SnfCheck(tuple(failures))

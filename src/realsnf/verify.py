@@ -22,6 +22,7 @@ trial data is reproducible across platforms and implementations.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -344,12 +345,25 @@ def random_psd_matrix(cfg: TrialConfig) -> Matrix:
 
 @dataclass(frozen=True)
 class SuiteSummary:
-    """Aggregate of a falsification run; any breach means the library is broken."""
+    """Aggregate of a falsification run; any breach means the library is broken.
 
-    trials: int
-    conclusion_counts: dict
-    breaches: tuple[str, ...]
-    reports: tuple[TheoremReport, ...]
+    ``outcomes[i]`` is trial i's report, or the consistency error it raised.
+    """
+
+    outcomes: tuple[TheoremReport | TheoremConsistencyError, ...]
+
+    @property
+    def reports(self) -> tuple[TheoremReport, ...]:
+        return tuple(o for o in self.outcomes if isinstance(o, TheoremReport))
+
+    @property
+    def breaches(self) -> tuple[str, ...]:
+        pairs = enumerate(self.outcomes)
+        return tuple(f"trial {i}: {o}" for i, o in pairs if not isinstance(o, TheoremReport))
+
+    @property
+    def conclusion_counts(self) -> dict[str, int]:
+        return dict(Counter(r.conclusion.value for r in self.reports))
 
     @property
     def ok(self) -> bool:
@@ -357,35 +371,24 @@ class SuiteSummary:
 
     def to_json(self) -> dict:
         return {
-            "trials": self.trials,
-            "conclusions": dict(self.conclusion_counts),
+            "trials": len(self.outcomes),
+            "conclusions": self.conclusion_counts,
             "breaches": list(self.breaches),
             "ok": self.ok,
         }
 
 
 def run_property_suite(cfg: TrialConfig) -> SuiteSummary:
-    """Generate PSD matrices, run the pipeline, and count verdicts.
+    """Generate PSD matrices, run the pipeline, and keep each trial's outcome.
 
-    Consistency breaches are collected rather than raised so a run always
-    produces a summary.
+    A consistency breach is kept as that trial's outcome rather than raised,
+    so a run always produces a summary.
     """
-    counts: dict[str, int] = {}
-    breaches: list[str] = []
-    reports: list[TheoremReport] = []
+    outcomes: list[TheoremReport | TheoremConsistencyError] = []
     for index in range(cfg.trial_count):
         trial_cfg = dataclasses.replace(cfg, seed=derive_seed(cfg.seed, index))
-        matrix = random_psd_matrix(trial_cfg)
         try:
-            report = verify_main_theorem(matrix)
+            outcomes.append(verify_main_theorem(random_psd_matrix(trial_cfg)))
         except TheoremConsistencyError as exc:
-            breaches.append(f"trial {index}: {exc}")
-            continue
-        reports.append(report)
-        counts[report.conclusion.value] = counts.get(report.conclusion.value, 0) + 1
-    return SuiteSummary(
-        trials=cfg.trial_count,
-        conclusion_counts=counts,
-        breaches=tuple(breaches),
-        reports=tuple(reports),
-    )
+            outcomes.append(exc)
+    return SuiteSummary(tuple(outcomes))

@@ -136,7 +136,7 @@ def test_criterion_5_snf_oracle_equivalence():
         result = smith_normal_form(m)
         check = verify_snf(m, result)
         assert check, check.failures
-        profile = minor_gcd_profile(m).per_order
+        profile = minor_gcd_profile(m)
         partial = rings.one(ring)
         for k, expected in enumerate(profile):
             partial = partial * result.D[k, k]

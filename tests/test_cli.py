@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from realsnf import INTEGERS, verify
 from realsnf.cli import main
+from realsnf.errors import TheoremConsistencyError
 from realsnf.verify import MAX_TRIAL_COUNT, MAX_TRIAL_DEGREE, MAX_TRIAL_HEIGHT
 
 
@@ -262,6 +264,30 @@ class TestSuiteCommand:
         assert summary["ok"] is True
         trial = json.loads(lines[0])
         assert trial["trial"] == 0
+
+    def test_breach_keeps_every_report_on_its_own_trial(self, capsys, monkeypatch):
+        """With trial 1 of 4 breaching, the report lines are trials 0, 2 and 3,
+        and each is the verdict on its own trial's seed."""
+        original = verify.verify_main_theorem
+        seen = []
+
+        def breach_on_trial_1(m):
+            seen.append(m)
+            if len(seen) == 2:
+                raise TheoremConsistencyError("forced")
+            return original(m)
+
+        monkeypatch.setattr(verify, "verify_main_theorem", breach_on_trial_1)
+        code, out, _ = run(capsys, "suite", "--ring", "Z", "--trials", "4")
+        *lines, summary = (json.loads(line) for line in out.strip().splitlines())
+        assert [line.pop("trial") for line in lines] == [0, 2, 3]
+        for index, line in zip((0, 2, 3), lines):
+            trial_cfg = verify.TrialConfig(ring=INTEGERS, seed=verify.derive_seed(0, index))
+            assert line == original(verify.random_psd_matrix(trial_cfg)).to_json()
+        assert summary["trials"] == 4
+        assert summary["breaches"] == ["trial 1: forced"]
+        assert summary["ok"] is False
+        assert code == 3
 
     def test_expect_holds_on_sqrt3(self, capsys):
         code, out, _ = run(

@@ -7,7 +7,7 @@ import realsnf
 def test_public_names():
     assert sorted(realsnf.__all__) == sorted([
         "Conclusion", "CounterexampleRecipe", "FundamentalUnit", "INTEGERS", "Matrix",
-        "MinorGcdProfile", "PsdReport", "QuadElem", "RATIONAL_POLYNOMIALS", "RatPoly",
+        "PsdReport", "QuadElem", "RATIONAL_POLYNOMIALS", "RatPoly",
         "RingFamily", "RingSpec", "SignPattern", "SnfResult", "SplitMix64", "SturmChain",
         "TheoremReport", "TrialConfig", "are_associated", "build_counterexample",
         "builtin_counterexample_recipe", "check_valuation_lemma", "count_real_roots",
@@ -17,7 +17,7 @@ def test_public_names():
         "smith_normal_form", "squarefree_decomposition", "sturm_chain", "valuation",
         "verify_main_theorem", "verify_snf",
     ])
-    assert len(realsnf.__all__) == 42
+    assert len(realsnf.__all__) == 41
 
 
 def test_star_import_binds_every_public_name():
