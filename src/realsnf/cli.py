@@ -35,10 +35,8 @@ def _emit(payload: object, pretty: bool) -> None:
     print(json.dumps(payload, indent=2 if pretty else None, sort_keys=False))
 
 
-def _load_input(text: str | None) -> object:
+def _load_input(text: str) -> object:
     """Inline JSON (starts with '[', '{' or '"') or a path to a JSON file."""
-    if text is None:
-        return None
     stripped = text.strip()
     if stripped and stripped[0] in "[{\"":
         try:
@@ -67,10 +65,9 @@ def _require_ring(args: argparse.Namespace) -> RingSpec:
 
 
 def _read_matrix(args: argparse.Namespace, what: str) -> Matrix:
-    data = _load_input(args.input)
-    if data is None:
+    if args.input is None:
         raise ParseError(f"{args.command} needs --input with {what}")
-    return matrix_from_json(data, _ring_of(args))
+    return matrix_from_json(_load_input(args.input), _ring_of(args))
 
 
 def _verdict(args: argparse.Namespace, holds: bool) -> int:
@@ -131,9 +128,8 @@ def _cmd_unit(args: argparse.Namespace) -> int:
 
 def _cmd_counterexample(args: argparse.Namespace) -> int:
     ring = _ring_of(args)
-    data = _load_input(args.input)
     builtin = verify.builtin_counterexample_recipe()
-    if data is None:
+    if args.input is None:
         if ring is not None and ring != builtin.ring:
             raise ParseError(
                 f"--ring {ring}: the built-in recipe is over {builtin.ring}; "
@@ -141,6 +137,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
             )
         recipe = builtin
     else:
+        data = _load_input(args.input)
         if not isinstance(data, dict):
             raise ParseError("counterexample input must be a JSON object")
         recipe = verify.recipe_from_json(data, ring or builtin.ring)
@@ -158,7 +155,7 @@ def _cmd_counterexample(args: argparse.Namespace) -> int:
 
 
 def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
-    data = _load_input(args.input)
+    data = None if args.input is None else _load_input(args.input)
     if not isinstance(data, dict):
         raise ParseError("valuation-lemma needs --input '{\"a\":..., \"b\":..., \"p\":...}'")
     polys = {}

@@ -64,9 +64,8 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, ring: RingSpec) -> "Matrix":
         one, zero = rings.one(ring), rings.zero(ring)
-        return cls.from_rows(
-            [[one if i == j else zero for j in range(n)] for i in range(n)], ring
-        )
+        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+        return cls(n, n, rows, ring)
 
     def __getitem__(self, key: tuple[int, int]) -> Element:
         i, j = key
@@ -109,9 +108,8 @@ class Matrix:
         )
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix.from_rows(
-            [[self.entries[i][j] for j in col_idx] for i in row_idx], self.ring
-        )
+        rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
+        return Matrix(len(row_idx), len(col_idx), rows, self.ring)
 
     def to_json(self) -> dict:
         return {
@@ -393,16 +391,12 @@ class _Reduction:
         ]
 
     def swap(self, i: int, j: int) -> None:
-        if i == j:
-            return
         self.d[i], self.d[j] = self.d[j], self.d[i]
         if self.rows is not None:
             self.rows[i], self.rows[j] = self.rows[j], self.rows[i]
 
     def add_multiple(self, dst: int, src: int, c: Element) -> None:
         """row_dst += c * row_src; the companion's row_src -= c * row_dst."""
-        if not c:
-            return
         self.d[dst] = [a + c * b if b else a for a, b in zip(self.d[dst], self.d[src])]
         if self.rows is not None:
             rows = self.rows
@@ -601,9 +595,9 @@ def _enforce_divisibility(red: _Reduction, rank: int) -> None:
             # diag(a, b) = L^(-1) * diag(g, a*b/g) * R^(-1) with the Bezout block
             # L = [[s, t], [-b/g, a/g]] on rows and R = [[1, -t*b/g], [1, s*a/g]]
             # on columns, applied as the row operation R^T on the transpose.
-            _, block, scale = rings.xgcd(red.d[i][i], red.d[j][j], ring)
+            _, block, _ = rings.xgcd(red.d[i][i], red.d[j][j], ring)
             (s, t_coef), (neg_bg, ag) = block
-            red.apply_pair(i, j, block, scale)
+            red.apply_pair(i, j, block)
             red.transpose()
             red.apply_pair(i, j, [[one, one], [t_coef * neg_bg, s * ag]])
             red.transpose()

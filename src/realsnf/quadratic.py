@@ -104,10 +104,6 @@ class SignPattern:
     def __mul__(self, other: "SignPattern") -> "SignPattern":
         return SignPattern(self.at_plus * other.at_plus, self.at_minus * other.at_minus)
 
-    def __str__(self) -> str:
-        fmt = {1: "+", -1: "-", 0: "0"}
-        return f"({fmt[self.at_plus]},{fmt[self.at_minus]})"
-
 
 class QuadElem:
     """x + y*w in a quadratic integer ring: an immutable value, equal to another
@@ -268,12 +264,6 @@ class QuadElem:
             f"no Euclidean quotient found in {ring}; d outside the verified range?"
         )
 
-    def __floordiv__(self, other: "int | QuadElem") -> "QuadElem":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "int | QuadElem") -> "QuadElem":
-        return divmod(self, other)[1]
-
     # -- presentation --------------------------------------------------------
 
     def __str__(self) -> str:
@@ -312,8 +302,6 @@ class FundamentalUnit:
 
 
 def _is_square(n: int) -> int | None:
-    if n < 0:
-        return None
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -419,8 +407,6 @@ def canonical_associate(a: QuadElem) -> QuadElem:
 def exact_divide(a: QuadElem, b: QuadElem) -> QuadElem | None:
     """a / b when b divides a exactly in the ring, else None."""
     ring = a.ring
-    if b.ring is not ring and b.ring != ring:
-        raise UnsupportedRingError("mixed quadratic rings")
     if not (b.x or b.y):
         raise ZeroDivisionError("division by zero in quadratic ring")
     nx, ny, nb = _times_conjugate(a.x, a.y, b.x, b.y, ring.uses_half_basis, ring.w2_rational)

@@ -179,6 +179,43 @@ class TestCounterexampleCommand:
         code, _, _ = run(capsys, "counterexample", "--ring", "Zsqrt:3", "--expect-holds")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "ring, recipe, diagonal",
+        [
+            (
+                "Zsqrt:6",
+                {"a": "-2-1w", "b": "1", "c": "-2-1w", "d1": "-2-1w", "e1": "5+2w",
+                 "epsilon": "5+2w"},
+                "2+1w",
+            ),
+            (
+                "Zsqrt:11",
+                {"a": "-3-1w", "b": "1", "c": "-3-1w", "d1": "-3-1w", "e1": "10+3w",
+                 "epsilon": "10+3w"},
+                "3+1w",
+            ),
+            (
+                "Zsqrt:7",
+                {"a": "-2-1w", "b": "1", "c": "-1-1w", "d1": "-3-3w", "e1": "1",
+                 "epsilon": "8+3w"},
+                "3+3w",
+            ),
+        ],
+        ids=["Zsqrt:6", "Zsqrt:11", "Zsqrt:7"],
+    )
+    def test_recipe_from_input_fails_where_pnri_fails(self, capsys, ring, recipe, diagonal):
+        """A PSD recipe over a ring without pnri whose diagonals have no
+        totally positive associate: the verdict fails, as --expect-holds reports."""
+        argv = ["counterexample", "--ring", ring, "--input", json.dumps(recipe), "--expect-holds"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["recipe"]["ring"] == ring and payload["recipe"]["a"] == recipe["a"]
+        report = payload["report"]
+        assert report["input_psd"] is True and report["pnri"] is False
+        assert report["snf_diagonals"] == [diagonal, diagonal]
+        assert report["conclusion"] == "TheoremFailsPnriFails"
+
     def test_custom_recipe_with_bad_epsilon(self, capsys):
         recipe = {"a": "1+1w", "b": "1", "c": "1+1w", "d1": "1+1w", "e1": "2+1w", "epsilon": "1/2"}
         code, _, err = run(
@@ -367,6 +404,14 @@ class TestInputErrors:
             (["snf", "--ring", "Zhalf:" + "3" * 4000, "--input", "[[1]]"], "allowlist"),
             (["snf", "--input", '{"ring":"W' + "1" * 5000 + '","entries":[[1]]}'], "unknown ring"),
             (["suite", "--ring", "Z", "--size", "2" * 4000], "--size"),
+            (["pnri"], "this subcommand needs --ring"),
+            (
+                ["snf", "--ring", "Z", "--input", "{tmp_path}/absent.json"],
+                "is neither inline JSON nor an existing file",
+            ),
+            (["snf", "--ring", "Z", "--input", __file__], "is not valid JSON"),
+            (["counterexample", "--input", "[1]"], "counterexample input must be a JSON object"),
+            (["valuation-lemma", "--input", '{"a": "1", "b": "0"}'], "field 'p' is missing"),
         ],
         ids=[
             "row-is-string",
@@ -408,6 +453,11 @@ class TestInputErrors:
             "ring-parameter-overlong-outside-allowlist",
             "ring-field-overlong",
             "suite-size-long-integer",
+            "pnri-without-ring",
+            "input-file-missing",
+            "input-file-not-json",
+            "counterexample-input-not-object",
+            "valuation-lemma-missing-field",
         ],
     )
     def test_bad_input_names_field(self, capsys, tmp_path, argv, field):
@@ -430,6 +480,30 @@ class TestInputErrors:
             code, out, err = run(capsys, command, "--ring", "Z")
             assert code == 2 and out == ""
             assert err == f"error: {command} needs --input with {what}\n"
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("counterexample", "counterexample input must be a JSON object"),
+            ("snf", "matrix must be an object or 2D array, got None"),
+            ("verify", "matrix must be an object or 2D array, got None"),
+        ],
+    )
+    def test_json_null_is_a_wrong_value_not_a_missing_input(
+        self, capsys, tmp_path, command, message
+    ):
+        path = tmp_path / "null.json"
+        path.write_text("null")
+        ring = [] if command == "counterexample" else ["--ring", "Z"]
+        code, out, err = run(capsys, command, *ring, "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    def test_non_integer_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite", "--ring", "Z", "--trials", "abc"])
+        assert exc.value.code == 2
+        assert "argument --trials: invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--seed", "--trials", "--size", "--height", "--degree"])
     def test_overlong_integer_flag_gets_a_short_message(self, capsys, flag):
@@ -466,6 +540,28 @@ class TestInputErrors:
         code, out, _ = run(capsys, "pnri", "--ring", "Z", "--pretty")
         assert code == 0
         assert out.startswith("{\n")
+
+
+class TestBreachExits:
+    """Exit 3 is kept for faults of the library, never for bad input."""
+
+    @pytest.mark.parametrize(
+        "error, expected",
+        [
+            (TheoremConsistencyError("forced"), "consistency breach: forced\n"),
+            (RuntimeError("forced"), "RuntimeError: forced\n"),
+        ],
+        ids=["consistency-breach", "unexpected-exception"],
+    )
+    def test_exit_3(self, capsys, monkeypatch, error, expected):
+        def fail(m):
+            raise error
+
+        monkeypatch.setattr(verify, "verify_main_theorem", fail)
+        code, out, err = run(capsys, "verify", "--ring", "Z", "--input", "[[1]]")
+        assert (code, out) == (3, "")
+        assert err.endswith(expected)
+        assert ("Traceback" in err) is isinstance(error, RuntimeError)
 
 
 class TestInProcessCalls:

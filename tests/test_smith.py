@@ -235,6 +235,19 @@ class TestVerifySnf:
         assert not check
         assert "D is not diagonal" in check.failures
 
+    @pytest.mark.parametrize(
+        "rows, failure",
+        [
+            ([[0, 0], [0, 1]], "a zero diagonal entry precedes a nonzero one"),
+            ([[2, 0], [0, 3]], "divisibility chain broken at d_1 | d_2"),
+        ],
+        ids=["zero-first", "2-does-not-divide-3"],
+    )
+    def test_rejects_a_broken_chain(self, rows, failure):
+        # D = M with P = Q = I: every check but the order of D's diagonal passes
+        m, forged = self.forged(rows, [[1, 0], [0, 1]], rows)
+        assert verify_snf(m, forged).failures == (failure,)
+
     def test_never_enumerates_minors(self, monkeypatch):
         def refuse(m):
             raise AssertionError("verify_snf enumerated minors")
