@@ -179,12 +179,8 @@ def _cmd_valuation_lemma(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     ring = _require_ring(args)
-    for flag, value, low, high in (
-        ("--size", args.size, 1, verify.MAX_TRIAL_SIZE),
-        ("--trials", args.trials, 0, verify.MAX_TRIAL_COUNT),
-        ("--height", args.height, 1, verify.MAX_TRIAL_HEIGHT),
-        ("--degree", args.degree, 0, verify.MAX_TRIAL_DEGREE),
-    ):
+    for _, flag, low, high in verify.TRIAL_LIMITS:
+        value = getattr(args, flag[2:])
         if not low <= value <= high:
             raise ParseError(
                 f"flag {flag}: must be between {low} and {high}, got {_cut(str(value))}"

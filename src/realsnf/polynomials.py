@@ -6,15 +6,15 @@ per coefficient (see :class:`RatPoly`).
 
 Sign questions on the real line are decided without any numerics.  Sturm
 chains count distinct real roots of any nonzero polynomial, square-free or
-not.  Each sign question (nonnegativity on R, a constant-sign associate, a
-negative point) makes one pass that starts from the Sturm chain of monic p.
-When that chain ends in a constant, p is square-free and the chain says
-whether p changes sign.  Only when it ends in a nonconstant gcd does Yun's
-square-free decomposition run, from that gcd, to split off the
-odd-multiplicity part, whose one Sturm chain answers instead.  Nonnegativity
-on all of R is then "even degree, positive leading coefficient, no real root
-of the odd part", and the same chain guides the bisection to a negative
-point.
+not.  A sign question makes one pass that starts from the Sturm chain of
+monic p.  When that chain ends in a constant, p is square-free and the chain
+says whether p changes sign.  Only when it ends in a nonconstant gcd does
+Yun's square-free decomposition run, from that gcd, to split off the
+odd-multiplicity part, whose one Sturm chain answers instead.  The yes/no
+questions (nonnegativity on R, a real root of an irreducible) read the
+positive associate: "even degree, no real root of the odd part", then the
+sign of the leading coefficient.  Only a printed negative point, the
+bisection that the same chain guides, needs a root bound.
 """
 
 from __future__ import annotations
@@ -487,11 +487,11 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
 
 def is_nonneg_on_reals(p: RatPoly) -> bool:
     """Exact test of p(t) >= 0 for every real t."""
-    return find_negative_point(p) is None
+    return not p or positive_associate(p) == p
 
 
 def positive_associate(p: RatPoly) -> RatPoly | None:
-    """c * p nonnegative on R for some rational c != 0, if that is possible."""
+    """c * p nonnegative on R for some rational c != 0, if that is possible; p if p >= 0."""
     if not p:
         raise ZeroPolynomialError("zero polynomial has no positive associate")
     if p.degree % 2 == 1 or (p.degree > 0 and _sign_change_chain(p) is not None):
@@ -605,6 +605,8 @@ def _eisenstein_applies(p: RatPoly) -> bool:
 
     q must divide every non-leading coefficient, so only the prime factors of
     their gcd are tried, by trial division up to EISENSTEIN_TRIAL_BOUND.
+    Such a q cannot divide the lead, the coefficients being coprime, so it
+    only remains that q**2 must not divide the constant coefficient.
     """
     coeffs = p.int_coefficients()
     g, f = math.gcd(*coeffs[:-1]), 2
@@ -612,20 +614,12 @@ def _eisenstein_applies(p: RatPoly) -> bool:
         if f > EISENSTEIN_TRIAL_BOUND:
             return False
         if g % f == 0:
-            if _eisenstein_at(coeffs, f):
+            if coeffs[0] % (f * f):
                 return True
             while g % f == 0:
                 g //= f
         f += 1
-    return g > 1 and _eisenstein_at(coeffs, g)
-
-
-def _eisenstein_at(coeffs: list[int], q: int) -> bool:
-    if coeffs[-1] % q == 0:
-        return False
-    if any(c % q for c in coeffs[:-1]):
-        return False
-    return coeffs[0] % (q * q) != 0
+    return g > 1 and coeffs[0] % (g * g) != 0
 
 
 def certify_irreducible(p: RatPoly) -> bool | None:
@@ -654,7 +648,7 @@ def is_real_irreducible(p: RatPoly) -> bool:
     if certified is not True:
         status = "is reducible over Q" if certified is False else "cannot be certified irreducible"
         raise NotCertifiedIrreducibleError(f"{p} {status} (degree {p.degree})")
-    return count_real_roots(p) > 0
+    return positive_associate(p) is None
 
 
 # -- text and JSON forms ---------------------------------------------------------

@@ -8,13 +8,13 @@ the entry points that take values from outside the package coerce them
 :func:`gcd`, :func:`are_associated`, :func:`valuation`); everything else
 takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
-exact division, the canonical associate, the primitive part (Q[x] only, in
-xgcd), a nonzero element G of the ideal some values generate
+exact division, the canonical and the positive associate, the primitive part
+(Q[x] only, in xgcd), a nonzero element G of the ideal some values generate
 (:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
 residues modulo a rational integer (:func:`residue`, Z and the quadratic
 rings) and pnri.  The rest is derived from them for every family: units
-(1 / a exists), gcd (the canonical xgcd generator), association, and p-adic
-valuations by repeated exact division.
+(1 / a exists), gcd (the canonical xgcd generator), association, p-adic
+valuations by repeated exact division, and every yes/no sign question.
 """
 
 from __future__ import annotations
@@ -113,6 +113,15 @@ def canonicalize(a: Element, ring: RingSpec) -> Element:
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         return a.monic()
     return quadratic.canonical_associate(a)
+
+
+def positive_associate(a: Element, ring: RingSpec) -> Element | None:
+    """An associate of a nonzero a that is >= 0 at every ordering (a itself if a >= 0), or None."""
+    if ring.family is RingFamily.INTEGERS:
+        return abs(a)
+    if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        return polynomials.positive_associate(a)
+    return quadratic.positive_associate(a)
 
 
 def gcd(a: Element, b: Element, ring: RingSpec) -> Element:

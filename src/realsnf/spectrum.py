@@ -6,13 +6,14 @@ means nonnegativity under both real embeddings.  Every ring is decided the
 same way, exactly in the ring, so no embedding is ever evaluated with
 floating point: the pivots of one fraction-free symmetric elimination
 (:func:`matrices.symmetric_elimination`), which are principal minors, get
-one sign test each, up to the first negative one.  The only per-family fact
-the decision reads is where an element is negative (`negative_ordering`).
+one sign test each, up to the first negative one: a >= 0 exactly when its
+positive associate (:func:`rings.positive_associate`) is a itself.
 
 :func:`psd_decision` returns the verdict with the elimination, whose minors
 give the Smith stage of ``verify`` a modulus G (see
 :func:`matrices.smith_diagonals`).  :func:`is_psd_on_spectrum` adds the
-witness of a not-PSD verdict, and only then enumerates principal minors.
+witness of a not-PSD verdict: only then are principal minors enumerated,
+and where one is negative looked for (:func:`negative_ordering`).
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -49,7 +50,8 @@ def negative_ordering(a: Element, ring: RingSpec) -> dict | None:
 
 def element_is_nonneg(a: Element, ring: RingSpec) -> bool:
     """a >= 0 at every point of the real spectrum."""
-    return negative_ordering(rings.coerce(a, ring), ring) is None
+    a = rings.coerce(a, ring)
+    return not a or rings.positive_associate(a, ring) == a
 
 
 @dataclass(frozen=True)
@@ -120,9 +122,7 @@ def psd_decision(m: Matrix) -> tuple[bool, Elimination]:
     if m.n_rows > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
     elimination = symmetric_elimination(m)
-    psd = not elimination.stuck and all(
-        negative_ordering(p, m.ring) is None for p in elimination.pivots
-    )
+    psd = not elimination.stuck and all(element_is_nonneg(p, m.ring) for p in elimination.pivots)
     return psd, elimination
 
 

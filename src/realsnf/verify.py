@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from . import polynomials, quadratic, rings, spectrum
+from . import polynomials, rings, spectrum
 from .errors import (
     CounterexampleConditionError,
     PreconditionFailedError,
@@ -46,17 +46,15 @@ class Conclusion(str, Enum):
     NOT_APPLICABLE_NOT_PSD = "NotApplicableNotPsd"
 
 
-def _positivity(a: Element, ring: RingSpec) -> tuple[dict, Element | None]:
-    """Sign data of a nonzero diagonal and a totally positive associate, if any."""
+def _sign_data(a: Element, associate: Element | None, ring: RingSpec) -> dict:
+    """The JSON sign data of a nonzero diagonal a with the given positive associate."""
     if ring.family is RingFamily.INTEGERS:
-        return {"sign": str((a > 0) - (a < 0))}, abs(a)
+        return {"sign": str((a > 0) - (a < 0))}
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         # a != 0, so a and -a are not both nonnegative on R
-        associate = polynomials.positive_associate(a)
-        return {"nonneg_on_reals": associate == a, "negation_nonneg": associate == -a}, associate
+        return {"nonneg_on_reals": associate == a, "negation_nonneg": associate == -a}
     pattern = a.sign_pattern()
-    signs = {"at_plus": str(pattern.at_plus), "at_minus": str(pattern.at_minus)}
-    return signs, quadratic.positive_associate(a)
+    return {"at_plus": str(pattern.at_plus), "at_minus": str(pattern.at_minus)}
 
 
 @dataclass(frozen=True)
@@ -67,10 +65,16 @@ class TheoremReport:
     input_psd: bool
     snf_diagonals: tuple[Element, ...]
     sign_data: tuple[dict, ...]
-    positivizable: tuple[bool, ...]
     positive_associates: tuple[Element | None, ...]
-    pnri: bool
     conclusion: Conclusion
+
+    @property
+    def positivizable(self) -> tuple[bool, ...]:
+        return tuple(a is not None for a in self.positive_associates)
+
+    @property
+    def pnri(self) -> bool:
+        return rings.pnri(self.ring)
 
     def to_json(self) -> dict:
         return {
@@ -95,17 +99,13 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     # once or modulo G; no witness is looked for
     psd, elimination = spectrum.psd_decision(m)
     diagonals = smith_diagonals(m, elimination)
-    positivity = [_positivity(d, ring) for d in diagonals]
-    sign_data = tuple(signs for signs, _ in positivity)
-    associates = tuple(associate for _, associate in positivity)
-    positivizable = tuple(a is not None for a in associates)
-    has_pnri = rings.pnri(ring)
+    associates = tuple(rings.positive_associate(d, ring) for d in diagonals)
 
     if not psd:
         conclusion = Conclusion.NOT_APPLICABLE_NOT_PSD
-    elif all(positivizable):
+    elif all(a is not None for a in associates):
         conclusion = Conclusion.THEOREM_HOLDS
-    elif not has_pnri:
+    elif not rings.pnri(ring):
         conclusion = Conclusion.THEOREM_FAILS_PNRI_FAILS
     else:
         raise TheoremConsistencyError(
@@ -117,10 +117,8 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
         ring=ring,
         input_psd=psd,
         snf_diagonals=diagonals,
-        sign_data=sign_data,
-        positivizable=positivizable,
+        sign_data=tuple(_sign_data(d, a, ring) for d, a in zip(diagonals, associates)),
         positive_associates=associates,
-        pnri=has_pnri,
         conclusion=conclusion,
     )
 
@@ -290,6 +288,13 @@ MAX_TRIAL_SIZE = 5
 MAX_TRIAL_COUNT = 10_000
 MAX_TRIAL_HEIGHT = 100
 MAX_TRIAL_DEGREE = 4
+# (TrialConfig field, the suite flag that sets it, lowest, highest value)
+TRIAL_LIMITS = (
+    ("matrix_size", "--size", 1, MAX_TRIAL_SIZE),
+    ("entry_height_bound", "--height", 1, MAX_TRIAL_HEIGHT),
+    ("trial_count", "--trials", 0, MAX_TRIAL_COUNT),
+    ("max_degree", "--degree", 0, MAX_TRIAL_DEGREE),
+)
 
 
 @dataclass(frozen=True)
@@ -308,12 +313,7 @@ class TrialConfig:
     max_degree: int = 2
 
     def __post_init__(self) -> None:
-        for name, low, high in (
-            ("matrix_size", 1, MAX_TRIAL_SIZE),
-            ("entry_height_bound", 1, MAX_TRIAL_HEIGHT),
-            ("trial_count", 0, MAX_TRIAL_COUNT),
-            ("max_degree", 0, MAX_TRIAL_DEGREE),
-        ):
+        for name, _, low, high in TRIAL_LIMITS:
             if not low <= getattr(self, name) <= high:
                 raise ValueError(f"{name} must be between {low} and {high}")
 

@@ -412,6 +412,20 @@ class TestInputErrors:
             (["snf", "--ring", "Z", "--input", __file__], "is not valid JSON"),
             (["counterexample", "--input", "[1]"], "counterexample input must be a JSON object"),
             (["valuation-lemma", "--input", '{"a": "1", "b": "0"}'], "field 'p' is missing"),
+            (["valuation-lemma"], """valuation-lemma needs --input '{"a":..., "b":..., "p":...}'"""),
+            (["counterexample", "--input", '{"a":"1"}'], "recipe field 'b' is missing"),
+            (
+                ["snf", "--ring", "Q[x]", "--input", "[[true]]"],
+                "field 'entries[0][0]': bad polynomial True",
+            ),
+            (
+                ["snf", "--ring", "Zsqrt:2", "--input", "[[1.5]]"],
+                "field 'entries[0][0]': bad quadratic element 1.5",
+            ),
+            (
+                ["snf", "--ring", "Zsqrt:2", "--input", "[[[1,2]]]"],
+                "field 'entries[0][0]': bad quadratic element [1, 2]",
+            ),
         ],
         ids=[
             "row-is-string",
@@ -458,6 +472,11 @@ class TestInputErrors:
             "input-file-not-json",
             "counterexample-input-not-object",
             "valuation-lemma-missing-field",
+            "valuation-lemma-without-input",
+            "counterexample-recipe-field-missing",
+            "polynomial-is-bool",
+            "quadratic-element-is-float",
+            "quadratic-element-is-array",
         ],
     )
     def test_bad_input_names_field(self, capsys, tmp_path, argv, field):

@@ -570,6 +570,10 @@ class TestIrreducibility:
         assert certify_irreducible(parse_poly("x^5 - 4*x + 2")) is True
         # x^4+4 factors as (x^2+2x+2)(x^2-2x+2): no certificate either way
         assert certify_irreducible(parse_poly("x^4+4")) is None
+        # both prime factors of g exceed EISENSTEIN_TRIAL_BOUND, so the trial
+        # division stops before finding either: no certificate
+        g = 1000003 * 1000033
+        assert certify_irreducible(parse_poly(f"x^4 + {g}*x + {g}")) is None
 
     def test_certification_matches_the_divisor_search(self):
         # Products of small rational factors (rational roots), multiples of a

@@ -14,7 +14,7 @@ from realsnf.errors import (
 from realsnf.matrices import Matrix
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
-from realsnf.ringspec import RingFamily
+from realsnf.ringspec import RingFamily, RingSpec
 from realsnf import quadratic, rings
 
 from helpers import RING_NAMES, classical_xgcd, unit_power
@@ -52,6 +52,12 @@ class TestRingSpecGrammar:
             parse_ring("Zroot:3")
         with pytest.raises(ParseError):
             parse_ring("Zsqrt:x")
+
+    def test_parameter_must_match_the_family(self):
+        with pytest.raises(UnsupportedRingError, match="^quadratic ring requires a parameter d$"):
+            RingSpec(RingFamily.QUADRATIC_INTEGERS)
+        with pytest.raises(UnsupportedRingError, match="^Z takes no parameter d$"):
+            RingSpec(RingFamily.INTEGERS, 3)
 
 
 class TestElementValues:
@@ -356,3 +362,7 @@ class TestElementText:
         a = QuadElem(1, 1, quadratic_ring(3))
         with pytest.raises(UnsupportedRingError):
             rings.coerce(a, quadratic_ring(2))
+
+    def test_float_entry_rejected(self):
+        with pytest.raises(UnsupportedRingError, match="^cannot interpret 1.5 as an element of Z$"):
+            Matrix.from_rows([[1.5]], INTEGERS)

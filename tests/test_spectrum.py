@@ -1,14 +1,23 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, quadratic_ring, rings, spectrum
+from realsnf import (
+    INTEGERS,
+    RATIONAL_POLYNOMIALS,
+    matrices,
+    polynomials,
+    quadratic_ring,
+    rings,
+    spectrum,
+)
 from realsnf.errors import NotSymmetricError, SizeLimitError
 from realsnf.matrices import Matrix, determinant
-from realsnf.polynomials import RatPoly, parse_poly
+from realsnf.polynomials import RatPoly, is_nonneg_on_reals, is_real_irreducible, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf.ringspec import RingFamily, parse_ring
 from helpers import (
@@ -78,6 +87,79 @@ class TestElementNonneg:
                 else:
                     a = QuadElem(rng.randint(-6, 6), rng.randint(-6, 6), ring)
                 assert element_is_nonneg(a * a, ring)
+
+
+def sign_question_cases(rng, ring):
+    """Zero and constants, then per family: integers; over Q[x] odd degrees,
+    c * r**2 and c * r**2 * s for r a product of rational linear factors
+    (repeated real roots) and s a monic quadratic with or without real roots;
+    and elements of a quadratic ring, whose two embeddings often differ in sign."""
+    cases = [rings.zero(ring)] + [rings.coerce(c, ring) for c in (-3, -1, 1, 2)]
+    for _ in range(60):
+        if ring.family is RingFamily.INTEGERS:
+            cases.append(rng.randint(-9, 9))
+        elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+            odd = [rng.randint(-4, 4) for _ in range(2 * rng.randint(0, 2) + 1)]
+            roots = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 2))]
+            r = math.prod((RatPoly([-t, 1]) for t in roots), start=RatPoly([1]))
+            s = RatPoly([rng.randint(-4, 4), rng.randint(-2, 2), 1])
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+            cases += [RatPoly(odd + [rng.choice([-2, -1, 1, 3])]), r * r * c, r * r * s * c]
+        else:
+            cases.append(QuadElem(rng.randint(-6, 6), rng.randint(-6, 6), ring))
+    return cases
+
+
+class TestSignQuestionsReadThePositiveAssociate:
+    """a >= 0 exactly when its positive associate is a itself; a negative
+    point is looked for only to print a witness."""
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_nonneg_agrees_with_the_witness_search(self, name):
+        ring, rng = parse_ring(name), random.Random(61)
+        answers, mixed = set(), set()
+        for a in sign_question_cases(rng, ring):
+            nonneg = element_is_nonneg(a, ring)
+            assert nonneg == (spectrum.negative_ordering(a, ring) is None), str(a)
+            answers.add(nonneg)
+            if not a:
+                continue
+            associate = rings.positive_associate(a, ring)
+            assert (associate == a) is nonneg, str(a)
+            if associate is not None:
+                assert element_is_nonneg(associate, ring)
+                assert rings.are_associated(associate, a, ring)
+            if ring.family is RingFamily.QUADRATIC_INTEGERS:
+                pattern = a.sign_pattern()
+                mixed.add(pattern.at_plus != pattern.at_minus)
+        assert answers == {True, False}
+        if ring.family is RingFamily.QUADRATIC_INTEGERS:
+            assert mixed == {True, False}
+
+    def test_qx_decisions_never_search_for_a_negative_point(self, monkeypatch):
+        def searching(p):
+            raise AssertionError(f"searched for a negative point of {p}")
+
+        monkeypatch.setattr(polynomials, "find_negative_point", searching)
+        qx = RATIONAL_POLYNOMIALS
+        for rows, psd, stuck in (
+            ((("x^2", "x"), ("x", "1")), True, False),
+            ((("x^2+1", "x"), ("x", "2")), True, False),
+            ((("x^2", "1"), ("1", "1")), False, False),  # second pivot x^2 - 1
+            ((("0", "x"), ("x", "0")), False, True),
+        ):
+            m = Matrix.from_rows([[parse_poly(e) for e in row] for row in rows], qx)
+            decided, elimination = spectrum.psd_decision(m)
+            assert (decided, elimination.stuck) == (psd, stuck)
+            assert verify_main_theorem(m).input_psd is psd
+        for text, nonneg in (
+            ("0", True), ("3", True), ("x^2 - 2*x + 1", True),
+            ("x^2 - 1", False), ("-x^2", False), ("x^3", False), ("-2", False),
+        ):
+            assert element_is_nonneg(parse_poly(text), qx) is nonneg, text
+            assert is_nonneg_on_reals(parse_poly(text)) is nonneg, text
+        for text, real in (("x^2 - 2", True), ("x - 5", True), ("x^2 + 1", False), ("-x^2 - x - 1", False)):
+            assert is_real_irreducible(parse_poly(text)) is real, text
 
 
 class TestPsdOnSpectrum:
@@ -387,13 +469,13 @@ class TestEliminationDecision:
         # diag(1, .., 1, -1, 1, ..) has pivot k as its first negative one, so
         # the decision makes k sign tests; a stuck elimination makes none
         ring = parse_ring(name)
-        original, tested = spectrum.negative_ordering, []
+        original, tested = spectrum.element_is_nonneg, []
 
         def recording(a, ring):
             tested.append(a)
             return original(a, ring)
 
-        monkeypatch.setattr(spectrum, "negative_ordering", recording)
+        monkeypatch.setattr(spectrum, "element_is_nonneg", recording)
         n = 4
         for k in range(1, n + 1):
             rows = [[(-1 if i == k - 1 else 1) if i == j else 0 for j in range(n)] for i in range(n)]

@@ -155,7 +155,7 @@ class TestVerifyMainTheorem:
         # the PSD stage and the Smith stage share one elimination, and verify
         # makes exactly the sign tests of one PSD decision
         ring, rng = parse_ring(name), random.Random(47)
-        eliminate, negative = matrices.symmetric_elimination, spectrum.negative_ordering
+        eliminate, nonneg = matrices.symmetric_elimination, spectrum.element_is_nonneg
         eliminations, tested = [], []
 
         def eliminating(m):
@@ -164,12 +164,12 @@ class TestVerifyMainTheorem:
 
         def testing(a, ring):
             tested.append(a)
-            return negative(a, ring)
+            return nonneg(a, ring)
 
         for module in list(sys.modules.values()):
             if getattr(module, "__dict__", {}).get("symmetric_elimination") is eliminate:
                 monkeypatch.setattr(module, "symmetric_elimination", eliminating)
-        monkeypatch.setattr(spectrum, "negative_ordering", testing)
+        monkeypatch.setattr(spectrum, "element_is_nonneg", testing)
         one = rings.one(ring)
         cases = [[[one, 0, 0], [0, 0, one], [0, one, 0]]]  # stuck after one pivot
         for n in range(1, 5):
@@ -182,13 +182,14 @@ class TestVerifyMainTheorem:
             if n > 1:
                 stuck[0][1] = stuck[1][0] = one
             cases += [psd, not_psd, stuck]
-        kinds = set()
+        kinds, sign_tests = set(), 0
         for rows in cases:
             m = Matrix.from_rows(rows, ring)
             eliminations.clear()
             tested.clear()
             psd, elimination = spectrum.psd_decision(m)
             decided = len(tested)
+            sign_tests += decided
             eliminations.clear()
             tested.clear()
             report = verify_main_theorem(m)
@@ -197,6 +198,7 @@ class TestVerifyMainTheorem:
             assert report.input_psd is psd
             kinds.add("stuck" if elimination.stuck else psd)
         assert kinds == {True, False, "stuck"}
+        assert sign_tests > 0  # the decision was counted, so equal counts mean something
 
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetricError):
