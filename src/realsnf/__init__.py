@@ -16,7 +16,6 @@ from .matrices import (
 from .polynomials import (
     RatPoly,
     SturmChain,
-    count_real_roots,
     is_nonneg_on_reals,
     is_real_irreducible,
     squarefree_decomposition,
@@ -81,7 +80,6 @@ __all__ = [
     "build_counterexample",
     "builtin_counterexample_recipe",
     "check_valuation_lemma",
-    "count_real_roots",
     "determinant",
     "element_is_nonneg",
     "fundamental_unit",

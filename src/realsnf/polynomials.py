@@ -4,22 +4,33 @@ A polynomial is stored as a positive rational content times a primitive
 integer polynomial, so arithmetic runs on integers and builds no Fraction
 per coefficient (see :class:`RatPoly`).
 
-Sign questions on the real line are decided without any numerics.  Sturm
-chains count distinct real roots of any nonzero polynomial, square-free or
-not.  A sign question makes one pass that starts from the Sturm chain of
-monic p.  When that chain ends in a constant, p is square-free and the chain
-says whether p changes sign.  Only when it ends in a nonconstant gcd does
-Yun's square-free decomposition run, from that gcd, to split off the
-odd-multiplicity part, whose one Sturm chain answers instead.  The yes/no
-questions (nonnegativity on R, a real root of an irreducible) read the
-positive associate: "even degree, no real root of the odd part", then the
-sign of the leading coefficient.  Only a printed negative point, the
-bisection that the same chain guides, needs a root bound.
+Sign questions on the real line are decided without any numerics.  The
+yes/no questions (nonnegativity on R, a real root of an irreducible) read
+the positive associate: "even degree, and no real root of odd
+multiplicity", then the sign of the leading coefficient.  Whether p has such
+a root is decided in this order, each step running only when the one
+before cannot tell:
+
+1. an exact square test: p is a constant times a square;
+2. Descartes' rule of signs on p(x) and p(-x), bisecting (0, oo) by integer
+   Taylor shifts (Collins and Akritas, SYMSAC 1976) where the count is
+   inconclusive;
+3. one Sturm pass, starting from the Sturm chain of monic p.  When that
+   chain ends in a constant, p is square-free and the chain says whether p
+   changes sign.  Only when it ends in a nonconstant gcd does Yun's
+   square-free decomposition run, from that gcd, to split off the
+   odd-multiplicity part, whose one Sturm chain answers instead.
+
+Only a printed negative point, the bisection that the same chain guides,
+needs a root bound.  Over Z/p, for one word prime p, a gcd test shows
+polynomials coprime over Q without a remainder sequence over Q
+(:func:`certify_coprime`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -50,10 +61,10 @@ def eval_sign_int(coeffs: "list[int] | tuple[int, ...]", u: int, v: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def sign_variations(signs: list[int]) -> int:
-    """Number of sign changes in a sequence, zeros skipped."""
-    nonzero = [s for s in signs if s]
-    return sum(a != b for a, b in zip(nonzero, nonzero[1:]))
+def sign_variations(values: "list[int] | tuple[int, ...]") -> int:
+    """Number of sign changes in a sequence of integers, zeros skipped."""
+    positive = [v > 0 for v in values if v]
+    return sum(map(operator.ne, positive, positive[1:]))
 
 
 class RatPoly:
@@ -377,6 +388,56 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return _remainder_sequence(a, b)[-1].monic()
 
 
+# The prime of the modular coprimality test, 2**31 - 1.
+MODULAR_GCD_PRIME = 2**31 - 1
+
+
+def _gcd_modulo(a: list[int], b: list[int], prime: int) -> list[int]:
+    """A gcd over Z/prime of two residue lists, constant first, each empty or
+    with a nonzero last entry; for a nonconstant gcd it has length >= 2."""
+    while b:
+        inverse = pow(b[-1], -1, prime)
+        b = [c * inverse % prime for c in b]  # monic
+        top = len(b) - 1
+        rem = list(a)
+        while len(rem) > top:
+            lead = rem.pop()
+            if lead:
+                shift = len(rem) - top
+                rem[shift:] = [(c - lead * d) % prime for c, d in zip(rem[shift:], b)]
+        while rem and not rem[-1]:
+            rem.pop()
+        a, b = b, rem
+    return a
+
+
+def certify_coprime(values: Iterable[RatPoly]) -> bool:
+    """True only when the gcd over Q of the values is 1, shown modulo
+    MODULAR_GCD_PRIME; False when that test cannot tell.
+
+    The gcd over Q has a primitive integer form g that divides each value's
+    primitive integer part in Z[x] (Gauss's lemma), so g modulo the prime
+    divides each of their images.  If the prime does not divide the leading
+    coefficient of one of them, it does not divide that of g either, and g
+    keeps its degree modulo the prime.  So a constant gcd of the images
+    proves that g is constant.  The test is one-sided (Brown, J. ACM 18,
+    1971): an unlucky prime, or one that divides every leading coefficient,
+    only makes it decline.
+    """
+    prime = MODULAR_GCD_PRIME
+    images = [[c % prime for c in v._p] for v in values if v._p]
+    if not any(image[-1] for image in images):
+        return False
+    g: list[int] = []
+    for image in images:
+        while image and not image[-1]:
+            image.pop()
+        g = _gcd_modulo(g, image, prime)
+        if len(g) == 1:
+            return True
+    return False
+
+
 # -- Sturm chains -------------------------------------------------------------
 
 
@@ -406,16 +467,6 @@ def _roots_on_line(chain: SturmChain) -> int:
     """Distinct real roots of the chain's polynomial: variations at -oo minus +oo."""
     minus, plus = ([q.sign_at_infinity(d) for q in chain.chain] for d in (-1, 1))
     return sign_variations(minus) - sign_variations(plus)
-
-
-def count_real_roots(p: RatPoly) -> int:
-    """Distinct real roots of a nonzero polynomial, by Sturm's theorem.
-
-    The chain p, p', then positive multiples of -rem, ... ends at a multiple
-    of gcd(p, p'), and its sign variations count distinct roots whether or
-    not p is square-free.
-    """
-    return _roots_on_line(sturm_chain(p))
 
 
 def _count_roots_between(chain: list[list[int]], a: Coefficient, b: Coefficient) -> int:
@@ -485,17 +536,148 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
     return chain if _roots_on_line(chain) > 0 else None
 
 
+# Bisections of (0, oo) that Descartes' rule may take on each half-line.
+DESCARTES_DEPTH = 6
+
+
+def _shifted(h: list[int]) -> list[int]:
+    """q(x + 1) for the q with coefficients h, highest first (Ruffini-Horner:
+    each pass turns a shorter prefix into its running sums)."""
+    h = list(h)
+    for end in range(len(h), 1, -1):
+        total = 0
+        for j in range(end):
+            total += h[j]
+            h[j] = total
+    return h
+
+
+def _odd_root_above_zero(h: list[int], depth: int) -> bool | None:
+    """Whether q, with coefficients h highest first and q(0) != 0, has a root
+    of odd multiplicity in (0, oo); None when Descartes' rule cannot tell
+    within ``depth`` bisections.
+
+    The sign variations V of h bound the roots in (0, oo), counted with
+    multiplicity, and differ from their number by an even count: V = 0
+    means no root, V = 1 one simple root.  Otherwise (0, oo) is split at 1:
+    q(x + 1) holds the roots above 1 and (x + 1)**d * q(1 / (x + 1)) those in
+    (0, 1), both again on (0, oo).  A root at 1 is a root at 0 of both, of
+    the same multiplicity k: odd k is a sign change, and x**k is divided out
+    of both for even k.
+    """
+    v = sign_variations(h)
+    if v < 2:
+        return v == 1
+    if depth == 0:
+        return None
+    above = _shifted(h)
+    k = 0
+    while not above[-1 - k]:
+        k += 1
+    if k % 2:
+        return True
+    first = _odd_root_above_zero(above[: len(above) - k], depth - 1)
+    if first:
+        return True
+    below = _shifted(h[::-1])
+    second = _odd_root_above_zero(below[: len(below) - k], depth - 1)
+    if second:
+        return True
+    return None if first is None or second is None else False
+
+
+def _descartes_sign_change(c: tuple[int, ...]) -> bool | None:
+    """Whether the polynomial with integer coefficients c, constant first and
+    of even degree >= 2, changes sign on R; None when Descartes' rule on
+    p(x) and p(-x) cannot tell (see :func:`_odd_root_above_zero`).
+
+    p changes sign exactly at its real roots of odd multiplicity.  A root at
+    0 of multiplicity k is one when k is odd, and x**k is divided out when k
+    is even.
+    """
+    k = 0
+    while not c[k]:
+        k += 1
+    if k % 2:
+        return True
+    h = list(reversed(c[k:]))
+    if len(h) == 1:
+        return False
+    top = len(h) - 1
+    undecided = False
+    for q in (h, [-a if (top - i) % 2 else a for i, a in enumerate(h)]):
+        found = _odd_root_above_zero(q, DESCARTES_DEPTH)
+        if found:
+            return True
+        undecided = undecided or found is None
+    return None if undecided else False
+
+
+def _is_constant_times_square(c: tuple[int, ...]) -> bool:
+    """Whether monic p = r**2 for some r in Q[x], p having the coprime integer
+    coefficients c, constant first.
+
+    By Gauss's lemma that holds exactly when +-c is the square of an integer
+    polynomial s, taken with a positive leading coefficient: the lead of +-c
+    is a perfect square t**2, the lead of s is t, and s is built from the top
+    by exact integer divisions by 2t, then checked by s * s.
+    """
+    if len(c) % 2 == 0:
+        return False
+    h = c[::-1] if c[-1] > 0 else [-a for a in reversed(c)]
+    t = math.isqrt(h[0])
+    if t * t != h[0]:
+        return False
+    half = len(h) // 2
+    s = [t]
+    for k in range(1, half + 1):
+        rest = h[k] - sum(s[i] * s[k - i] for i in range(1, k))
+        q, r = divmod(rest, 2 * t)
+        if r:
+            return False
+        s.append(q)
+    return all(
+        h[k] == sum(s[i] * s[k - i] for i in range(k - half, half + 1))
+        for k in range(half + 1, len(h))
+    )
+
+
+def _certified_sign_change(p: RatPoly) -> bool | None:
+    """Whether p, of even degree >= 2, changes sign on R, by the square test
+    and then Descartes' rule; None when neither can tell.
+
+    The square test goes first: it costs a few integer products, and
+    Descartes' rule never settles c * r**2 with a real root of r (every
+    interval around the double root keeps two variations), so it would
+    bisect to the full depth first.
+    """
+    if _is_constant_times_square(p._p):
+        return False
+    return _descartes_sign_change(p._p)
+
+
 def is_nonneg_on_reals(p: RatPoly) -> bool:
     """Exact test of p(t) >= 0 for every real t."""
     return not p or positive_associate(p) == p
 
 
 def positive_associate(p: RatPoly) -> RatPoly | None:
-    """c * p nonnegative on R for some rational c != 0, if that is possible; p if p >= 0."""
+    """c * p nonnegative on R for some rational c != 0, if that is possible; p if p >= 0.
+
+    That is possible exactly for even degree and no real root of odd
+    multiplicity.  The square test decides that first, then Descartes' rule
+    with bisection, and only what they leave runs the Sturm pass.
+    """
     if not p:
         raise ZeroPolynomialError("zero polynomial has no positive associate")
-    if p.degree % 2 == 1 or (p.degree > 0 and _sign_change_chain(p) is not None):
+    if p.degree % 2 == 1:
         return None
+    if p.degree > 0:
+        changes = _certified_sign_change(p)
+        if changes is None:
+            changes = _sign_change_chain(p) is not None
+        if changes:
+            return None
     return p if p.sign_at_infinity(+1) > 0 else -p
 
 

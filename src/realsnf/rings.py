@@ -8,13 +8,15 @@ the entry points that take values from outside the package coerce them
 :func:`gcd`, :func:`are_associated`, :func:`valuation`); everything else
 takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
-exact division, the canonical and the positive associate, the primitive part
-(Q[x] only, in xgcd), a nonzero element G of the ideal some values generate
-(:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
-residues modulo a rational integer (:func:`residue`, Z and the quadratic
-rings) and pnri.  The rest is derived from them for every family: units
-(1 / a exists), gcd (the canonical xgcd generator), association, p-adic
-valuations by repeated exact division, and every yes/no sign question.
+exact division, the canonical and the positive associate, whether the
+canonical form of an element >= 0 is >= 0 too (:func:`positive_associates`),
+the primitive part (Q[x] only, in xgcd), a nonzero element G of the ideal
+some values generate (:func:`ideal_element`, the modulus of the Smith stage
+of ``verify``), residues modulo a rational integer (:func:`residue`, Z and
+the quadratic rings) and pnri.  The rest is derived from them for every
+family: units (1 / a exists), gcd (the canonical xgcd generator),
+association, p-adic valuations by repeated exact division, and every yes/no
+sign question.
 """
 
 from __future__ import annotations
@@ -124,6 +126,24 @@ def positive_associate(a: Element, ring: RingSpec) -> Element | None:
     return quadratic.positive_associate(a)
 
 
+def positive_associates(
+    values: Sequence[Element], nonneg: Sequence[Element], ring: RingSpec
+) -> tuple[Element | None, ...]:
+    """:func:`positive_associate` of each nonzero value, given elements
+    ``nonneg`` already known to be >= 0 at every ordering.
+
+    Over Z and Q[x] the canonical form of such an element is a positive
+    multiple of it, so >= 0 too, and a value equal to one is its own
+    positive associate with no test.  Over a quadratic ring the unit between
+    an element and its canonical form need not be totally positive, so
+    ``nonneg`` is not read.
+    """
+    if ring.family is RingFamily.QUADRATIC_INTEGERS or not nonneg:
+        return tuple(positive_associate(v, ring) for v in values)
+    known = {canonicalize(a, ring) for a in nonneg}
+    return tuple(v if v in known else positive_associate(v, ring) for v in values)
+
+
 def gcd(a: Element, b: Element, ring: RingSpec) -> Element:
     """Canonical generator of the ideal (a, b); raises when both are zero."""
     return canonicalize(xgcd(coerce(a, ring), coerce(b, ring), ring)[0], ring)
@@ -174,8 +194,11 @@ def ideal_element(values: Sequence[Element], ring: RingSpec) -> Element:
     """A nonzero element G of the ideal the values generate, found without xgcd;
     the values must not all be zero.
 
-    Over Z it is their gcd (``math.gcd``), and over Q[x] their gcd, or the
-    gcd of a prefix once that is a nonzero constant.  Over a quadratic ring
+    Over Z it is their gcd (``math.gcd``).  Over Q[x] it is 1 when their
+    images modulo the word prime 2**31 - 1 show them coprime
+    (:func:`polynomials.certify_coprime`); otherwise, an unlucky prime
+    included, it is their gcd, or the gcd of a prefix once that is a nonzero
+    constant, by remainder sequences over Q.  Over a quadratic ring
     it is the rational integer gcd of their norms, which lies in the ideal
     since N(v) = v * conj(v).  G is a unit only if the values are coprime;
     over a quadratic ring the converse fails: 3 + w and 3 - w in Z[sqrt(2)]
@@ -184,6 +207,8 @@ def ideal_element(values: Sequence[Element], ring: RingSpec) -> Element:
     if ring.family is RingFamily.INTEGERS:
         return math.gcd(*values)
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        if polynomials.certify_coprime(values):
+            return one(ring)
         g = zero(ring)
         for v in values:
             g = polynomials.poly_gcd(g, v)

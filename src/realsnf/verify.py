@@ -99,7 +99,8 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     # once or modulo G; no witness is looked for
     psd, elimination = spectrum.psd_decision(m)
     diagonals = smith_diagonals(m, elimination)
-    associates = tuple(rings.positive_associate(d, ring) for d in diagonals)
+    # a PSD verdict has proved every pivot >= 0
+    associates = rings.positive_associates(diagonals, elimination.pivots if psd else (), ring)
 
     if not psd:
         conclusion = Conclusion.NOT_APPLICABLE_NOT_PSD

@@ -305,6 +305,21 @@ def classical_sturm_chain(p):
     return [RatPoly(c) for c in chain]
 
 
+def count_real_roots(p):
+    """Distinct real roots of a nonzero RatPoly, by Sturm's theorem.
+
+    The classical chain ends at a multiple of gcd(p, p'), so the drop in its
+    sign variations from -oo to +oo counts distinct roots whether or not p
+    is square-free.  It checks the package's sign decisions and shares no
+    code with them: the chain is :func:`classical_sturm_chain`.
+    """
+    def variations(direction):
+        signs = [q.sign_at_infinity(direction) for q in classical_sturm_chain(p)]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    return variations(-1) - variations(1)
+
+
 def _divisors(n):
     small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
     return sorted(set(small + [n // k for k in small]))

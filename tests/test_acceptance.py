@@ -10,12 +10,11 @@ import random
 import time
 from fractions import Fraction
 
-from helpers import random_unimodular
+from helpers import count_real_roots, random_unimodular
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, quadratic_ring
 from realsnf.matrices import Matrix, minor_gcd_profile, smith_normal_form, verify_snf
 from realsnf.polynomials import (
     RatPoly,
-    count_real_roots,
     is_nonneg_on_reals,
     parse_poly,
     poly_gcd,

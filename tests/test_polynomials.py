@@ -10,7 +10,6 @@ from realsnf.polynomials import (
     MAX_PARSED_DEGREE,
     RatPoly,
     certify_irreducible,
-    count_real_roots,
     eval_sign_int,
     find_negative_point,
     format_poly,
@@ -29,6 +28,7 @@ from realsnf.polynomials import (
 from helpers import (
     certify_irreducible_by_divisors,
     classical_sturm_chain,
+    count_real_roots,
     poly_divmod_oracle,
     poly_product_oracle,
     poly_sum_oracle,
@@ -501,7 +501,9 @@ class TestOnePassSignQuestions:
 
     def test_square_free_input_runs_one_remainder_sequence(self, monkeypatch):
         """The remainder sequence that shows p square-free is the Sturm chain
-        of its odd part, so a question needs that one sequence and no other."""
+        of its odd part, so a question needs that one sequence and no other;
+        positive_associate needs none where the Descartes certificate
+        decides, and exactly that one where it declines."""
 
         def two_pass_chain(p):  # Yun first, then the odd part's own chain
             _, factors = squarefree_decomposition(p)
@@ -519,10 +521,19 @@ class TestOnePassSignQuestions:
             # even degree and a positive lead: both questions reach the chain
             p = p if p.sign_at_infinity(+1) > 0 else -p
             cases.append(RatPoly([Fraction(c, rng.choice(DENOMINATORS)) for c in p.coefficients]))
+        # real roots too close together for Descartes at depth 6: 1/65 and
+        # 1/64, 100 and 101, and -7 and -15/2 beside a conjugate pair
+        cases += [
+            parse_poly("65*x - 1") * parse_poly("64*x - 1"),
+            parse_poly("x - 100") * parse_poly("x - 101") * parse_poly("x^2 + 1"),
+            parse_poly("x + 7") * parse_poly("2*x + 15") * parse_poly("x^2 - x + 1"),
+        ]
         questions = (positive_associate, find_negative_point)
         with monkeypatch.context() as patched:
             patched.setattr(polynomials, "_sign_change_chain", two_pass_chain)
+            patched.setattr(polynomials, "_certified_sign_change", lambda p: None)
             expected = [[question(p) for question in questions] for p in cases]
+        certified = [polynomials._certified_sign_change(p) is not None for p in cases]
 
         calls = []
         original = polynomials._remainder_sequence
@@ -532,13 +543,87 @@ class TestOnePassSignQuestions:
             return original(a, b)
 
         monkeypatch.setattr(polynomials, "_remainder_sequence", counted)
-        for p, answers in zip(cases, expected):
+        for p, answers, decided in zip(cases, expected, certified):
             for question, answer in zip(questions, answers):
                 calls.clear()
                 assert question(p) == answer, (question.__name__, str(p))
-                assert len(calls) == 1, (question.__name__, str(p), len(calls))
+                want = 0 if decided and question is positive_associate else 1
+                assert len(calls) == want, (question.__name__, str(p), len(calls))
+        assert any(certified) and not all(certified)
         assert any(a is None for a, _ in expected) and any(t is None for _, t in expected)
         assert any(a is not None for a, _ in expected) and any(t is not None for _, t in expected)
+
+
+def rand_root(rng):
+    return Fraction(rng.randint(-30, 30), rng.choice(DENOMINATORS))
+
+
+def rand_certificate_case(rng):
+    """An even-degree product built to stress the sign certificate: repeated
+    real roots, conjugate pairs, real roots closer than 1/64, roots at 0 and
+    at the split points 1 and -1, c * r**2 with c of either sign, and the
+    near-squares r**2 + 1 and r**2 - 1."""
+    kind = rng.randrange(6)
+    if kind == 0:  # real roots with multiplicities
+        p = RatPoly.constant(rng.choice([-2, 1, 3]))
+        for _ in range(rng.randint(1, 4)):
+            p = p * RatPoly([-rand_root(rng), 1]) ** rng.randint(1, 3)
+    elif kind == 1:  # conjugate pairs, a real pair or none
+        p = RatPoly.constant(rng.choice([-1, 1, Fraction(5, 2)]))
+        for _ in range(rng.randint(1, 3)):
+            a, b = rand_root(rng), rand_root(rng) or Fraction(1, 3)
+            p = p * RatPoly([a * a + b * b, -2 * a, 1]) ** rng.randint(1, 2)
+        if rng.random() < 0.5:
+            r = rand_root(rng)
+            p = p * RatPoly([-r, 1]) * RatPoly([-r - Fraction(1, 7), 1])
+    elif kind == 2:  # two real roots closer than 1/64
+        r, gap = rand_root(rng), Fraction(1, rng.choice([65, 100, 1000, 10**6]))
+        p = RatPoly([-r, 1]) * RatPoly([-r - gap, 1]) ** rng.choice([1, 3])
+        p = p * RatPoly([rng.randint(1, 9), rng.randint(-2, 2), 1]) ** rng.randint(0, 2)
+    elif kind == 3:  # roots at 0, 1 and -1
+        p = RatPoly.constant(rng.choice([-1, 2]))
+        for root in rng.sample([0, 1, -1], rng.randint(1, 3)):
+            p = p * RatPoly([-root, 1]) ** rng.randint(1, 4)
+        if rng.random() < 0.5:
+            p = p * RatPoly([-rand_root(rng), 1])
+    else:  # c * r**2 (kind 4) and r**2 +- 1 (kind 5)
+        r = RatPoly.constant(1)
+        for _ in range(rng.randint(1, 3)):
+            r = r * RatPoly([-rand_root(rng), 1]) ** rng.randint(1, 2)
+        if kind == 4:
+            p = r * r * rng.choice([Fraction(1, 3), 1, 7, -1, -4, Fraction(-9, 2)])
+        else:
+            p = r * r + rng.choice([1, -1])
+    return p if p.degree % 2 == 0 else p * RatPoly([-rand_root(rng), 1])
+
+
+class TestSignCertificate:
+    def test_agrees_with_the_witness_search_and_the_root_count(self):
+        rng = random.Random(29)
+        routes = set()
+        for _ in range(400):
+            p = rand_certificate_case(rng)
+            if p.degree < 2:
+                continue
+            _, factors = squarefree_decomposition(p)
+            odd = math.prod((q for q, m in factors if m % 2), start=RatPoly.constant(1))
+            changes = not odd.is_constant() and count_real_roots(odd) > 0
+            witnessed = find_negative_point(p) is not None and find_negative_point(-p) is not None
+            assert changes == witnessed, str(p)
+            verdict = polynomials._certified_sign_change(p)
+            assert verdict in (None, changes), str(p)
+            assert (positive_associate(p) is None) == changes, str(p)
+            square = polynomials._is_constant_times_square(p.int_coefficients())
+            assert not (square and changes), str(p)
+            routes.add("square" if square else verdict)
+        assert routes == {"square", True, False, None}
+
+    def test_square_test_reads_the_leading_coefficient(self):
+        # c * r**2 for any rational c != 0, and nothing else
+        for text in ("x^2", "-x^2", "4*x^2 - 4*x + 1", "-3*x^2 + 6*x - 3", "1/2*x^4 - x^2 + 1/2"):
+            assert polynomials._is_constant_times_square(parse_poly(text).int_coefficients())
+        for text in ("2*x^2 - 4*x + 1", "x^2 - 4*x + 1", "4*x^4 + 4*x^3 + x^2 + 1", "x^4 + 2*x^2 + 3"):
+            assert not polynomials._is_constant_times_square(parse_poly(text).int_coefficients())
 
 
 class TestIrreducibility:

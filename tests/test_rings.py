@@ -11,11 +11,11 @@ from realsnf.errors import (
     UnsupportedRingError,
     ZeroElementError,
 )
-from realsnf.matrices import Matrix
+from realsnf.matrices import Matrix, symmetric_elimination
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf.ringspec import RingFamily, RingSpec
-from realsnf import quadratic, rings
+from realsnf import polynomials, quadratic, rings
 
 from helpers import RING_NAMES, classical_xgcd, unit_power
 
@@ -290,6 +290,97 @@ class TestIsUnit:
         assert rings.is_unit(-1, quadratic_ring(5))
         assert rings.is_unit(3, RATIONAL_POLYNOMIALS)
         assert not rings.is_unit(2, quadratic_ring(2))
+
+
+PRIME = polynomials.MODULAR_GCD_PRIME
+
+
+class TestIdealElement:
+    def test_modular_images_prove_coprime(self):
+        # the prime divides the lead of prime * x + 1 but not that of x, whose
+        # image keeps its degree; the images 1 and x are coprime
+        values = [parse_poly(f"{PRIME}*x + 1"), parse_poly("x")]
+        assert polynomials.certify_coprime(values)
+        assert rings.ideal_element(values, RATIONAL_POLYNOMIALS) == RatPoly([1])
+
+    def test_unlucky_prime_falls_back_to_the_gcd(self, monkeypatch):
+        # x and x + prime are coprime over Q, but both are x modulo the prime
+        values = [parse_poly("x"), parse_poly(f"x + {PRIME}"), parse_poly("x")]
+        assert not polynomials.certify_coprime(values)
+        gcds = []
+        original = polynomials.poly_gcd
+
+        def counted(a, b):
+            gcds.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(polynomials, "poly_gcd", counted)
+        assert rings.ideal_element(values, RATIONAL_POLYNOMIALS) == RatPoly([1])
+        assert gcds  # decided over Q
+
+    def test_prime_dividing_every_lead_declines(self):
+        # g = prime * x + 1 divides both values, but modulo the prime it is the
+        # constant 1, and the images x and x + 1 are coprime
+        g = parse_poly(f"{PRIME}*x + 1")
+        values = [g * parse_poly("x"), g * parse_poly("x + 1")]
+        assert not polynomials.certify_coprime(values)
+        assert rings.ideal_element(values, RATIONAL_POLYNOMIALS) == g.monic()
+
+    def test_equals_the_gcd_on_seeded_minors(self):
+        # the minors the elimination hands over for N * N^T, entries of degree
+        # (i + j) mod 3 and height 3, times a common factor a third of the time
+        rng = random.Random(53)
+        certified = set()
+        for trial in range(60):
+            n = rng.randint(2, 5)
+            k = rng.randint(1, n)
+            entries = [
+                [RatPoly([rng.randint(-3, 3) for _ in range((i + j) % 3)] + [rng.choice([-3, -1, 2])])
+                 for j in range(k)]
+                for i in range(n)
+            ]
+            m = Matrix.from_rows(entries, RATIONAL_POLYNOMIALS)
+            m = m @ m.transpose()
+            if trial % 3 == 0:
+                c = RatPoly([rng.randint(-3, 3), rng.randint(1, 2)])
+                m = Matrix.from_rows([[c * v for v in row] for row in m.entries], RATIONAL_POLYNOMIALS)
+            elimination = symmetric_elimination(m)
+            if elimination.stuck:
+                continue
+            expected = RatPoly.zero()
+            for v in elimination.minors:
+                expected = polynomials.poly_gcd(expected, v)
+            assert rings.ideal_element(elimination.minors, RATIONAL_POLYNOMIALS) == expected
+            certified.add(polynomials.certify_coprime(elimination.minors))
+        assert certified == {True, False}
+
+
+class TestPositiveAssociates:
+    def test_canonical_form_of_a_nonneg_element_is_not_tested(self, monkeypatch):
+        associate, tested = rings.positive_associate, []
+
+        def recording(a, ring):
+            tested.append(a)
+            return associate(a, ring)
+
+        monkeypatch.setattr(rings, "positive_associate", recording)
+        p = parse_poly("2*x^2 - 4*x + 3")  # 2 * (x - 1)**2 + 1
+        q = parse_poly("x^2 - 1")
+        ring = RATIONAL_POLYNOMIALS
+        assert rings.positive_associates([p.monic(), q], [p], ring) == (p.monic(), None)
+        assert tested == [q]
+        tested.clear()
+        assert rings.positive_associates([5, 2], [5], INTEGERS) == (5, 2)
+        assert tested == [2]
+
+    def test_quadratic_rings_test_every_value(self):
+        # 2 + w is >= 0 at both embeddings of Z[sqrt(2)], but its canonical
+        # form w is negative at the minus embedding; its positive associate
+        # is 2 + w, through the unit 1 + w of norm -1
+        a = QuadElem(2, 1, quadratic_ring(2))
+        w = rings.canonicalize(a, a.ring)
+        assert w == QuadElem(0, 1, a.ring)
+        assert rings.positive_associates([w], [a], a.ring) == (a,)
 
 
 class TestValuation:

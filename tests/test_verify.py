@@ -200,6 +200,55 @@ class TestVerifyMainTheorem:
         assert kinds == {True, False, "stuck"}
         assert sign_tests > 0  # the decision was counted, so equal counts mean something
 
+    def test_positivity_reads_the_pivots_only_of_a_psd_input(self, monkeypatch):
+        # A PSD verdict proved every pivot >= 0, so over Q[x] a diagonal equal
+        # to a monic pivot is not tested again.  A not-PSD input proved
+        # nothing: [[1, x], [x, 1]] has the last pivot 1 - x^2, whose monic
+        # form is d_2 = x^2 - 1, and that changes sign.
+        ring, rng = RATIONAL_POLYNOMIALS, random.Random(61)
+        decide, associate = spectrum.psd_decision, rings.positive_associate
+        tested = []
+
+        def deciding(m):
+            result = decide(m)
+            tested.clear()  # keep only the positivity stage's tests
+            return result
+
+        def recording(a, ring):
+            tested.append(a)
+            return associate(a, ring)
+
+        monkeypatch.setattr(spectrum, "psd_decision", deciding)
+        monkeypatch.setattr(rings, "positive_associate", recording)
+        x = parse_poly("x")
+        cases = [[[1, x], [x, 1]]]
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            g = rand_matrix(rng, ring, n, rng.randint(1, n), height=3)
+            rows = [list(r) for r in (g @ g.transpose()).entries]
+            cases.append(rows)
+            if n > 1:  # a 2 x 2 minor negative at x = 0
+                broken = [list(r) for r in rows]
+                c = abs(rows[0][0][0]) + abs(rows[1][1][0]) + abs(rows[0][1][0]) + 1
+                broken[0][1] = broken[1][0] = broken[0][1] + c
+                cases.append(broken)
+        seen = set()
+        for rows in cases:
+            m = Matrix.from_rows(rows, ring)
+            psd, elimination = decide(m)
+            report = verify_main_theorem(m)
+            monic_pivots = {p.monic() for p in elimination.pivots}
+            read_off = [d for d in report.snf_diagonals if d in monic_pivots]
+            expected = [d for d in report.snf_diagonals if not (psd and d in read_off)]
+            assert tested == expected, [str(r) for row in rows for r in row]
+            assert report.positive_associates == tuple(
+                d if psd and d in read_off else associate(d, ring) for d in report.snf_diagonals
+            )
+            seen.add((psd, bool(read_off)))
+        assert (True, True) in seen and (False, True) in seen
+        report = verify_main_theorem(Matrix.from_rows(cases[0], ring))
+        assert report.positive_associates == (RatPoly([1]), None)
+
     def test_requires_symmetry(self):
         with pytest.raises(NotSymmetricError):
             verify_main_theorem(Matrix.from_rows([[1, 2], [0, 1]], INTEGERS))
