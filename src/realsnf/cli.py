@@ -43,15 +43,15 @@ def _load_input(text: str) -> object:
             return json.loads(stripped)
         except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
             raise ParseError(f"inline JSON is malformed: {exc}") from None
-    path = Path(text)
-    if not path.exists():
-        raise ParseError(f"input {text!r} is neither inline JSON nor an existing file")
+    shown = _cut(text)
     try:
-        return json.loads(path.read_text())
-    except OSError as exc:  # a directory, an unreadable file
-        raise ParseError(f"input {text!r} cannot be read: {exc.strerror or exc}") from None
+        return json.loads(Path(text).read_text())
+    except FileNotFoundError:
+        raise ParseError(f"input {shown} is neither inline JSON nor an existing file") from None
+    except OSError as exc:  # a directory, an unreadable file, a name too long
+        raise ParseError(f"input {shown} cannot be read: {exc.strerror or exc}") from None
     except ValueError as exc:
-        raise ParseError(f"file {text} is not valid JSON: {exc}") from None
+        raise ParseError(f"file {shown} is not valid JSON: {exc}") from None
 
 
 def _ring_of(args: argparse.Namespace) -> RingSpec | None:

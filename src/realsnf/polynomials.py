@@ -530,8 +530,6 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
     if not end.is_constant():
         factors = _yun_factors(chain.polynomial, end.monic())
         odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
-        if odd.is_constant():
-            return None
         chain = SturmChain(tuple(_remainder_sequence(odd, odd.derivative())))
     return chain if _roots_on_line(chain) > 0 else None
 
@@ -601,8 +599,6 @@ def _descartes_sign_change(c: tuple[int, ...]) -> bool | None:
     if k % 2:
         return True
     h = list(reversed(c[k:]))
-    if len(h) == 1:
-        return False
     top = len(h) - 1
     undecided = False
     for q in (h, [-a if (top - i) % 2 else a for i, a in enumerate(h)]):
@@ -672,12 +668,11 @@ def positive_associate(p: RatPoly) -> RatPoly | None:
         raise ZeroPolynomialError("zero polynomial has no positive associate")
     if p.degree % 2 == 1:
         return None
-    if p.degree > 0:
-        changes = _certified_sign_change(p)
-        if changes is None:
-            changes = _sign_change_chain(p) is not None
-        if changes:
-            return None
+    changes = p.degree > 0 and _certified_sign_change(p)
+    if changes is None:
+        changes = _sign_change_chain(p) is not None
+    if changes:
+        return None
     return p if p.sign_at_infinity(+1) > 0 else -p
 
 
@@ -735,7 +730,10 @@ def find_negative_point(p: RatPoly) -> Fraction | None:
         return bound
     if p.sign_at_infinity(-1) < 0:
         return -bound
-    chain = None if p.is_constant() else _sign_change_chain(p)
+    # the ladder of positive_associate: the certificate, then the Sturm pass
+    if p.degree < 2 or _certified_sign_change(p) is False:
+        return None
+    chain = _sign_change_chain(p)
     if chain is None:
         return None
     # Even degree, positive lead: p = odd part * (positive constant * square),

@@ -8,15 +8,14 @@ the entry points that take values from outside the package coerce them
 :func:`gcd`, :func:`are_associated`, :func:`valuation`); everything else
 takes elements of the ring as they are.  Only these facts dispatch on the
 :class:`RingSpec` family: building and parsing elements, the Euclidean size,
-exact division, the canonical and the positive associate, whether the
-canonical form of an element >= 0 is >= 0 too (:func:`positive_associates`),
-the primitive part (Q[x] only, in xgcd), a nonzero element G of the ideal
-some values generate (:func:`ideal_element`, the modulus of the Smith stage
-of ``verify``), residues modulo a rational integer (:func:`residue`, Z and
-the quadratic rings) and pnri.  The rest is derived from them for every
-family: units (1 / a exists), gcd (the canonical xgcd generator),
-association, p-adic valuations by repeated exact division, and every yes/no
-sign question.
+exact division, the canonical and the positive associate, the primitive part
+(Q[x] only, in xgcd), a nonzero element G of the ideal some values generate
+(:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
+residues modulo a rational integer (:func:`residue`, Z and the quadratic
+rings) and pnri.  The rest is derived from them for every family: units
+(1 / a exists), gcd (the canonical xgcd generator), association, p-adic
+valuations by repeated exact division, and every yes/no sign question (a is
+>= 0 at every ordering exactly when :func:`positive_associate` gives a).
 """
 
 from __future__ import annotations
@@ -124,24 +123,6 @@ def positive_associate(a: Element, ring: RingSpec) -> Element | None:
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         return polynomials.positive_associate(a)
     return quadratic.positive_associate(a)
-
-
-def positive_associates(
-    values: Sequence[Element], nonneg: Sequence[Element], ring: RingSpec
-) -> tuple[Element | None, ...]:
-    """:func:`positive_associate` of each nonzero value, given elements
-    ``nonneg`` already known to be >= 0 at every ordering.
-
-    Over Z and Q[x] the canonical form of such an element is a positive
-    multiple of it, so >= 0 too, and a value equal to one is its own
-    positive associate with no test.  Over a quadratic ring the unit between
-    an element and its canonical form need not be totally positive, so
-    ``nonneg`` is not read.
-    """
-    if ring.family is RingFamily.QUADRATIC_INTEGERS or not nonneg:
-        return tuple(positive_associate(v, ring) for v in values)
-    known = {canonicalize(a, ring) for a in nonneg}
-    return tuple(v if v in known else positive_associate(v, ring) for v in values)
 
 
 def gcd(a: Element, b: Element, ring: RingSpec) -> Element:

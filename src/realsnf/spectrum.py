@@ -12,8 +12,8 @@ positive associate (:func:`rings.positive_associate`) is a itself.
 :func:`psd_decision` returns the verdict with the elimination, whose minors
 give the Smith stage of ``verify`` a modulus G (see
 :func:`matrices.smith_diagonals`).  :func:`is_psd_on_spectrum` adds the
-witness of a not-PSD verdict: only then are principal minors enumerated,
-and where one is negative looked for (:func:`negative_ordering`).
+witness of a not-PSD verdict: only then are principal minors enumerated and
+tested, and :func:`negative_ordering` locates where the first failing one is negative.
 
 This is the package's only PSD decision.  The oracles that cross-check it
 (minor enumeration, and exact elimination over Q at rational points) live
@@ -35,17 +35,14 @@ from .ringspec import RingFamily, RingSpec
 PSD_SIZE_LIMIT = 8
 
 
-def negative_ordering(a: Element, ring: RingSpec) -> dict | None:
-    """PsdWitness fields naming where a < 0 (plus embedding first), or None if a >= 0."""
+def negative_ordering(a: Element, ring: RingSpec) -> dict:
+    """PsdWitness fields naming where a, which :func:`element_is_nonneg`
+    rejects, is negative (the plus embedding first)."""
     if ring.family is RingFamily.INTEGERS:
-        return {} if a < 0 else None
+        return {}
     if ring.family is RingFamily.RATIONAL_POLYNOMIALS:
-        point = polynomials.find_negative_point(a)
-        return None if point is None else {"point": point}
-    pattern = a.sign_pattern()
-    if pattern.at_plus < 0:
-        return {"embedding": "plus"}
-    return {"embedding": "minus"} if pattern.at_minus < 0 else None
+        return {"point": polynomials.find_negative_point(a)}
+    return {"embedding": "plus" if a.sign_pattern().at_plus < 0 else "minus"}
 
 
 def element_is_nonneg(a: Element, ring: RingSpec) -> bool:
@@ -131,12 +128,14 @@ def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     :func:`psd_decision` decides it.
 
     Only when M is not PSD are the principal minors enumerated, to report
-    the first negative one (smallest size, then lexicographic) as the witness.
+    the first one (smallest size, then lexicographic) that is not >= 0 as
+    the witness, with an ordering where it is negative.
     """
     if psd_decision(m)[0]:
         return PsdReport(True, None)
     for idx in _principal_index_sets(m.n_rows):
-        where = negative_ordering(determinant(m.submatrix(idx, idx)), m.ring)
-        if where is not None:
+        minor = determinant(m.submatrix(idx, idx))
+        if not element_is_nonneg(minor, m.ring):
+            where = negative_ordering(minor, m.ring)
             return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
     raise ArithmeticError("the PSD test failed but no principal minor is negative")

@@ -64,9 +64,13 @@ class TheoremReport:
     ring: RingSpec
     input_psd: bool
     snf_diagonals: tuple[Element, ...]
-    sign_data: tuple[dict, ...]
     positive_associates: tuple[Element | None, ...]
     conclusion: Conclusion
+
+    @property
+    def sign_data(self) -> tuple[dict, ...]:
+        pairs = zip(self.snf_diagonals, self.positive_associates)
+        return tuple(_sign_data(d, a, self.ring) for d, a in pairs)
 
     @property
     def positivizable(self) -> tuple[bool, ...]:
@@ -99,8 +103,7 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     # once or modulo G; no witness is looked for
     psd, elimination = spectrum.psd_decision(m)
     diagonals = smith_diagonals(m, elimination)
-    # a PSD verdict has proved every pivot >= 0
-    associates = rings.positive_associates(diagonals, elimination.pivots if psd else (), ring)
+    associates = tuple(rings.positive_associate(d, ring) for d in diagonals)
 
     if not psd:
         conclusion = Conclusion.NOT_APPLICABLE_NOT_PSD
@@ -118,7 +121,6 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
         ring=ring,
         input_psd=psd,
         snf_diagonals=diagonals,
-        sign_data=tuple(_sign_data(d, a, ring) for d, a in zip(diagonals, associates)),
         positive_associates=associates,
         conclusion=conclusion,
     )
@@ -221,10 +223,10 @@ def check_valuation_lemma(a: RatPoly, b: RatPoly, p: RatPoly) -> bool:
     +infinity.
     """
     diff = a - b * b
-    point = polynomials.find_negative_point(diff)
-    if point is not None:
+    if not polynomials.is_nonneg_on_reals(diff):
         raise PreconditionFailedError(
-            f"a - b^2 is negative at t = {point} (it must be nonnegative on R)"
+            f"a - b^2 is negative at t = {polynomials.find_negative_point(diff)}"
+            " (it must be nonnegative on R)"
         )
     if p.degree < 1:
         raise PreconditionFailedError(

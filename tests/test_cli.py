@@ -409,6 +409,11 @@ class TestInputErrors:
                 ["snf", "--ring", "Z", "--input", "{tmp_path}/absent.json"],
                 "is neither inline JSON nor an existing file",
             ),
+            (["snf", "--ring", "Z", "--input", "x" * 5000], "cannot be read"),
+            (
+                ["snf", "--ring", "Z", "--input", "y" * 250 + ".json"],
+                "is neither inline JSON nor an existing file",
+            ),
             (["snf", "--ring", "Z", "--input", __file__], "is not valid JSON"),
             (["counterexample", "--input", "[1]"], "counterexample input must be a JSON object"),
             (["valuation-lemma", "--input", '{"a": "1", "b": "0"}'], "field 'p' is missing"),
@@ -469,6 +474,8 @@ class TestInputErrors:
             "suite-size-long-integer",
             "pnri-without-ring",
             "input-file-missing",
+            "input-path-too-long",
+            "input-file-missing-long-name",
             "input-file-not-json",
             "counterexample-input-not-object",
             "valuation-lemma-missing-field",

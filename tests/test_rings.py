@@ -355,32 +355,26 @@ class TestIdealElement:
         assert certified == {True, False}
 
 
-class TestPositiveAssociates:
-    def test_canonical_form_of_a_nonneg_element_is_not_tested(self, monkeypatch):
-        associate, tested = rings.positive_associate, []
-
-        def recording(a, ring):
-            tested.append(a)
-            return associate(a, ring)
-
-        monkeypatch.setattr(rings, "positive_associate", recording)
+class TestPositiveAssociate:
+    def test_examples_over_z_and_qx(self):
         p = parse_poly("2*x^2 - 4*x + 3")  # 2 * (x - 1)**2 + 1
         q = parse_poly("x^2 - 1")
         ring = RATIONAL_POLYNOMIALS
-        assert rings.positive_associates([p.monic(), q], [p], ring) == (p.monic(), None)
-        assert tested == [q]
-        tested.clear()
-        assert rings.positive_associates([5, 2], [5], INTEGERS) == (5, 2)
-        assert tested == [2]
+        assert rings.positive_associate(p.monic(), ring) == p.monic()
+        assert rings.positive_associate(-p, ring) == p
+        assert rings.positive_associate(q, ring) is None
+        assert rings.positive_associate(5, INTEGERS) == 5
+        assert rings.positive_associate(-2, INTEGERS) == 2
 
-    def test_quadratic_rings_test_every_value(self):
+    def test_canonical_form_over_a_quadratic_ring_may_be_mixed(self):
         # 2 + w is >= 0 at both embeddings of Z[sqrt(2)], but its canonical
         # form w is negative at the minus embedding; its positive associate
         # is 2 + w, through the unit 1 + w of norm -1
         a = QuadElem(2, 1, quadratic_ring(2))
         w = rings.canonicalize(a, a.ring)
         assert w == QuadElem(0, 1, a.ring)
-        assert rings.positive_associates([w], [a], a.ring) == (a,)
+        assert rings.positive_associate(w, a.ring) == a
+        assert rings.positive_associate(a, a.ring) == a
 
 
 class TestValuation:

@@ -65,6 +65,19 @@ def negative_somewhere(ring, embedding):
     return QuadElem(0, 1 if embedding == "minus" else -1, ring)
 
 
+def sign_at_ordering(a, ring, embedding=None, point=None):
+    """The sign of a at an ordering named as a PsdWitness names it: Z has
+    one, Q[x] one per rational point, a quadratic ring two embeddings."""
+    if ring.family is RingFamily.INTEGERS:
+        value = a
+    elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+        value = a(point)
+    else:
+        pattern = a.sign_pattern()
+        return {"plus": pattern.at_plus, "minus": pattern.at_minus}[embedding]
+    return (value > 0) - (value < 0)
+
+
 class TestElementNonneg:
     def test_examples(self):
         assert element_is_nonneg(QuadElem(2, 1, R3), R3)
@@ -111,16 +124,24 @@ def sign_question_cases(rng, ring):
 
 
 class TestSignQuestionsReadThePositiveAssociate:
-    """a >= 0 exactly when its positive associate is a itself; a negative
-    point is looked for only to print a witness."""
+    """a >= 0 exactly when its positive associate is a itself; where a is
+    negative is looked for only to print a witness."""
 
     @pytest.mark.parametrize("name", RING_NAMES)
     def test_nonneg_agrees_with_the_witness_search(self, name):
+        # an element the decision rejects is negative at the ordering the
+        # witness search names; one it accepts is >= 0 at every ordering
         ring, rng = parse_ring(name), random.Random(61)
         answers, mixed = set(), set()
         for a in sign_question_cases(rng, ring):
             nonneg = element_is_nonneg(a, ring)
-            assert nonneg == (spectrum.negative_ordering(a, ring) is None), str(a)
+            if not nonneg:
+                where = spectrum.negative_ordering(a, ring)
+                assert sign_at_ordering(a, ring, **where) < 0, str(a)
+            elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+                assert polynomials.find_negative_point(a) is None, str(a)
+            else:
+                assert min(sign_at_ordering(a, ring, e) for e in ("plus", "minus")) >= 0, str(a)
             answers.add(nonneg)
             if not a:
                 continue
@@ -135,6 +156,50 @@ class TestSignQuestionsReadThePositiveAssociate:
         assert answers == {True, False}
         if ring.family is RingFamily.QUADRATIC_INTEGERS:
             assert mixed == {True, False}
+
+    @pytest.mark.parametrize("name", RING_NAMES)
+    def test_witness_is_the_first_minor_the_decision_rejects(self, name, monkeypatch):
+        # the witness search decides nothing: its minor is the first, by size
+        # and then lexicographic order, that element_is_nonneg rejects, and
+        # over Q[x] a negative point is looked for once, on that minor only
+        ring, rng = parse_ring(name), random.Random(67)
+        search, searched = polynomials.find_negative_point, []
+
+        def searching(p):
+            searched.append(p)
+            return search(p)
+
+        monkeypatch.setattr(polynomials, "find_negative_point", searching)
+        sizes = set()
+        for n in range(1, max_size(ring) + 1):
+            for _ in range(3):
+                a = rand_matrix(rng, ring, n, n, height=3)
+                gram = [list(r) for r in (a @ a.transpose()).entries]
+                if n > 1:  # breaks the 2 x 2 minor on rows i, j at every ordering
+                    i, j = rng.sample(range(n), 2)
+                    gram[i][j] = gram[j][i] = gram[i][i] + gram[j][j] + rings.one(ring)
+                both_ways = [[a[i, j] + a[j, i] for j in range(n)] for i in range(n)]
+                for rows in (gram, both_ways):
+                    m = Matrix.from_rows(rows, ring)
+                    minors = (
+                        (idx, determinant(m.submatrix(idx, idx)))
+                        for k in range(1, n + 1)
+                        for idx in itertools.combinations(range(n), k)
+                    )
+                    first = next(((i, d) for i, d in minors if not element_is_nonneg(d, ring)), None)
+                    searched.clear()
+                    report = is_psd_on_spectrum(m)
+                    if first is None:
+                        assert report.is_psd and searched == []
+                        continue
+                    idx, minor = first
+                    witness = report.witness
+                    assert witness.minor_rows == tuple(i + 1 for i in idx)
+                    assert sign_at_ordering(minor, ring, witness.embedding, witness.point) < 0
+                    qx = ring.family is RingFamily.RATIONAL_POLYNOMIALS
+                    assert searched == ([minor] if qx else [])
+                    sizes.add(len(idx))
+        assert {1, 2} <= sizes
 
     def test_qx_decisions_never_search_for_a_negative_point(self, monkeypatch):
         def searching(p):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -45,6 +46,22 @@ class TestVerifyMainTheorem:
         assert report.conclusion is Conclusion.THEOREM_HOLDS
         assert report.input_psd and report.pnri
         assert report.positivizable == (True, True)
+
+    def test_report_keeps_one_copy_of_each_result(self):
+        # sign_data, positivizable and pnri are read off the diagonals, their
+        # positive associates and the ring; none of them is a field
+        x = parse_poly("x")
+        report = verify_main_theorem(Matrix.from_rows([[1, x], [x, 1]], RATIONAL_POLYNOMIALS))
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "ring", "input_psd", "snf_diagonals", "positive_associates", "conclusion",
+        ]
+        assert report.sign_data == (
+            {"nonneg_on_reals": True, "negation_nonneg": False},
+            {"nonneg_on_reals": False, "negation_nonneg": False},
+        )
+        assert report.positivizable == (True, False)
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, sign_data=())
 
     def test_gram_over_sqrt2(self):
         rng = random.Random(100)
@@ -200,10 +217,10 @@ class TestVerifyMainTheorem:
         assert kinds == {True, False, "stuck"}
         assert sign_tests > 0  # the decision was counted, so equal counts mean something
 
-    def test_positivity_reads_the_pivots_only_of_a_psd_input(self, monkeypatch):
-        # A PSD verdict proved every pivot >= 0, so over Q[x] a diagonal equal
-        # to a monic pivot is not tested again.  A not-PSD input proved
-        # nothing: [[1, x], [x, 1]] has the last pivot 1 - x^2, whose monic
+    def test_positivity_tests_each_diagonal_once(self, monkeypatch):
+        # Every diagonal gets one sign test, whatever the PSD decision proved:
+        # over Q[x] a diagonal equal to a monic pivot of a PSD input is tested
+        # again.  [[1, x], [x, 1]] has the last pivot 1 - x^2, whose monic
         # form is d_2 = x^2 - 1, and that changes sign.
         ring, rng = RATIONAL_POLYNOMIALS, random.Random(61)
         decide, associate = spectrum.psd_decision, rings.positive_associate
@@ -237,14 +254,12 @@ class TestVerifyMainTheorem:
             m = Matrix.from_rows(rows, ring)
             psd, elimination = decide(m)
             report = verify_main_theorem(m)
-            monic_pivots = {p.monic() for p in elimination.pivots}
-            read_off = [d for d in report.snf_diagonals if d in monic_pivots]
-            expected = [d for d in report.snf_diagonals if not (psd and d in read_off)]
-            assert tested == expected, [str(r) for row in rows for r in row]
+            assert tested == list(report.snf_diagonals), [str(r) for row in rows for r in row]
             assert report.positive_associates == tuple(
-                d if psd and d in read_off else associate(d, ring) for d in report.snf_diagonals
+                associate(d, ring) for d in report.snf_diagonals
             )
-            seen.add((psd, bool(read_off)))
+            monic_pivots = {p.monic() for p in elimination.pivots}
+            seen.add((psd, any(d in monic_pivots for d in report.snf_diagonals)))
         assert (True, True) in seen and (False, True) in seen
         report = verify_main_theorem(Matrix.from_rows(cases[0], ring))
         assert report.positive_associates == (RatPoly([1]), None)
