@@ -16,10 +16,12 @@ at full rank (det M is the last pivot), k = r at rank r < n.  Their ideal
 holds a modulus G that d_1 * ... * d_k divides (:func:`rings.ideal_element`).
 :func:`smith_diagonals`, handed the elimination (``verify`` has it from
 :func:`spectrum.psd_decision`), reads d_1, ..., d_k off G when it is a unit;
-otherwise it reduces M modulo G over Z and the quadratic rings, and from
-scratch over Q[x] or when the elimination got stuck.  :func:`verify_snf`
-certifies a result from M = P*D*Q, unimodular P and Q and the divisibility
-chain, which by uniqueness of invariant factors is a proof; the exponential
+otherwise, over Z and the quadratic rings, it splits off the entries that
+are units modulo G by Schur complements modulo G, each a diagonal 1, and
+reduces a nonzero block left modulo G; it reduces M from scratch over Q[x]
+or when the elimination got stuck.  :func:`verify_snf` certifies a result
+from M = P*D*Q, unimodular P and Q and the divisibility chain, which by
+uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
 """
 
@@ -360,7 +362,6 @@ class _Reduction:
         self._scalable = self.ring.family is RingFamily.RATIONAL_POLYNOMIALS
         for i in range(self.n):
             self.normalize(i)
-            self.reduce(i)
 
     def transpose(self) -> None:
         """D <- D^T: the rows of D now pair with the columns of the input."""
@@ -499,11 +500,13 @@ def _reduce(
     return d_1, ..., d_rank.
 
     With a ``modulus`` G (a rational integer, over Z or a quadratic ring,
-    without transforms) every entry but the current pivot is kept reduced
-    modulo G.  That reduces some M' congruent to M modulo G instead, and
-    [M' | G*I] and [M | G*I] are equivalent, so the i-th diagonal e_i
-    returned (0 past the rank of M') has gcd(e_i, G) = gcd(d_i, G).  That
-    gcd is the same for every associate of e_i, so e_i is not canonicalized.
+    without transforms) M must hold residues modulo G, as the block
+    :func:`_unit_pivots` leaves does, and every entry but the current pivot
+    is kept reduced modulo G.  That reduces some M' congruent to M modulo G
+    instead, and [M' | G*I] and [M | G*I] are equivalent, so the i-th
+    diagonal e_i returned (0 past the rank of M') has gcd(e_i, G) =
+    gcd(d_i, G).  That gcd is the same for every associate of e_i, so e_i
+    is not canonicalized.
     """
     red = _Reduction(m, transforms, modulus)
     # Every pivot is nonzero and stays so (a Bezout step replaces it by a gcd),
@@ -527,6 +530,47 @@ def _reduce(
     return red, tuple(red.d[k][k] for k in range(rank))
 
 
+def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
+    """Split off the entries of M that are units modulo a rational integer G.
+
+    The entries are taken modulo G.  While some entry a, in row t and column
+    s, is a unit modulo G (:func:`rings.inverse_modulo`), row t and column s
+    are dropped and each other entry b_rc becomes the residue of
+    b_rc - b_rs * a^-1 * b_tc: the row operations that clear column s modulo
+    G.  The column operations that would then clear row t touch nothing
+    else, and the pivot splits off R/(a, G) = 0, so [M | G*I] is equivalent
+    to diag(1, ..., 1) beside [B | G*I] for the block B left.  Returns the
+    number u of pivots and B, whose entries are residues modulo G.
+    """
+    ring = m.ring
+    a = [[rings.residue(v, g, ring) if v else v for v in row] for row in m.entries]
+    u = 0
+    while True:
+        pivot = next(
+            (
+                (t, s, inverse)
+                for t, row in enumerate(a)
+                for s, v in enumerate(row)
+                if v and (inverse := rings.inverse_modulo(v, g, ring)) is not None
+            ),
+            None,
+        )
+        if pivot is None:
+            break
+        t, s, inverse = pivot
+        pivot_row = a.pop(t)
+        del pivot_row[s]
+        for row in a:
+            b = row.pop(s)
+            if b:
+                f = b * inverse
+                row[:] = [
+                    rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)
+                ]
+        u += 1
+    return u, Matrix(len(a), m.n_cols - u, tuple(map(tuple, a)), ring)
+
+
 def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
     """The nonzero Smith diagonals d_1 | d_2 | ... of M, without P and Q.
 
@@ -537,8 +581,11 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
 
     - G a unit: d_1 = ... = d_k = 1 and M is not reduced.
     - Otherwise, over Z and the quadratic rings, where G is a rational
-      integer: M is reduced modulo G (see :func:`_reduce`), and d_i is the
-      canonical gcd(e_i, G), which is G where e_i = 0.
+      integer: :func:`_unit_pivots` splits off u entries that are units
+      modulo G, so d_1 = ... = d_min(u,k) = 1.  A nonzero block left is
+      reduced modulo G (see :func:`_reduce`), and d_(u+i) is the canonical
+      gcd(e_i, G).  The rest up to d_k are G, and at full rank u can be n,
+      past k: the diagonals are cut to k.
     - Over Q[x] with G not a unit, and for a stuck elimination: the plain
       reduction of M.
 
@@ -555,9 +602,12 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
     elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         return _reduce(m, transforms=False)[1]
     else:
-        e = _reduce(m, False, modulus=g)[1][:k]
-        head = tuple(rings.gcd(v, g, ring) for v in e)
-        head += (rings.canonicalize(g, ring),) * (k - len(e))
+        u, rest = _unit_pivots(m, g)
+        head = (rings.one(ring),) * u
+        if u < k and any(map(any, rest.entries)):
+            e = _reduce(rest, False, modulus=g)[1][: k - u]
+            head += tuple(rings.gcd(v, g, ring) for v in e)
+        head = (head + (rings.canonicalize(g, ring),) * k)[:k]
     if elimination.rank == k:
         return head
     last = rings.exact_divide(elimination.pivots[-1], prod(head, start=rings.one(ring)), ring)

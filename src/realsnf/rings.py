@@ -11,11 +11,13 @@ takes elements of the ring as they are.  Only these facts dispatch on the
 exact division, the canonical and the positive associate, the primitive part
 (Q[x] only, in xgcd), a nonzero element G of the ideal some values generate
 (:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
-residues modulo a rational integer (:func:`residue`, Z and the quadratic
-rings) and pnri.  The rest is derived from them for every family: units
-(1 / a exists), gcd (the canonical xgcd generator), association, p-adic
-valuations by repeated exact division, and every yes/no sign question (a is
->= 0 at every ordering exactly when :func:`positive_associate` gives a).
+residues and inverses modulo a rational integer (:func:`residue` and
+:func:`inverse_modulo`, Z and the quadratic rings: over a quadratic ring a is
+a unit modulo g exactly when N(a) is) and pnri.  The rest is derived from
+them for every family: units (1 / a exists), gcd (the canonical xgcd
+generator), association, p-adic valuations by repeated exact division, and
+every yes/no sign question (a is >= 0 at every ordering exactly when
+:func:`positive_associate` gives a).
 """
 
 from __future__ import annotations
@@ -205,6 +207,25 @@ def residue(a: Element, g: Element, ring: RingSpec) -> Element:
     if ring.family is RingFamily.INTEGERS:
         return a % g
     return quadratic.coordinates_modulo(a, g.x)
+
+
+def inverse_modulo(a: Element, g: Element, ring: RingSpec) -> Element | None:
+    """The inverse of a modulo a rational integer g > 0, over Z or a quadratic
+    ring, as a :func:`residue`; None when a is not a unit modulo g.
+
+    Over a quadratic ring a * conj(a) = N(a), so a is a unit modulo g exactly
+    when N(a) is coprime to g, and conj(a) * N(a)^-1 is then its inverse.
+    """
+    if ring.family is RingFamily.INTEGERS:
+        try:
+            return pow(a, -1, g)
+        except ValueError:
+            return None
+    try:
+        scale = pow(a.norm(), -1, g.x)
+    except ValueError:
+        return None
+    return quadratic.coordinates_modulo(a.conjugate() * scale, g.x)
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

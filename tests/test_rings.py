@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -353,6 +354,50 @@ class TestIdealElement:
             assert rings.ideal_element(elimination.minors, RATIONAL_POLYNOMIALS) == expected
             certified.add(polynomials.certify_coprime(elimination.minors))
         assert certified == {True, False}
+
+
+def prime_kind(ring, p):
+    """How p splits in a quadratic ring, from the roots of w's minimal
+    polynomial modulo p: none (inert), one double root (ramified) or two."""
+    if ring.uses_half_basis:
+        roots = {r for r in range(p) if (r * r - r - ring.w2_rational) % p == 0}
+    else:
+        roots = {r for r in range(p) if (r * r - ring.d) % p == 0}
+    return ("inert", "ramified", "split")[len(roots)]
+
+
+class TestInverseModulo:
+    """a * inverse_modulo(a, G) = 1 modulo G, and None exactly when N(a) and G
+    share a factor; the moduli G = 1 to 30 take in even G and, in every ring,
+    a ramified, an inert and a split prime."""
+
+    MODULI = range(1, 31)
+
+    def test_integers(self):
+        for g in self.MODULI:
+            for a in range(-40, 41):
+                inverse = rings.inverse_modulo(a, g, INTEGERS)
+                if math.gcd(a, g) != 1:
+                    assert inverse is None
+                else:
+                    assert 0 <= inverse < g and (a * inverse - 1) % g == 0
+
+    @pytest.mark.parametrize("ring", ALL_QUADRATIC, ids=str)
+    def test_quadratic(self, ring):
+        kinds = {prime_kind(ring, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)}
+        assert kinds == {"inert", "ramified", "split"}
+        one = rings.one(ring)
+        for g in self.MODULI:
+            modulus = rings.coerce(g, ring)
+            for x in range(-6, 7):
+                for y in range(-6, 7):
+                    a = QuadElem(x, y, ring)
+                    inverse = rings.inverse_modulo(a, modulus, ring)
+                    if math.gcd(a.norm(), g) != 1:
+                        assert inverse is None
+                    else:
+                        assert rings.residue(inverse, modulus, ring) == inverse
+                        assert not rings.residue(a * inverse - one, modulus, ring)
 
 
 class TestPositiveAssociate:

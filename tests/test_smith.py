@@ -393,7 +393,8 @@ def certification_inputs(rng, ring, n):
 
 class TestCertifiedDiagonals:
     """Smith diagonals read off the PSD elimination's modulus G, on each of
-    its three routes (G a unit, a reduction modulo G, the plain reduction),
+    its routes (G a unit; modulo G: unit pivots split off, then a reduction
+    of the block left modulo G where it is nonzero; the plain reduction),
     against the plain reduction and against planted Smith forms."""
 
     @staticmethod
@@ -415,13 +416,26 @@ class TestCertifiedDiagonals:
         rng = random.Random(46)
         reduce = matrices._reduce
         moduli = self.recording_reduce(monkeypatch)
+        passes = TestUnitPivots.recording_pass(monkeypatch)
         routes = set()
 
         def diagonals_on_a_route(m):
             psd, elimination = spectrum.psd_decision(m)
             moduli.clear()
+            passes.clear()
             diagonals = smith_diagonals(m, elimination)
-            route = "unit" if not moduli else "plain" if moduli == [None] else "modulo"
+            if moduli == [None]:
+                assert not passes
+                route = "plain"
+            elif not passes:
+                assert not moduli
+                route = "unit"
+            else:
+                [(u, _)] = passes
+                assert moduli in ([], [rings.ideal_element(elimination.minors, ring)])
+                route = "unit pivots" if u else "no unit pivot"
+                if moduli:
+                    route += ", then modulo"
             routes.add((psd, route))
             assert diagonals == reduce(m, False)[1]
             return diagonals
@@ -442,7 +456,9 @@ class TestCertifiedDiagonals:
         diagonals_on_a_route(Matrix.from_rows([[0, a, b], [a, 0, c], [b, c, 0]], ring))
         expected = {"unit", "plain"}
         if ring.family is not RingFamily.RATIONAL_POLYNOMIALS:
-            expected.add("modulo")
+            expected |= {"unit pivots", "unit pivots, then modulo", "no unit pivot, then modulo"}
+        if ring is INTEGERS:
+            expected.add("no unit pivot")  # diag(2, 2) is zero modulo G = 2
         assert {route for _, route in routes} == expected
         assert (False, "unit") in routes  # a not-PSD input read off the elimination
 
@@ -464,6 +480,95 @@ class TestCertifiedDiagonals:
         elimination = matrices.symmetric_elimination(m)
         assert elimination.rank == elimination.order == 1
         assert smith_diagonals(m, elimination) == matrices._reduce(m, False)[1] == (1,)
+
+
+class TestUnitPivots:
+    """The modulo-G route splits off entries that are units modulo G before
+    any Euclid step; it is compared with the plain reduction on Z and the
+    seven quadratic rings."""
+
+    @staticmethod
+    def recording_pass(monkeypatch):
+        """Patch matrices._unit_pivots to append each call's (u, block left)."""
+        split, passes = matrices._unit_pivots, []
+
+        def recording(m, g):
+            passes.append(split(m, g))
+            return passes[-1]
+
+        monkeypatch.setattr(matrices, "_unit_pivots", recording)
+        return passes
+
+    @staticmethod
+    def inputs(rng, ring):
+        """For n = 1 to 6: N * N^T and a rank-deficient L * L^T, each also
+        times a non-unit c (no entry is then a unit modulo G, which c
+        divides), and planted chains of rank n and n - 1, cyclic and not.
+        Then 80 symmetric matrices of entry height 4 at each of n = 3 and 4:
+        among them a few (2 to 7 per ring) whose every pivot is a unit
+        modulo G although G is not a unit."""
+        for n in range(1, 7):
+            for width in range(n, n - 2, -1):
+                if width:
+                    low = rand_matrix(rng, ring, n, width, height=2)
+                    g = low @ low.transpose()
+                    c = rings.coerce(totally_positive_non_unit(rng, ring), ring)
+                    yield g
+                    yield Matrix.from_rows([[c * v for v in row] for row in g.entries], ring)
+            for rank in (n, n - 1):
+                for cyclic in (True, False):
+                    yield known_smith_congruence(rng, ring, n, cyclic, rank)[0]
+        for n in (3, 4) * 80:
+            rows = [list(row) for row in rand_matrix(rng, ring, n, n).entries]
+            for i, j in itertools.combinations(range(n), 2):
+                rows[j][i] = rows[i][j]
+            yield Matrix.from_rows(rows, ring)
+
+    @pytest.mark.parametrize("name", [t for t in RING_TEXTS if t != "Q[x]"])
+    def test_agrees_with_the_reduction(self, name, monkeypatch):
+        ring = parse_ring(name)
+        rng = random.Random(33)
+        passes = self.recording_pass(monkeypatch)
+        seen = set()
+        for m in self.inputs(rng, ring):
+            n = m.n_rows
+            elimination = matrices.symmetric_elimination(m)
+            passes.clear()
+            assert smith_diagonals(m, elimination) == matrices._reduce(m, False)[1]
+            if not passes:  # a unit G, or a stuck elimination
+                continue
+            [(u, rest)] = passes
+            g = rings.ideal_element(elimination.minors, ring)
+            assert u + rest.n_rows == n and rest.n_rows == rest.n_cols
+            assert all(rings.residue(v, g, ring) == v for row in rest.entries for v in row)
+            k, left = elimination.order, any(map(any, rest.entries))
+            if u == n:  # only at full rank, where k = n - 1
+                assert u > k
+                seen.add("every pivot a unit, u > k")
+            elif u and left:
+                seen.add("unit pivots and a block left")
+            elif not u:
+                seen.add("no unit")
+            if elimination.rank < n:
+                seen.add("rank deficient")
+        assert seen >= {
+            "every pivot a unit, u > k",
+            "unit pivots and a block left",
+            "no unit",
+            "rank deficient",
+        }
+
+    def test_one_unit_pivot_then_a_zero_block(self, monkeypatch):
+        # G = 3: the pivot 2 is a unit modulo 3, and its Schur complement
+        # [[2 - 1 * 2 * 1, 0], [0, 6]] is zero modulo 3, so no reduction runs
+        m = Matrix.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 6]], INTEGERS)
+        elimination = matrices.symmetric_elimination(m)
+        assert rings.ideal_element(elimination.minors, INTEGERS) == 3
+        u, rest = matrices._unit_pivots(m, 3)
+        assert u == 1 and rest.entries == ((0, 0), (0, 0))
+        moduli = TestCertifiedDiagonals.recording_reduce(monkeypatch)
+        assert smith_diagonals(m, elimination) == (1, 3, 6)
+        assert moduli == []
 
 
 class TestDeterminant:
