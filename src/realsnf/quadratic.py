@@ -295,10 +295,14 @@ def coordinates_modulo(a: QuadElem, g: int) -> QuadElem:
 
 @dataclass(frozen=True)
 class FundamentalUnit:
-    """Generator of the infinite part of the unit group, larger than 1 at +sqrt(d)."""
+    """Generator of the infinite part of the unit group, larger than 1 at +sqrt(d);
+    ``norm`` is read off it."""
 
     unit: QuadElem
-    norm: int
+
+    @property
+    def norm(self) -> int:
+        return self.unit.norm()
 
 
 def _is_square(n: int) -> int | None:
@@ -321,7 +325,7 @@ def fundamental_unit(ring: RingSpec) -> FundamentalUnit:
             x = _is_square(ring.d * y * y + delta)
             if x is not None and x > 0:
                 unit = QuadElem((x - y) // 2 if half else x, y, ring)
-                return FundamentalUnit(unit, unit.norm())
+                return FundamentalUnit(unit)
     raise ArithmeticError(f"Pell search exhausted for d={ring.d}")
 
 

@@ -73,10 +73,14 @@ class PsdWitness:
 
 @dataclass(frozen=True)
 class PsdReport:
-    """The verdict of :func:`is_psd_on_spectrum` and, when M is not PSD, its witness."""
+    """The witness :func:`is_psd_on_spectrum` found that M is not PSD, if any;
+    ``is_psd`` is read off it."""
 
-    is_psd: bool
     witness: PsdWitness | None
+
+    @property
+    def is_psd(self) -> bool:
+        return self.witness is None
 
     def to_json(self) -> dict:
         return {
@@ -132,10 +136,10 @@ def is_psd_on_spectrum(m: Matrix) -> PsdReport:
     the witness, with an ordering where it is negative.
     """
     if psd_decision(m)[0]:
-        return PsdReport(True, None)
+        return PsdReport(None)
     for idx in _principal_index_sets(m.n_rows):
         minor = determinant(m.submatrix(idx, idx))
         if not element_is_nonneg(minor, m.ring):
             where = negative_ordering(minor, m.ring)
-            return PsdReport(False, PsdWitness(tuple(i + 1 for i in idx), **where))
+            return PsdReport(PsdWitness(tuple(i + 1 for i in idx), **where))
     raise ArithmeticError("the PSD test failed but no principal minor is negative")

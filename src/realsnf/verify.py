@@ -1,9 +1,10 @@
 """End-to-end positivity verification and the randomized falsification harness.
 
 The pipeline for a symmetric matrix is: decide positive semidefiniteness on
-the real spectrum, compute the Smith Normal Form, try to replace every
-nonzero diagonal by a totally positive associate, and combine that with the
-ring's unit-sign capability (see :func:`realsnf.rings.pnri`) into a verdict:
+the real spectrum, compute the Smith Normal Form, and try to replace every
+nonzero diagonal by a totally positive associate.  :class:`TheoremReport`
+holds those facts, and its ``conclusion`` combines them with the ring's
+unit-sign capability (see :func:`realsnf.rings.pnri`) into a verdict:
 
 * ``TheoremHolds``            PSD input and every diagonal positivizable;
 * ``TheoremFailsPnriFails``   PSD input, some diagonal stuck with mixed
@@ -11,9 +12,9 @@ ring's unit-sign capability (see :func:`realsnf.rings.pnri`) into a verdict:
 * ``NotApplicableNotPsd``     the input was not PSD to begin with.
 
 A PSD input over a ring whose units do realize all sign patterns must always
-land in ``TheoremHolds``; anything else raises
-:class:`TheoremConsistencyError`, because it would mean this library is
-broken, not the input.
+land in ``TheoremHolds``; a report that says otherwise cannot be built (it
+raises :class:`TheoremConsistencyError`), because it would mean this
+library is broken, not the input.
 
 Randomness is a splitmix64 stream (documented in :class:`SplitMix64`), so
 trial data is reproducible across platforms and implementations.
@@ -59,13 +60,16 @@ def _sign_data(a: Element, associate: Element | None, ring: RingSpec) -> dict:
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Per-matrix verdict of the positivity pipeline."""
+    """Per-matrix facts of the positivity pipeline; ``conclusion`` applies the
+    theorem's rule to them, and a report whose facts breach it cannot be built."""
 
     ring: RingSpec
     input_psd: bool
     snf_diagonals: tuple[Element, ...]
     positive_associates: tuple[Element | None, ...]
-    conclusion: Conclusion
+
+    def __post_init__(self) -> None:
+        self.conclusion  # raises TheoremConsistencyError on a breach
 
     @property
     def sign_data(self) -> tuple[dict, ...]:
@@ -79,6 +83,20 @@ class TheoremReport:
     @property
     def pnri(self) -> bool:
         return rings.pnri(self.ring)
+
+    @property
+    def conclusion(self) -> Conclusion:
+        if not self.input_psd:
+            return Conclusion.NOT_APPLICABLE_NOT_PSD
+        if all(self.positivizable):
+            return Conclusion.THEOREM_HOLDS
+        if not self.pnri:
+            return Conclusion.THEOREM_FAILS_PNRI_FAILS
+        raise TheoremConsistencyError(
+            f"PSD input over {self.ring} (units realize every sign pattern) produced "
+            f"a diagonal with no totally positive associate: "
+            f"{[str(d) for d in self.snf_diagonals]}"
+        )
 
     def to_json(self) -> dict:
         return {
@@ -96,7 +114,7 @@ class TheoremReport:
 
 
 def verify_main_theorem(m: Matrix) -> TheoremReport:
-    """Run the full pipeline on a symmetric matrix and assemble the verdict."""
+    """Run the full pipeline on a symmetric matrix and assemble its report."""
     ring = m.ring
     # one elimination feeds both stages: its pivots decide PSD, and its
     # minors give the Smith stage a modulus G, and with it the diagonals at
@@ -104,26 +122,7 @@ def verify_main_theorem(m: Matrix) -> TheoremReport:
     psd, elimination = spectrum.psd_decision(m)
     diagonals = smith_diagonals(m, elimination)
     associates = tuple(rings.positive_associate(d, ring) for d in diagonals)
-
-    if not psd:
-        conclusion = Conclusion.NOT_APPLICABLE_NOT_PSD
-    elif all(a is not None for a in associates):
-        conclusion = Conclusion.THEOREM_HOLDS
-    elif not rings.pnri(ring):
-        conclusion = Conclusion.THEOREM_FAILS_PNRI_FAILS
-    else:
-        raise TheoremConsistencyError(
-            f"PSD input over {ring} (units realize every sign pattern) produced "
-            f"a diagonal with no totally positive associate: "
-            f"{[str(d) for d in diagonals]}"
-        )
-    return TheoremReport(
-        ring=ring,
-        input_psd=psd,
-        snf_diagonals=diagonals,
-        positive_associates=associates,
-        conclusion=conclusion,
-    )
+    return TheoremReport(ring, psd, diagonals, associates)
 
 
 # -- the 2x2 counterexample template ---------------------------------------------

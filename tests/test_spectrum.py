@@ -355,7 +355,7 @@ class TestCharpolyDecision:
     def test_zero_matrix_is_psd(self, name):
         ring = parse_ring(name)
         m = Matrix.from_rows([[rings.zero(ring)] * 3 for _ in range(3)], ring)
-        assert is_psd_on_spectrum(m) == spectrum.PsdReport(True, None)
+        assert is_psd_on_spectrum(m) == spectrum.PsdReport(None)
 
     def test_witness_is_the_smallest_minor_not_the_first_failing_sum(self):
         report = is_psd_on_spectrum(Matrix.from_rows([[-1, 0], [0, 2]], INTEGERS))
@@ -369,7 +369,7 @@ class TestCharpolyDecision:
 
     def test_a_positive_trace_does_not_hide_a_negative_entry(self):
         m = Matrix.from_rows([[-1, 0], [0, 2]], INTEGERS)
-        assert is_psd_on_spectrum(m) == spectrum.PsdReport(False, spectrum.PsdWitness((1,)))
+        assert is_psd_on_spectrum(m) == spectrum.PsdReport(spectrum.PsdWitness((1,)))
 
 
 def every_minor_nonneg_at(m, embedding):
@@ -455,7 +455,7 @@ class TestEliminationDecision:
 
     def test_zero_diagonal_with_a_nonzero_entry_is_not_psd(self):
         report = is_psd_on_spectrum(Matrix.from_rows([[0, 1], [1, 0]], INTEGERS))
-        assert report == spectrum.PsdReport(False, spectrum.PsdWitness((1, 2)))
+        assert report == spectrum.PsdReport(spectrum.PsdWitness((1, 2)))
 
     @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
     def test_psd_input_enumerates_no_minor(self, name, monkeypatch):

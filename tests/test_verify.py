@@ -12,12 +12,13 @@ from realsnf.errors import (
     NotCertifiedIrreducibleError,
     NotSymmetricError,
     PreconditionFailedError,
+    TheoremConsistencyError,
 )
 from realsnf import matrices
 from realsnf.matrices import Matrix, smith_normal_form
 from realsnf.polynomials import RatPoly, parse_poly
-from realsnf.quadratic import QuadElem, positive_associate
-from realsnf import rings, spectrum
+from realsnf.quadratic import FundamentalUnit, QuadElem, positive_associate
+from realsnf import rings, spectrum, verify
 from realsnf.verify import (
     MAX_TRIAL_COUNT,
     MAX_TRIAL_DEGREE,
@@ -48,20 +49,63 @@ class TestVerifyMainTheorem:
         assert report.positivizable == (True, True)
 
     def test_report_keeps_one_copy_of_each_result(self):
-        # sign_data, positivizable and pnri are read off the diagonals, their
-        # positive associates and the ring; none of them is a field
+        # sign_data, positivizable, pnri and the conclusion are read off the
+        # diagonals, their positive associates and the ring; none of them is
+        # a field, and neither is PsdReport.is_psd nor FundamentalUnit.norm
         x = parse_poly("x")
         report = verify_main_theorem(Matrix.from_rows([[1, x], [x, 1]], RATIONAL_POLYNOMIALS))
         assert [f.name for f in dataclasses.fields(report)] == [
-            "ring", "input_psd", "snf_diagonals", "positive_associates", "conclusion",
+            "ring", "input_psd", "snf_diagonals", "positive_associates",
         ]
+        assert [f.name for f in dataclasses.fields(spectrum.PsdReport)] == ["witness"]
+        assert [f.name for f in dataclasses.fields(FundamentalUnit)] == ["unit"]
         assert report.sign_data == (
             {"nonneg_on_reals": True, "negation_nonneg": False},
             {"nonneg_on_reals": False, "negation_nonneg": False},
         )
         assert report.positivizable == (True, False)
+        assert report.conclusion is Conclusion.NOT_APPLICABLE_NOT_PSD
         with pytest.raises(TypeError):
             dataclasses.replace(report, sign_data=())
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, conclusion=Conclusion.THEOREM_HOLDS)
+        # a report whose data breaches the theorem cannot be built
+        with pytest.raises(TheoremConsistencyError):
+            dataclasses.replace(report, input_psd=True)
+
+    @pytest.mark.parametrize(
+        "name, diagonals",
+        [("Zsqrt:2", ["1+0w", "3+0w"]), ("Z", ["1", "3"]), ("Zsqrt:3", None)],
+    )
+    def test_breach_raises_where_pnri_holds(self, name, diagonals, monkeypatch):
+        # the Smith stage gives (1, 3); a positivizer that finds no associate
+        # for 3 is a breach where units realize every sign pattern, and a
+        # pnri failure elsewhere.  Only verify's name is replaced: the PSD
+        # decision reads realsnf.rings too.
+        ring = parse_ring(name)
+        three = rings.coerce(3, ring)
+
+        class Rings:
+            def __getattr__(self, attr):
+                return getattr(rings, attr)
+
+            @staticmethod
+            def positive_associate(a, ring):
+                return None if a == three else rings.positive_associate(a, ring)
+
+        monkeypatch.setattr(verify, "rings", Rings())
+        m = Matrix.from_rows([[2, 1], [1, 2]], ring)
+        if diagonals is None:
+            report = verify_main_theorem(m)
+            assert report.conclusion is Conclusion.THEOREM_FAILS_PNRI_FAILS
+            assert report.positivizable == (True, False)
+            return
+        with pytest.raises(TheoremConsistencyError) as caught:
+            verify_main_theorem(m)
+        assert str(caught.value) == (
+            f"PSD input over {name} (units realize every sign pattern) produced a "
+            f"diagonal with no totally positive associate: {diagonals}"
+        )
 
     def test_gram_over_sqrt2(self):
         rng = random.Random(100)
@@ -308,9 +352,15 @@ class TestKnownAnswers:
             for cyclic in (True, False):
                 for rank in (n, n - 1):
                     m, d = known_smith_congruence(rng, ring, n, cyclic, rank)
+                    elimination = spectrum.psd_decision(m)[1]
                     reduced.clear()
                     report = verify_main_theorem(m)
-                    routes.append(not reduced)
+                    # a unit G, a reduction (plain or modulo G), or modulo G
+                    # with every pivot a unit and nothing left to reduce
+                    if rings.is_unit(rings.ideal_element(elimination.minors, ring), ring):
+                        routes.append("unit G")
+                    else:
+                        routes.append("reduced" if reduced else "modulo G")
                     planted = [v for v in d if v]
                     assert len(report.snf_diagonals) == len(planted)
                     for got, want in zip(report.snf_diagonals, planted):
@@ -318,7 +368,7 @@ class TestKnownAnswers:
                         assert rings.canonicalize(got, ring) == got
                     # every planted d_k is its own totally positive associate
                     assert report.conclusion is Conclusion.THEOREM_HOLDS
-        assert set(routes) == {True, False}
+        assert {"unit G", "reduced"} <= set(routes)
 
 
 class TestCounterexampleRecipe:
