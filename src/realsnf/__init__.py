@@ -22,7 +22,6 @@ from .polynomials import (
     sturm_chain,
 )
 from .quadratic import (
-    FundamentalUnit,
     QuadElem,
     SignPattern,
     fundamental_unit,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Conclusion",
     "CounterexampleRecipe",
-    "FundamentalUnit",
     "INTEGERS",
     "Matrix",
     "PsdReport",

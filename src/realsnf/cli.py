@@ -76,8 +76,8 @@ def _verdict(args: argparse.Namespace, holds: bool) -> int:
 
 
 def _unit_fields(ring: RingSpec) -> dict:
-    fu = quadratic.fundamental_unit(ring)
-    return {"unit": str(fu.unit), "norm": str(fu.norm)}
+    unit = quadratic.fundamental_unit(ring)
+    return {"unit": str(unit), "norm": str(unit.norm())}
 
 
 def _cmd_snf(args: argparse.Namespace) -> int:

@@ -49,32 +49,44 @@ MINOR_ENUMERATION_LIMIT = 6
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable row-major matrix with entries in a single ring."""
+    """Immutable row-major matrix with entries in a single ring: a tuple of
+    nonempty, equal-length rows, from which the shape is read.  With no rows
+    it is 0 x 0; an empty row is refused, since a k x 0 matrix would
+    transpose to 0 x 0."""
 
-    n_rows: int
-    n_cols: int
     entries: tuple[tuple[Element, ...], ...]
     ring: RingSpec
 
+    def __post_init__(self) -> None:
+        if any(not row or len(row) != self.n_cols for row in self.entries):
+            raise ShapeMismatchError("rows must be nonempty and of equal length")
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[object]], ring: RingSpec) -> "Matrix":
-        if not rows or not rows[0] or any(len(r) != len(rows[0]) for r in rows):
-            raise ShapeMismatchError("rows must be nonempty and of equal length")
-        coerced = tuple(tuple(rings.coerce(v, ring) for v in row) for row in rows)
-        return cls(len(coerced), len(coerced[0]), coerced, ring)
+        if not rows:
+            raise ShapeMismatchError("a matrix needs at least one row")
+        return cls(tuple(tuple(rings.coerce(v, ring) for v in row) for row in rows), ring)
 
     @classmethod
     def identity(cls, n: int, ring: RingSpec) -> "Matrix":
         one, zero = rings.one(ring), rings.zero(ring)
         rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return cls(n, n, rows, ring)
+        return cls(rows, ring)
 
     def __getitem__(self, key: tuple[int, int]) -> Element:
         i, j = key
         return self.entries[i][j]
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.n_cols, self.n_rows, tuple(zip(*self.entries)), self.ring)
+        return Matrix(tuple(zip(*self.entries)), self.ring)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ring != other.ring:
@@ -92,7 +104,7 @@ class Matrix:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(tuple(row))
-        return Matrix(self.n_rows, other.n_cols, tuple(out), self.ring)
+        return Matrix(tuple(out), self.ring)
 
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
@@ -111,7 +123,7 @@ class Matrix:
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
         rows = tuple(tuple(self.entries[i][j] for j in col_idx) for i in row_idx)
-        return Matrix(len(row_idx), len(col_idx), rows, self.ring)
+        return Matrix(rows, self.ring)
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +184,7 @@ def _parse_entries(entries: object, ring: RingSpec) -> Matrix:
             except ParseError as exc:
                 raise ParseError(f"field 'entries[{i}][{j}]': {exc}") from None
         rows.append(tuple(parsed))
-    return Matrix(len(rows), len(rows[0]), tuple(rows), ring)
+    return Matrix(tuple(rows), ring)
 
 
 # -- determinants ---------------------------------------------------------------
@@ -351,8 +363,6 @@ class _Reduction:
         self.ring = m.ring
         self.modulus = modulus
         self.d = [list(row) for row in m.entries]
-        self.n = m.n_rows
-        self.m = m.n_cols
         self.rows: list[list[Element]] | None = None
         self.cols: list[list[Element]] | None = None
         if transforms:
@@ -363,10 +373,19 @@ class _Reduction:
         for i in range(self.n):
             self.normalize(i)
 
+    @property
+    def n(self) -> int:
+        """The number of rows of D."""
+        return len(self.d)
+
+    @property
+    def m(self) -> int:
+        """The number of columns of D."""
+        return len(self.d[0])
+
     def transpose(self) -> None:
         """D <- D^T: the rows of D now pair with the columns of the input."""
         self.d = [list(col) for col in zip(*self.d)]
-        self.n, self.m = self.m, self.n
         self.rows, self.cols = self.cols, self.rows
 
     def normalize(self, i: int) -> None:
@@ -568,7 +587,7 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
                     rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)
                 ]
         u += 1
-    return u, Matrix(len(a), m.n_cols - u, tuple(map(tuple, a)), ring)
+    return u, Matrix(tuple(map(tuple, a)), ring)
 
 
 def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
@@ -619,11 +638,11 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
 def smith_normal_form(m: Matrix) -> SnfResult:
     """Smith Normal Form with transforms: M = P * D * Q, d_k | d_{k+1}."""
     red = _reduce(m, transforms=True)[0]
-    n, k, ring = m.n_rows, m.n_cols, m.ring
+    ring = m.ring
     return SnfResult(
-        P=Matrix(n, n, tuple(zip(*red.rows)), ring),
-        D=Matrix(n, k, tuple(map(tuple, red.d)), ring),
-        Q=Matrix(k, k, tuple(map(tuple, red.cols)), ring),
+        P=Matrix(tuple(zip(*red.rows)), ring),
+        D=Matrix(tuple(map(tuple, red.d)), ring),
+        Q=Matrix(tuple(map(tuple, red.cols)), ring),
     )
 
 
@@ -684,6 +703,8 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
 
     Invariant factors over a PID are unique up to associates, so passing
     proves that D is the Smith form of M.  Every check is polynomial-time.
+    A P, D or Q whose shape, read off its rows, does not fit M raises
+    ShapeMismatchError.
     """
     ring = m.ring
     failures: list[str] = []
@@ -694,8 +715,8 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
     # With D diagonal, P*D*Q = (P's columns scaled by D's diagonal) * (Q's matching rows).
     diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
     pd = tuple(tuple(p * d for p, d in zip(row, diag)) for row in result.P.entries)
-    q_head = Matrix(len(diag), m.n_cols, result.Q.entries[: len(diag)], ring)
-    if (Matrix(m.n_rows, len(diag), pd, ring) @ q_head).entries != m.entries:
+    q_head = Matrix(result.Q.entries[: len(diag)], ring)
+    if (Matrix(pd, ring) @ q_head).entries != m.entries:
         failures.append("P*D*Q does not reproduce the input")
     if not result.D.is_diagonal():
         failures.append("D is not diagonal")

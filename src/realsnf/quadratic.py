@@ -106,14 +106,16 @@ class SignPattern:
 
 
 class QuadElem:
-    """x + y*w in a quadratic integer ring: an immutable value, equal to another
-    element exactly when (x, y, ring) are equal."""
+    """x + y*w, for int x and y, in a quadratic integer ring: an immutable
+    value, equal to another element exactly when (x, y, ring) are equal."""
 
     __slots__ = ("x", "y", "ring")
 
     def __init__(self, x: int, y: int, ring: RingSpec) -> None:
         if ring.family is not RingFamily.QUADRATIC_INTEGERS:
             raise UnsupportedRingError("QuadElem requires a quadratic ring")
+        if type(x) is not int or type(y) is not int:  # not a bool, float or Fraction
+            raise UnsupportedRingError(f"QuadElem coordinates must be integers, got {x!r}, {y!r}")
         _set_x(self, x)
         _set_y(self, y)
         _set_ring(self, ring)
@@ -293,26 +295,15 @@ def coordinates_modulo(a: QuadElem, g: int) -> QuadElem:
     return a if x == a.x and y == a.y else _quad(x, y, a.ring)
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
-    """Generator of the infinite part of the unit group, larger than 1 at +sqrt(d);
-    ``norm`` is read off it."""
-
-    unit: QuadElem
-
-    @property
-    def norm(self) -> int:
-        return self.unit.norm()
-
-
 def _is_square(n: int) -> int | None:
     r = math.isqrt(n)
     return r if r * r == n else None
 
 
 @lru_cache(maxsize=None)
-def fundamental_unit(ring: RingSpec) -> FundamentalUnit:
-    """Smallest unit above 1, by ascending search on the Pell equations.
+def fundamental_unit(ring: RingSpec) -> QuadElem:
+    """Smallest unit above 1, by ascending search on the Pell equations: the
+    generator of the infinite part of the unit group, larger than 1 at +sqrt(d).
 
     The least Y >= 1 with X**2 - d*Y**2 = +-k gives the unit (X + Y*sqrt(d))/2
     for the Zhalf form (k = 4) and X + Y*sqrt(d) for the Zsqrt form (k = 1).
@@ -324,8 +315,7 @@ def fundamental_unit(ring: RingSpec) -> FundamentalUnit:
         for delta in (-k, k):
             x = _is_square(ring.d * y * y + delta)
             if x is not None and x > 0:
-                unit = QuadElem((x - y) // 2 if half else x, y, ring)
-                return FundamentalUnit(unit)
+                return QuadElem((x - y) // 2 if half else x, y, ring)
     raise ArithmeticError(f"Pell search exhausted for d={ring.d}")
 
 
@@ -336,7 +326,7 @@ def _require_quadratic(ring: RingSpec) -> None:
 
 def pnri_holds(ring: RingSpec) -> bool:
     """Whether units realize mixed sign patterns: true iff N(fundamental unit) = -1."""
-    return fundamental_unit(ring).norm == -1
+    return fundamental_unit(ring).norm() == -1
 
 
 def positive_associate(a: QuadElem) -> QuadElem | None:
@@ -350,7 +340,7 @@ def positive_associate(a: QuadElem) -> QuadElem | None:
         return -a
     if not pnri_holds(a.ring):
         return None
-    u = fundamental_unit(a.ring).unit  # pattern (+, -) since N(u) = -1
+    u = fundamental_unit(a.ring)  # pattern (+, -) since N(u) = -1
     candidate = a * u if pattern.at_plus > 0 else a * (-u)
     if not candidate.sign_pattern().is_totally_positive:
         raise ArithmeticError("unit of norm -1 did not flip the sign pattern")
@@ -359,7 +349,7 @@ def positive_associate(a: QuadElem) -> QuadElem | None:
 
 def _orbit_window(a: QuadElem) -> list[QuadElem]:
     """Associates a * u0**k for k around the height minimum of the orbit."""
-    u0 = fundamental_unit(a.ring).unit
+    u0 = fundamental_unit(a.ring)
     out = [a]
     for step in (u0, exact_divide(_quad(1, 0, a.ring), u0)):
         b = a

@@ -60,9 +60,9 @@ def canonical_associate_by_orbit(a):
     """
     if not a:
         return a
-    fu = fundamental_unit(a.ring)
+    u0 = fundamental_unit(a.ring)
     pool = [a]
-    for step in (fu.unit, fu.unit.conjugate() * fu.norm):
+    for step in (u0, u0.conjugate() * u0.norm()):
         b, best, worse = a, a.height(), 0
         while worse < 3:
             b = b * step
@@ -126,7 +126,7 @@ def random_unimodular(rng, ring, n, steps=6):
             elif ring is RATIONAL_POLYNOMIALS:
                 u = RatPoly([rng.choice([-2, -1, 1, 2, 3])])
             else:
-                u = rng.choice([-1, fundamental_unit(ring).unit, QuadElem(-1, 0, ring)])
+                u = rng.choice([-1, fundamental_unit(ring), QuadElem(-1, 0, ring)])
             u = rings.coerce(u, ring)
             rows[i] = [u * a for a in rows[i]]
     result = Matrix.from_rows(rows, ring)

@@ -53,10 +53,10 @@ def report(criterion, detail, started, budget):
 
 def test_criterion_1_quadratic_ring_constants():
     started = time.perf_counter()
-    fu3 = fundamental_unit(R3)
-    assert fu3.unit == QuadElem(2, 1, R3) and fu3.norm == 1
-    fu2 = fundamental_unit(R2)
-    assert fu2.unit == QuadElem(1, 1, R2) and fu2.norm == -1
+    u3 = fundamental_unit(R3)
+    assert u3 == QuadElem(2, 1, R3) and u3.norm() == 1
+    u2 = fundamental_unit(R2)
+    assert u2 == QuadElem(1, 1, R2) and u2.norm() == -1
     q = QuadElem(1, 1, R3)
     assert q.norm() == -2
     assert q.sign_pattern() == SignPattern(1, -1)

@@ -6,7 +6,7 @@ import realsnf
 
 def test_public_names():
     assert sorted(realsnf.__all__) == sorted([
-        "Conclusion", "CounterexampleRecipe", "FundamentalUnit", "INTEGERS", "Matrix",
+        "Conclusion", "CounterexampleRecipe", "INTEGERS", "Matrix",
         "PsdReport", "QuadElem", "RATIONAL_POLYNOMIALS", "RatPoly",
         "RingFamily", "RingSpec", "SignPattern", "SnfResult", "SplitMix64", "SturmChain",
         "TheoremReport", "TrialConfig", "are_associated", "build_counterexample",
@@ -17,7 +17,7 @@ def test_public_names():
         "smith_normal_form", "squarefree_decomposition", "sturm_chain", "valuation",
         "verify_main_theorem", "verify_snf",
     ])
-    assert len(realsnf.__all__) == 40
+    assert len(realsnf.__all__) == 39
 
 
 def test_star_import_binds_every_public_name():

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -65,6 +66,14 @@ class TestValueSemantics:
     def test_non_quadratic_ring_rejected(self):
         with pytest.raises(UnsupportedRingError):
             QuadElem(1, 0, INTEGERS)
+
+    @pytest.mark.parametrize("bad", [1.5, True, Fraction(1, 2)], ids=repr)
+    def test_non_integer_coordinates_rejected(self, bad):
+        for x, y in ((bad, 0), (0, bad)):
+            with pytest.raises(UnsupportedRingError):
+                QuadElem(x, y, R2)
+        a = QuadElem(-3, 2, R2)
+        assert (a.x, a.y) == (-3, 2)
 
     def test_mixed_rings_rejected(self):
         a, b = QuadElem(1, 1, R2), QuadElem(1, 1, R3)
@@ -174,16 +183,15 @@ class TestFundamentalUnit:
     def test_values(self, d):
         x, y, norm = self.EXPECTED[d]
         ring = quadratic_ring(d)
-        fu = fundamental_unit(ring)
-        assert fu.unit == QuadElem(x, y, ring)
-        assert fu.norm == norm
-        assert abs(fu.unit.norm()) == 1
+        unit = fundamental_unit(ring)
+        assert unit == QuadElem(x, y, ring)
+        assert unit.norm() == norm
 
     @pytest.mark.parametrize("d", [2, 3, 6, 7, 11])
     def test_minimality_against_brute_pell(self, d):
         # independent check: no Pell solution with smaller y
         ring = quadratic_ring(d)
-        y0 = fundamental_unit(ring).unit.y
+        y0 = fundamental_unit(ring).y
         for y in range(1, y0):
             for delta in (-1, 1):
                 x2 = d * y * y + delta
@@ -191,7 +199,7 @@ class TestFundamentalUnit:
 
     def test_unit_exceeds_one_at_plus_embedding(self):
         for ring in ALL_RINGS:
-            u = fundamental_unit(ring).unit
+            u = fundamental_unit(ring)
             assert (u - 1).sign_pattern().at_plus > 0
 
 
@@ -207,7 +215,7 @@ class TestUnitSigns:
         # the sign patterns of +-u0^k; a unit with pattern (+, -) exists
         # exactly when pnri holds (N(u0) = -1)
         def unit_patterns(ring):
-            u0 = fundamental_unit(ring).unit
+            u0 = fundamental_unit(ring)
             return frozenset(
                 (unit_power(u0, k) * sign).sign_pattern()
                 for k in range(-3, 4)
@@ -224,7 +232,7 @@ class TestUnitSigns:
     def test_unit_pattern_law(self):
         # sign_pattern(u) = (s, s * norm(u)) for any unit
         for ring in ALL_RINGS:
-            u0 = fundamental_unit(ring).unit
+            u0 = fundamental_unit(ring)
             for k in range(-3, 4):
                 for sign in (1, -1):
                     u = unit_power(u0, k) * sign
@@ -233,7 +241,7 @@ class TestUnitSigns:
 
     def test_unit_pattern_periodicity(self):
         for ring in ALL_RINGS:
-            u0 = fundamental_unit(ring).unit
+            u0 = fundamental_unit(ring)
             for k in range(-3, 2):
                 assert unit_power(u0, k).sign_pattern() == unit_power(u0, k + 2).sign_pattern()
 
@@ -273,7 +281,7 @@ class TestPositiveAssociate:
     def test_absence_is_exhaustive_over_unit_patterns(self):
         # when no positive associate exists, +-a*u0^k never reaches (+,+)
         a = QuadElem(1, 1, R3)
-        u0 = fundamental_unit(R3).unit
+        u0 = fundamental_unit(R3)
         for k in range(-3, 4):
             for sign in (1, -1):
                 assert (a * unit_power(u0, k) * sign).sign_pattern() != SignPattern(1, 1)
@@ -291,13 +299,13 @@ class TestCanonicalAssociate:
 
     def test_unit_class_is_one(self):
         for ring in ALL_RINGS:
-            u0 = fundamental_unit(ring).unit
+            u0 = fundamental_unit(ring)
             assert canonical_associate(u0 * u0 * -1) == QuadElem(1, 0, ring)
 
     def test_invariant_under_unit_multiplication(self):
         rng = random.Random(9)
         for ring in (R2, R3, R13):
-            u0 = fundamental_unit(ring).unit
+            u0 = fundamental_unit(ring)
             for _ in range(25):
                 a = rand_elem(rng, ring, 5)
                 if not a:
@@ -337,7 +345,7 @@ class TestFastPathsAgainstOracles:
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_canonical_associate_matches_orbit_walk_on_units_and_integers(self, ring):
-        u0 = fundamental_unit(ring).unit
+        u0 = fundamental_unit(ring)
         for k in range(-8, 9):
             u = unit_power(u0, k)
             for n in (1, -1, 2, -3, 7, -12):
@@ -349,7 +357,7 @@ class TestFastPathsAgainstOracles:
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_canonical_associate_matches_orbit_walk_on_non_units(self, ring):
         rng = random.Random(200 + ring.d)
-        u0 = fundamental_unit(ring).unit
+        u0 = fundamental_unit(ring)
         checked = 0
         while checked < 150:
             a = rand_elem(rng, ring, 12)
@@ -426,7 +434,7 @@ def _divisors(draw, ring):
     """A nonzero divisor: general, a rational integer, or a unit +-u0**k."""
     kind = draw(st.sampled_from(["general", "rational", "unit"]))
     if kind == "unit":
-        u = unit_power(fundamental_unit(ring).unit, draw(st.integers(-6, 6)))
+        u = unit_power(fundamental_unit(ring), draw(st.integers(-6, 6)))
         return u if draw(st.booleans()) else -u
     y = 0 if kind == "rational" else draw(_coords)
     x = draw(_coords.filter(lambda v: v != 0) if y == 0 else _coords)

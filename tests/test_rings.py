@@ -271,7 +271,7 @@ def unit_examples(ring):
     if ring is RATIONAL_POLYNOMIALS:
         units = [RatPoly([c]) for c in (1, -1, Fraction(1, 2), Fraction(-7, 3))]
         return units, [RatPoly([]), parse_poly("x"), parse_poly("x+1"), parse_poly("2*x")]
-    eps = quadratic.fundamental_unit(ring).unit
+    eps = quadratic.fundamental_unit(ring)
     units = [sign * unit_power(eps, k) for k in range(-2, 3) for sign in (1, -1)]
     big_norm = QuadElem(3, 1, ring)
     assert abs(big_norm.norm()) > 1

@@ -62,6 +62,13 @@ class TestFixedInstances:
         with pytest.raises(ShapeMismatchError):
             Matrix.from_rows(rows, INTEGERS)
 
+    def test_shape_is_read_off_the_rows(self):
+        for rows in (((1, 2), (3,)), ((), ())):
+            with pytest.raises(ShapeMismatchError):
+                Matrix(rows, INTEGERS)
+        empty = Matrix((), INTEGERS)
+        assert (empty.n_rows, empty.n_cols) == (0, 0)
+
     def test_poly_diagonal_stays(self):
         m = Matrix.from_rows(
             [[parse_poly("x"), RatPoly([])], [RatPoly([]), parse_poly("x^2")]],
@@ -286,6 +293,15 @@ class TestVerifySnf:
         other = smith_normal_form(Matrix.identity(3, INTEGERS))
         with pytest.raises(ShapeMismatchError):
             verify_snf(m, other)
+
+    def test_q_with_an_extra_column_is_refused(self):
+        # Q padded to rows of length 3 is 2 x 3, and the certificate reads that shape
+        m = Matrix.from_rows([[2, 4], [6, 8]], INTEGERS)
+        result = smith_normal_form(m)
+        q = Matrix(tuple(row + (7,) for row in result.Q.entries), INTEGERS)
+        assert (q.n_rows, q.n_cols) == (2, 3)
+        with pytest.raises(ShapeMismatchError):
+            verify_snf(m, SnfResult(result.P, result.D, q))
 
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_round_trip_randomized(self, ring):

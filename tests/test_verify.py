@@ -17,7 +17,7 @@ from realsnf.errors import (
 from realsnf import matrices
 from realsnf.matrices import Matrix, smith_normal_form
 from realsnf.polynomials import RatPoly, parse_poly
-from realsnf.quadratic import FundamentalUnit, QuadElem, positive_associate
+from realsnf.quadratic import QuadElem, positive_associate
 from realsnf import rings, spectrum, verify
 from realsnf.verify import (
     MAX_TRIAL_COUNT,
@@ -51,14 +51,15 @@ class TestVerifyMainTheorem:
     def test_report_keeps_one_copy_of_each_result(self):
         # sign_data, positivizable, pnri and the conclusion are read off the
         # diagonals, their positive associates and the ring; none of them is
-        # a field, and neither is PsdReport.is_psd nor FundamentalUnit.norm
+        # a field, PsdReport.is_psd is not one either, and a Matrix's shape is
+        # read off its rows
         x = parse_poly("x")
         report = verify_main_theorem(Matrix.from_rows([[1, x], [x, 1]], RATIONAL_POLYNOMIALS))
         assert [f.name for f in dataclasses.fields(report)] == [
             "ring", "input_psd", "snf_diagonals", "positive_associates",
         ]
         assert [f.name for f in dataclasses.fields(spectrum.PsdReport)] == ["witness"]
-        assert [f.name for f in dataclasses.fields(FundamentalUnit)] == ["unit"]
+        assert [f.name for f in dataclasses.fields(Matrix)] == ["entries", "ring"]
         assert report.sign_data == (
             {"nonneg_on_reals": True, "negation_nonneg": False},
             {"nonneg_on_reals": False, "negation_nonneg": False},
