@@ -23,6 +23,13 @@ or when the elimination got stuck.  :func:`verify_snf` certifies a result
 from M = P*D*Q, unimodular P and Q and the divisibility chain, which by
 uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
+
+The Bareiss update of :func:`symmetric_elimination` and the Schur update of
+:func:`_unit_pivots` keep one pivot rule for every ring; only their entry
+arithmetic is a per-family fact (:func:`_entry_arithmetic`).  Over Z and Q[x]
+it is the ring's own (:class:`_ElementArithmetic`); over the quadratic rings
+it runs on int pairs (:class:`quadratic.PairArithmetic`), and elements are
+built only for the pivots, the minors handed over and the block left.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from . import rings
+from . import quadratic, rings
 from .errors import (
     NotSquareError,
     ParseError,
@@ -243,6 +250,62 @@ class Elimination:
         return None if self.stuck else len(self.pivots)
 
 
+class _ElementArithmetic:
+    """The entry arithmetic of :func:`symmetric_elimination` and
+    :func:`_unit_pivots` on the ring's own elements, over Z and Q[x]; over the
+    quadratic rings the loops run :class:`quadratic.PairArithmetic` instead,
+    on int pairs.  ``load`` brings elements into the loop and ``elements``
+    gives them back."""
+
+    def __init__(self, ring: RingSpec) -> None:
+        self.ring = ring
+
+    def load(self, values: Sequence[Element]) -> list:
+        return list(values)
+
+    def elements(self, values: Sequence[Element]) -> tuple[Element, ...]:
+        return tuple(values)
+
+    def bareiss(self, p: Element, prev: Element | None):
+        """The Bareiss round on the pivot p after the pivot prev (None in the
+        first round): ``update(row, b, pivot_row, columns)`` sets each entry v
+        of ``row`` in ``columns`` to (v * p - b * c) / prev, where b is the
+        row's entry in the pivot column and c the pivot row's in v's."""
+        ring = self.ring
+
+        def update(row: list, b: Element, pivot_row: list, columns: list[int]) -> None:
+            for j in columns:
+                v, c = row[j], pivot_row[j]
+                if v:
+                    v = v * p
+                if b and c:
+                    v = v - b * c
+                if prev is not None and v:
+                    v = rings.exact_divide(v, prev, ring)
+                    if v is None:
+                        raise ArithmeticError("Bareiss division was not exact")
+                row[j] = v
+
+        return update
+
+    def residues(self, values: Sequence[Element], g: Element) -> list:
+        return [rings.residue(a, g, self.ring) for a in values]
+
+    def inverse(self, a: Element, g: Element) -> Element | None:
+        return rings.inverse_modulo(a, g, self.ring)
+
+    def clear(self, row: list, b: Element, inverse: Element, pivot_row: list, g: Element) -> list:
+        """row - b * inverse * pivot_row, each entry modulo g."""
+        f, ring = b * inverse, self.ring
+        return [rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)]
+
+
+def _entry_arithmetic(ring: RingSpec) -> "_ElementArithmetic | quadratic.PairArithmetic":
+    if ring.family is RingFamily.QUADRATIC_INTEGERS:
+        return quadratic.PairArithmetic(ring)
+    return _ElementArithmetic(ring)
+
+
 def symmetric_elimination(m: Matrix) -> Elimination:
     """Fraction-free symmetric elimination of a symmetric M.
 
@@ -254,39 +317,40 @@ def symmetric_elimination(m: Matrix) -> Elimination:
     as it stood before a pivot: the 2 x 2 block left with two rows to go when
     all n pivots ran (for n = 1 the one minor is the empty one, 1), else the
     block before the last pivot (for M = 0, again the empty minor).
+
+    The entries are updated by the ring's entry arithmetic
+    (:func:`_entry_arithmetic`): over the quadratic rings on int pairs, with
+    elements built only for the pivots and the minors handed over.
     """
-    ring = m.ring
-    a = [list(row) for row in m.entries]
+    arithmetic = _entry_arithmetic(m.ring)
+    a = [arithmetic.load(row) for row in m.entries]
     rest = list(range(m.n_rows))
-    pivots: list[Element] = []
-    block = cofactors = (rings.one(ring),)
+    pivots: list = []
+
+    def handed_over(stuck: bool, minors: Sequence = (), order: int = 0) -> Elimination:
+        elements = arithmetic.elements
+        return Elimination(elements(pivots), stuck, elements(minors), order)
+
+    block = cofactors = arithmetic.load([rings.one(m.ring)])
     while rest:
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
             if any(a[i][j] for i in rest for j in rest):
-                return Elimination(tuple(pivots), True)
-            return Elimination(tuple(pivots), False, block, len(pivots))
-        block = tuple(a[i][j] for x, i in enumerate(rest) for j in rest[x:])
+                return handed_over(True)
+            return handed_over(False, block, len(pivots))
+        block = [a[i][j] for x, i in enumerate(rest) for j in rest[x:]]
         if len(rest) == 2:
             cofactors = block
         rest.remove(k)
         p, pivot_row = a[k][k], a[k]
-        prev = pivots[-1] if pivots else None
+        update = arithmetic.bareiss(p, pivots[-1] if pivots else None)
         for x, i in enumerate(rest):
-            row, aik = a[i], a[i][k]
-            for j in rest[x:]:
-                v = row[j]
-                if v:
-                    v = v * p
-                if aik and pivot_row[j]:
-                    v = v - aik * pivot_row[j]
-                if prev is not None and v:
-                    v = rings.exact_divide(v, prev, ring)
-                    if v is None:
-                        raise ArithmeticError("Bareiss division was not exact")
-                row[j] = a[j][i] = v
+            row, columns = a[i], rest[x:]
+            update(row, row[k], pivot_row, columns)
+            for j in columns:
+                a[j][i] = row[j]
         pivots.append(p)
-    return Elimination(tuple(pivots), False, cofactors, len(pivots) - 1)
+    return handed_over(False, cofactors, len(pivots) - 1)
 
 
 # -- minor ideals -----------------------------------------------------------------
@@ -562,7 +626,8 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
     number u of pivots and B, whose entries are residues modulo G.
     """
     ring = m.ring
-    a = [[rings.residue(v, g, ring) if v else v for v in row] for row in m.entries]
+    arithmetic = _entry_arithmetic(ring)
+    a = [arithmetic.residues(row, g) for row in m.entries]
     u = 0
     while True:
         pivot = next(
@@ -570,7 +635,7 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
                 (t, s, inverse)
                 for t, row in enumerate(a)
                 for s, v in enumerate(row)
-                if v and (inverse := rings.inverse_modulo(v, g, ring)) is not None
+                if v and (inverse := arithmetic.inverse(v, g)) is not None
             ),
             None,
         )
@@ -582,12 +647,9 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
         for row in a:
             b = row.pop(s)
             if b:
-                f = b * inverse
-                row[:] = [
-                    rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)
-                ]
+                row[:] = arithmetic.clear(row, b, inverse, pivot_row, g)
         u += 1
-    return u, Matrix(tuple(map(tuple, a)), ring)
+    return u, Matrix(tuple(map(arithmetic.elements, a)), ring)
 
 
 def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:

@@ -8,6 +8,12 @@ them are decided exactly by comparing squares, never with floating point.
 The fundamental unit is found by an ascending Pell search, and the norm of
 that unit decides whether every sign pattern is realized by units, which in
 turn decides whether every element owns a totally positive associate.
+
+The basis rules on int pairs are written once: the product (:func:`_times`),
+the conjugate with the norm (:func:`_times_conjugate`) and the inverse modulo
+a rational integer (:func:`_inverse_modulo`).  :class:`QuadElem` and
+:func:`inverse_modulo` use them, and so does :class:`PairArithmetic`, the
+entry arithmetic that the elimination loops of ``matrices`` run on pairs.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .errors import UnsupportedRingError, ZeroElementError
 from .ringspec import RingFamily, RingSpec
@@ -52,14 +59,44 @@ def _round_half_to_zero(n: int, m: int) -> int:
     return q if q >= 0 else q + 1
 
 
+def _times(ax: int, ay: int, bx: int, by: int, half: bool, w2: int) -> tuple[int, int]:
+    """(x, y) with x + y*w = a * b, for a = ax + ay*w, b = bx + by*w."""
+    yy = ay * by
+    if half:  # w**2 = w + w2
+        return ax * bx + w2 * yy, ax * by + ay * bx + yy
+    return ax * bx + w2 * yy, ax * by + ay * bx
+
+
 def _times_conjugate(
     ax: int, ay: int, bx: int, by: int, half: bool, w2: int
 ) -> tuple[int, int, int]:
-    """(x, y, N(b)) with x + y*w = a * conjugate(b), for a = ax + ay*w, b = bx + by*w."""
+    """(x, y, N(b)) with x + y*w = a * conjugate(b), for a = ax + ay*w, b = bx + by*w;
+    with a = 1 it is (conjugate(b), N(b))."""
     if half:  # conj(b) = (bx + by) - by*w and w**2 = w + w2
         cx = bx + by
         return ax * cx - w2 * ay * by, ay * cx - ax * by - ay * by, bx * cx - w2 * by * by
     return ax * bx - w2 * ay * by, ay * bx - ax * by, bx * bx - w2 * by * by
+
+
+def _columns(x: int, y: int, half: bool, w2: int) -> tuple[int, int, int, int]:
+    """(x, y, u, v) with a = x + y*w and a * w = u + v*w: multiplying by a is
+    the integer map (s, t) -> s*(x, y) + t*(u, v) on pairs."""
+    return (x, y, *_times(x, y, 0, 1, half, w2))
+
+
+def _inverse_modulo(x: int, y: int, g: int, half: bool, w2: int) -> tuple[int, int] | None:
+    """The inverse of a = x + y*w modulo a rational integer g > 0, coordinates
+    in [0, g), or None when a is not a unit modulo g.
+
+    a * conj(a) = N(a), so a is a unit modulo g exactly when N(a) is, and
+    conj(a) * N(a)^-1 is then its inverse.
+    """
+    cx, cy, norm = _times_conjugate(1, 0, x, y, half, w2)
+    try:
+        scale = pow(norm, -1, g)
+    except ValueError:
+        return None
+    return cx * scale % g, cy * scale % g
 
 
 # Quotient offsets around the rounded point, tried shell by shell.  Nearest
@@ -188,11 +225,8 @@ class QuadElem:
             if other is NotImplemented:
                 return NotImplemented
         ring = self.ring
-        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
-        yy = y1 * y2
-        if ring.uses_half_basis:  # w**2 = w + (d-1)/4
-            return _quad(x1 * x2 + ring.w2_rational * yy, x1 * y2 + y1 * x2 + yy, ring)
-        return _quad(x1 * x2 + ring.w2_rational * yy, x1 * y2 + y1 * x2, ring)
+        x, y = _times(self.x, self.y, other.x, other.y, ring.uses_half_basis, ring.w2_rational)
+        return _quad(x, y, ring)
 
     __rmul__ = __mul__
 
@@ -210,17 +244,14 @@ class QuadElem:
 
     def conjugate(self) -> "QuadElem":
         """Image under sqrt(d) -> -sqrt(d), in the same basis."""
-        if self.ring.uses_half_basis:
-            # conj(w) = 1 - w
-            return _quad(self.x + self.y, -self.y, self.ring)
-        return _quad(self.x, -self.y, self.ring)
+        ring = self.ring
+        x, y, _ = _times_conjugate(1, 0, self.x, self.y, ring.uses_half_basis, ring.w2_rational)
+        return _quad(x, y, ring)
 
     def norm(self) -> int:
         """N(a) = a * conjugate(a), an exact rational integer."""
-        x, y, ring = self.x, self.y, self.ring
-        if ring.uses_half_basis:
-            return x * x + x * y - ring.w2_rational * y * y
-        return x * x - ring.w2_rational * y * y
+        ring = self.ring
+        return _times_conjugate(1, 0, self.x, self.y, ring.uses_half_basis, ring.w2_rational)[2]
 
     # -- embeddings ---------------------------------------------------------
 
@@ -259,8 +290,7 @@ class QuadElem:
             for dx, dy in shell:
                 rx = rx0 - dx * bx - dy * wx
                 ry = ry0 - dx * by - dy * wy
-                norm = rx * rx + rx * ry - w2 * ry * ry if half else rx * rx - w2 * ry * ry
-                if abs(norm) < bound:  # r = 0 has norm 0 < bound
+                if abs(_times_conjugate(1, 0, rx, ry, half, w2)[2]) < bound:  # N(0) = 0 < bound
                     return _quad(x0 + dx, y0 + dy, ring), _quad(rx, ry, ring)
         raise ArithmeticError(
             f"no Euclidean quotient found in {ring}; d outside the verified range?"
@@ -293,6 +323,99 @@ def coordinates_modulo(a: QuadElem, g: int) -> QuadElem:
     an integer of the ring, whichever integral basis the ring uses."""
     x, y = a.x % g, a.y % g
     return a if x == a.x and y == a.y else _quad(x, y, a.ring)
+
+
+def inverse_modulo(a: QuadElem, g: int) -> QuadElem | None:
+    """The inverse of a modulo a rational integer g > 0, coordinates in [0, g);
+    None when N(a) is not coprime to g."""
+    ring = a.ring
+    inverse = _inverse_modulo(a.x, a.y, g, ring.uses_half_basis, ring.w2_rational)
+    return None if inverse is None else _quad(*inverse, ring)
+
+
+class PairArithmetic:
+    """The entry arithmetic of ``matrices.symmetric_elimination`` and
+    ``matrices._unit_pivots`` over a quadratic ring, on int pairs (x, y) for
+    x + y*w, with 0 for zero.  The loops load their entries as pairs and build
+    QuadElems only for what they hand back (:meth:`elements`)."""
+
+    def __init__(self, ring: RingSpec) -> None:
+        self.ring = ring
+        self.half, self.w2 = ring.uses_half_basis, ring.w2_rational
+
+    def load(self, values: Sequence[QuadElem]) -> list:
+        return [(a.x, a.y) if a.x or a.y else 0 for a in values]
+
+    def elements(self, values: Sequence) -> tuple[QuadElem, ...]:
+        ring = self.ring
+        return tuple(_quad(*(v or (0, 0)), ring) for v in values)
+
+    def bareiss(self, p: tuple[int, int], prev: tuple[int, int] | None):
+        """The Bareiss round on the pivot p after the pivot prev, as
+        :meth:`matrices._ElementArithmetic.bareiss` runs it.  p, conj(prev) and
+        each row's b are turned into their :func:`_columns` once, so an entry
+        update is integer products and two exact divisions by N(prev), whose
+        remainders are checked."""
+        half, w2 = self.half, self.w2
+        px, py, pwx, pwy = _columns(p[0], p[1], half, w2)
+        if prev is not None:
+            qx, qy, norm = _times_conjugate(1, 0, prev[0], prev[1], half, w2)
+            qx, qy, qwx, qwy = _columns(qx, qy, half, w2)
+
+        def update(row: list, b, pivot_row: list, columns: list[int]) -> None:
+            if b:
+                bx, by, bwx, bwy = _columns(b[0], b[1], half, w2)
+            for j in columns:
+                x = y = 0
+                v, c = row[j], pivot_row[j]
+                if v:
+                    vx, vy = v
+                    x, y = vx * px + vy * pwx, vx * py + vy * pwy
+                if b and c:
+                    cx, cy = c
+                    x, y = x - cx * bx - cy * bwx, y - cx * by - cy * bwy
+                if not (x or y):
+                    row[j] = 0
+                    continue
+                if prev is not None:
+                    x, y = x * qx + y * qwx, x * qy + y * qwy
+                    x, r = divmod(x, norm)
+                    y, s = divmod(y, norm)
+                    if r or s:
+                        raise ArithmeticError("Bareiss division was not exact")
+                row[j] = x, y
+
+        return update
+
+    def residues(self, values: Sequence[QuadElem], g: QuadElem) -> list:
+        """The values modulo the rational integer g, as :func:`coordinates_modulo`
+        takes them."""
+        g = g.x
+        out = []
+        for a in values:
+            x, y = a.x % g, a.y % g
+            out.append((x, y) if x or y else 0)
+        return out
+
+    def inverse(self, v: tuple[int, int], g: QuadElem) -> tuple[int, int] | None:
+        return _inverse_modulo(v[0], v[1], g.x, self.half, self.w2)
+
+    def clear(
+        self, row: list, b: tuple[int, int], inverse: tuple[int, int], pivot_row: list, g: QuadElem
+    ) -> list:
+        """row - b * inverse * pivot_row, each entry modulo the rational integer g."""
+        half, w2, g = self.half, self.w2, g.x
+        fx, fy = _times(b[0], b[1], inverse[0], inverse[1], half, w2)
+        fx, fy, fwx, fwy = _columns(fx % g, fy % g, half, w2)
+        out = []
+        for v, c in zip(row, pivot_row):
+            if c:
+                x, y = v or (0, 0)
+                cx, cy = c
+                x, y = (x - cx * fx - cy * fwx) % g, (y - cx * fy - cy * fwy) % g
+                v = (x, y) if x or y else 0
+            out.append(v)
+        return out
 
 
 def _is_square(n: int) -> int | None:

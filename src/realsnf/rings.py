@@ -18,6 +18,13 @@ them for every family: units (1 / a exists), gcd (the canonical xgcd
 generator), association, p-adic valuations by repeated exact division, and
 every yes/no sign question (a is >= 0 at every ordering exactly when
 :func:`positive_associate` gives a).
+
+One more per-family fact lives beside the loops that use it: the entry
+arithmetic of the elimination loops of :mod:`matrices`, which over the
+quadratic rings runs on int pairs (:class:`quadratic.PairArithmetic`) rather
+than through these functions.  It shares the basis rules of :mod:`quadratic`
+(product, conjugate and norm, inverse modulo g) with :class:`QuadElem` and
+:func:`inverse_modulo`.
 """
 
 from __future__ import annotations
@@ -211,21 +218,16 @@ def residue(a: Element, g: Element, ring: RingSpec) -> Element:
 
 def inverse_modulo(a: Element, g: Element, ring: RingSpec) -> Element | None:
     """The inverse of a modulo a rational integer g > 0, over Z or a quadratic
-    ring, as a :func:`residue`; None when a is not a unit modulo g.
-
-    Over a quadratic ring a * conj(a) = N(a), so a is a unit modulo g exactly
-    when N(a) is coprime to g, and conj(a) * N(a)^-1 is then its inverse.
+    ring, as a :func:`residue`; None when a is not a unit modulo g (over a
+    quadratic ring: when N(a) is not coprime to g, see
+    :func:`quadratic.inverse_modulo`).
     """
     if ring.family is RingFamily.INTEGERS:
         try:
             return pow(a, -1, g)
         except ValueError:
             return None
-    try:
-        scale = pow(a.norm(), -1, g.x)
-    except ValueError:
-        return None
-    return quadratic.coordinates_modulo(a.conjugate() * scale, g.x)
+    return quadratic.inverse_modulo(a, g.x)
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

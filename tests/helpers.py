@@ -1,11 +1,12 @@
-"""Shared random-matrix builders, known-answer Smith instances and the elimination
-PSD oracle for the test suite."""
+"""Shared random-matrix builders, known-answer Smith instances, the elimination
+PSD oracle and the ring-generic references of the elimination loops for the
+test suite."""
 
 import math
 from fractions import Fraction
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
-from realsnf.matrices import Matrix, determinant
+from realsnf.matrices import Elimination, Matrix, determinant
 from realsnf.polynomials import RatPoly
 from realsnf.quadratic import _QUOTIENT_SHELLS, QuadElem, exact_divide, fundamental_unit
 from realsnf import rings
@@ -187,6 +188,69 @@ def known_smith_congruence(rng, ring, n, cyclic, rank=None):
         for row in rows:  # column i += c * column j
             row[i] = row[i] + c * row[j]
     return Matrix.from_rows(rows, ring), tuple(d)
+
+
+def symmetric_elimination_reference(m):
+    """``matrices.symmetric_elimination`` with the ring-generic entry update:
+    every product, difference and exact quotient on the ring's own elements
+    (QuadElem arithmetic over the quadratic rings), as the package ran it
+    before the quadratic rings moved to int pairs."""
+    ring = m.ring
+    a = [list(row) for row in m.entries]
+    rest = list(range(m.n_rows))
+    pivots = []
+    block = cofactors = (rings.one(ring),)
+    while rest:
+        k = next((i for i in rest if a[i][i]), None)
+        if k is None:
+            if any(a[i][j] for i in rest for j in rest):
+                return Elimination(tuple(pivots), True)
+            return Elimination(tuple(pivots), False, block, len(pivots))
+        block = tuple(a[i][j] for x, i in enumerate(rest) for j in rest[x:])
+        if len(rest) == 2:
+            cofactors = block
+        rest.remove(k)
+        p, pivot_row = a[k][k], a[k]
+        prev = pivots[-1] if pivots else None
+        for x, i in enumerate(rest):
+            row, aik = a[i], a[i][k]
+            for j in rest[x:]:
+                v = row[j] * p - aik * pivot_row[j]
+                if prev is not None:
+                    v = rings.exact_divide(v, prev, ring)
+                    if v is None:
+                        raise ArithmeticError("Bareiss division was not exact")
+                row[j] = a[j][i] = v
+        pivots.append(p)
+    return Elimination(tuple(pivots), False, cofactors, len(pivots) - 1)
+
+
+def unit_pivots_reference(m, g):
+    """``matrices._unit_pivots`` on the ring's own elements: (u, B) for the u
+    entries split off as units modulo the rational integer g and the block B
+    left, each entry of which is a residue modulo g."""
+    ring = m.ring
+    a = [[rings.residue(v, g, ring) for v in row] for row in m.entries]
+    u = 0
+    while True:
+        pivot = next(
+            (
+                (t, s, inverse)
+                for t, row in enumerate(a)
+                for s, v in enumerate(row)
+                if v and (inverse := rings.inverse_modulo(v, g, ring)) is not None
+            ),
+            None,
+        )
+        if pivot is None:
+            return u, Matrix(tuple(map(tuple, a)), ring)
+        t, s, inverse = pivot
+        pivot_row = a.pop(t)
+        del pivot_row[s]
+        for row in a:
+            f = row.pop(s) * inverse
+            row[:] = [rings.residue(x - f * y, g, ring) for x, y in zip(row, pivot_row)]
+        u += 1
 
 
 def psd_exact_ordered(rows):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic_ring, spectrum
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic, quadratic_ring, spectrum
 from realsnf.errors import NotSquareError, ShapeMismatchError, SizeLimitError
 from realsnf import matrices
 from realsnf.matrices import (
@@ -585,6 +585,30 @@ class TestUnitPivots:
         moduli = TestCertifiedDiagonals.recording_reduce(monkeypatch)
         assert smith_diagonals(m, elimination) == (1, 3, 6)
         assert moduli == []
+
+
+class TestPairArithmetic:
+    """Over the quadratic rings the elimination loops run on int pairs and
+    build QuadElems only for what they hand back."""
+
+    def test_elements_are_built_only_at_the_boundary(self, monkeypatch):
+        ring = parse_ring("Zhalf:13")
+        low = rand_matrix(random.Random(1), ring, 8, 8, height=2)
+        m = low @ low.transpose()
+        g = rings.ideal_element(matrices.symmetric_elimination(m).minors, ring)
+        build, built = quadratic._quad, []
+
+        def counting(x, y, r):
+            built.append((x, y))
+            return build(x, y, r)
+
+        monkeypatch.setattr(quadratic, "_quad", counting)
+        elimination = matrices.symmetric_elimination(m)
+        assert len(built) <= len(elimination.pivots) + len(elimination.minors)
+        built.clear()
+        u, rest = matrices._unit_pivots(m, g)
+        assert g == QuadElem(27, 0, ring) and u == 5 and any(map(any, rest.entries))
+        assert len(built) <= rest.n_rows * rest.n_cols
 
 
 class TestDeterminant:

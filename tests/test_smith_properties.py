@@ -1,5 +1,8 @@
-"""Property: the Smith diagonals ``verify`` reads off the PSD elimination
-equal those of the plain reduction, over Z and the seven quadratic rings.
+"""Properties of ``verify``'s Smith stage over Z and the seven quadratic rings.
+
+The Smith diagonals it reads off the PSD elimination equal those of the
+plain reduction, and over the quadratic rings the elimination loops, which
+run on int pairs, equal the ring-generic references on QuadElem arithmetic.
 
 Inputs are n x n with n <= 4, of four kinds:
 
@@ -13,6 +16,7 @@ Inputs are n x n with n <= 4, of four kinds:
   every pivot is a unit modulo G, four of them for k = 3.
 """
 
+import math
 import random
 
 from hypothesis import given, settings
@@ -22,9 +26,10 @@ from realsnf import INTEGERS, matrices, parse_ring, rings
 from realsnf.matrices import Matrix, smith_diagonals, symmetric_elimination
 from realsnf.quadratic import QuadElem
 
-from helpers import known_smith_congruence
+from helpers import known_smith_congruence, symmetric_elimination_reference, unit_pivots_reference
 
 RING_NAMES = ["Z", "Zsqrt:2", "Zsqrt:3", "Zsqrt:6", "Zsqrt:7", "Zsqrt:11", "Zhalf:5", "Zhalf:13"]
+QUADRATIC_NAMES = RING_NAMES[1:]
 
 
 def symmetric(upper, n):
@@ -77,3 +82,88 @@ def test_unit_pivots_leave_a_block_of_residues(m):
     u, rest = matrices._unit_pivots(m, g)
     assert u + rest.n_rows == m.n_rows and rest.n_rows == rest.n_cols
     assert all(rings.residue(v, g, ring) == v for row in rest.entries for v in row)
+
+
+def sqrt_d(ring):
+    """sqrt(d) in the integral basis: w, or 2w - 1 when w = (1 + sqrt(d)) / 2."""
+    return QuadElem(-1, 2, ring) if ring.uses_half_basis else QuadElem(0, 1, ring)
+
+
+@st.composite
+def quadratic_inputs(draw):
+    """Symmetric n x n over the seven quadratic rings, n = 1 to 8, entries of
+    height 3, of five kinds:
+
+    - M = 0;
+    - symmetric, with no structure;
+    - stuck: [[A, 0], [0, Z]] with Z of size >= 2, zero on its diagonal and
+      not zero, so that no pivot on A touches it;
+    - rank < n: N * N^T with N of width k < n (0 for k = 0);
+    - not PSD at one embedding: N * N^T minus s*t*sqrt(d) on one diagonal entry
+      a = x + y*w, s = +-1 and t = |x| + |y| + 1 > |a| / sqrt(d) at both
+      embeddings, so the entry goes negative at one embedding only, and M
+      stays PSD at the other.
+    """
+    ring = parse_ring(draw(st.sampled_from(QUADRATIC_NAMES)))
+    kind = draw(st.sampled_from(["zero", "symmetric", "stuck", "rank < n", "not PSD"]))
+    n = draw(st.integers(2 if kind == "stuck" else 1, 8))
+    entry = st.builds(QuadElem, st.integers(-3, 3), st.integers(-3, 3), st.just(ring))
+    zero = rings.zero(ring)
+    if kind == "zero":
+        return Matrix.from_rows([[zero] * n for _ in range(n)], ring)
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    if kind == "symmetric":
+        return Matrix.from_rows(symmetric(upper, n), ring)
+    if kind == "stuck":
+        h = draw(st.integers(0, n - 2))
+        for i, j in upper:
+            if i < h <= j or i == j >= h:
+                upper[i, j] = zero
+        upper[h, h + 1] = draw(entry.filter(bool))
+        return Matrix.from_rows(symmetric(upper, n), ring)
+    k = draw(st.integers(0, n - 1)) if kind == "rank < n" else n
+    if not k:
+        return Matrix.from_rows([[zero] * n for _ in range(n)], ring)
+    low = Matrix.from_rows([[draw(entry) for _ in range(k)] for _ in range(n)], ring)
+    rows = [list(row) for row in (low @ low.transpose()).entries]
+    if kind == "not PSD":
+        i = draw(st.integers(0, n - 1))
+        a = rows[i][i]
+        rows[i][i] = a - draw(st.sampled_from([1, -1])) * (abs(a.x) + abs(a.y) + 1) * sqrt_d(ring)
+    return Matrix.from_rows(rows, ring)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(quadratic_inputs(), st.integers(2, 30))
+def test_pair_arithmetic_equals_the_element_reference(m, modulus):
+    """symmetric_elimination field by field, and _unit_pivots (u and the block
+    left) modulo the drawn modulus and the G of the minors handed over."""
+    got, want = symmetric_elimination(m), symmetric_elimination_reference(m)
+    assert got.pivots == want.pivots
+    assert got.stuck == want.stuck
+    assert got.minors == want.minors
+    assert got.order == want.order
+    moduli = {modulus}
+    if not got.stuck:
+        moduli.add(rings.ideal_element(got.minors, m.ring).x)
+    for g in sorted(moduli):
+        g = rings.coerce(g, m.ring)
+        assert matrices._unit_pivots(m, g) == unit_pivots_reference(m, g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(QUADRATIC_NAMES), st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 60)
+)
+def test_inverse_modulo_is_an_inverse_among_the_residues(name, x, y, g):
+    """The inverse modulo G that _unit_pivots and rings.inverse_modulo share:
+    a residue with a * a^-1 = 1 modulo G, and None exactly when N(a) and G
+    share a factor."""
+    ring = parse_ring(name)
+    a, modulus = QuadElem(x, y, ring), rings.coerce(g, ring)
+    inverse = rings.inverse_modulo(a, modulus, ring)
+    if math.gcd(a.norm(), g) != 1:
+        assert inverse is None
+    else:
+        assert rings.residue(inverse, modulus, ring) == inverse
+        assert not rings.residue(a * inverse - rings.one(ring), modulus, ring)
