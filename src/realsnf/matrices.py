@@ -24,12 +24,16 @@ from M = P*D*Q, unimodular P and Q and the divisibility chain, which by
 uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
 
-The Bareiss update of :func:`symmetric_elimination` and the Schur update of
-:func:`_unit_pivots` keep one pivot rule for every ring; only their entry
-arithmetic is a per-family fact (:func:`_entry_arithmetic`).  Over Z and Q[x]
-it is the ring's own (:class:`_ElementArithmetic`); over the quadratic rings
-it runs on int pairs (:class:`quadratic.PairArithmetic`), and elements are
-built only for the pivots, the minors handed over and the block left.
+The Bareiss update of :func:`determinant` and :func:`symmetric_elimination`
+and the Schur update of :func:`_unit_pivots` keep one pivot rule for every
+ring; only their entry arithmetic is a per-family fact
+(:func:`_entry_arithmetic`): ints over Z (:class:`_IntArithmetic`); over Q[x]
+packed ints, each entry of L * M as its value at x = 2**b, with L clearing
+the denominators and b fixed per matrix by a bound on every minor's
+coefficients (Kronecker substitution; :class:`_PackedArithmetic`), so the
+same integer update runs; over the quadratic rings int pairs
+(:class:`quadratic.PairArithmetic`).  Elements are built only for the
+pivots, the minors handed over, the determinant and the block left.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import quadratic, rings
 from .errors import (
@@ -47,7 +51,13 @@ from .errors import (
     ShapeMismatchError,
     SizeLimitError,
 )
-from .polynomials import row_primitive_scale
+from .polynomials import (
+    RatPoly,
+    kronecker_layout,
+    kronecker_pack,
+    kronecker_unpack,
+    row_primitive_scale,
+)
 from .rings import Element
 from .ringspec import RingFamily, RingSpec, parse_ring
 
@@ -198,31 +208,29 @@ def _parse_entries(entries: object, ring: RingSpec) -> Matrix:
 
 
 def determinant(m: Matrix) -> Element:
-    """Exact determinant via fraction-free (Bareiss) elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination, on the ring's
+    entry arithmetic (:func:`_entry_arithmetic`), with a row swap where the
+    diagonal entry is zero."""
     if not m.is_square():
         raise NotSquareError(f"determinant of a {m.n_rows}x{m.n_cols} matrix")
-    ring = m.ring
-    rows = [list(row) for row in m.entries]
+    arithmetic = _entry_arithmetic(m)
+    rows = [arithmetic.load(row) for row in m.entries]
     n = len(rows)
     sign_flip = False
-    prev = rings.one(ring)
+    prev = None
     for k in range(n - 1):
         if not rows[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if pivot_row is None:
-                return rows[k][k]  # a zero column below the diagonal: det = 0
+                return arithmetic.elements([0], [n])[0]  # a zero column below the diagonal
             rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
             sign_flip = not sign_flip
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                q = rings.exact_divide(
-                    rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j], prev, ring
-                )
-                if q is None:
-                    raise ArithmeticError("Bareiss division was not exact")
-                rows[i][j] = q
-        prev = rows[k][k]
-    det = rows[n - 1][n - 1]
+        p, pivot_row, columns = rows[k][k], rows[k], list(range(k + 1, n))
+        update = arithmetic.bareiss(p, prev)
+        for row in rows[k + 1 :]:
+            update(row, row[k], pivot_row, columns)
+        prev = p
+    det = arithmetic.elements([rows[n - 1][n - 1]], [n])[0]
     return -det if sign_flip else det
 
 
@@ -250,60 +258,88 @@ class Elimination:
         return None if self.stuck else len(self.pivots)
 
 
-class _ElementArithmetic:
-    """The entry arithmetic of :func:`symmetric_elimination` and
-    :func:`_unit_pivots` on the ring's own elements, over Z and Q[x]; over the
-    quadratic rings the loops run :class:`quadratic.PairArithmetic` instead,
-    on int pairs.  ``load`` brings elements into the loop and ``elements``
-    gives them back."""
+def _int_bareiss(p: int, prev: int | None):
+    """The Bareiss round on the pivot p after the pivot prev (None in the
+    first round), on ints: ``update(row, b, pivot_row, columns)`` sets each
+    entry v of ``row`` in ``columns`` to (v * p - b * c) / prev, where b is
+    the row's entry in the pivot column and c the pivot row's in v's."""
+
+    def update(row: list, b: int, pivot_row: list, columns: list[int]) -> None:
+        for j in columns:
+            v = row[j] * p - b * pivot_row[j]
+            if prev is not None and v:
+                v, r = divmod(v, prev)
+                if r:
+                    raise ArithmeticError("Bareiss division was not exact")
+            row[j] = v
+
+    return update
+
+
+class _IntArithmetic:
+    """The entry arithmetic of the loops over Z: ints as they are.  ``load``
+    brings elements into a loop and ``elements`` gives them back (``sizes``,
+    the minor size of each value, is read over Q[x] only); ``one`` is the
+    empty minor."""
+
+    one = 1
+    bareiss = staticmethod(_int_bareiss)
 
     def __init__(self, ring: RingSpec) -> None:
         self.ring = ring
 
-    def load(self, values: Sequence[Element]) -> list:
+    def load(self, values: Sequence[int]) -> list:
         return list(values)
 
-    def elements(self, values: Sequence[Element]) -> tuple[Element, ...]:
+    def elements(self, values: Sequence[int], sizes: Iterable[int] = ()) -> tuple[int, ...]:
         return tuple(values)
 
-    def bareiss(self, p: Element, prev: Element | None):
-        """The Bareiss round on the pivot p after the pivot prev (None in the
-        first round): ``update(row, b, pivot_row, columns)`` sets each entry v
-        of ``row`` in ``columns`` to (v * p - b * c) / prev, where b is the
-        row's entry in the pivot column and c the pivot row's in v's."""
-        ring = self.ring
-
-        def update(row: list, b: Element, pivot_row: list, columns: list[int]) -> None:
-            for j in columns:
-                v, c = row[j], pivot_row[j]
-                if v:
-                    v = v * p
-                if b and c:
-                    v = v - b * c
-                if prev is not None and v:
-                    v = rings.exact_divide(v, prev, ring)
-                    if v is None:
-                        raise ArithmeticError("Bareiss division was not exact")
-                row[j] = v
-
-        return update
-
-    def residues(self, values: Sequence[Element], g: Element) -> list:
+    def residues(self, values: Sequence[int], g: int) -> list:
         return [rings.residue(a, g, self.ring) for a in values]
 
-    def inverse(self, a: Element, g: Element) -> Element | None:
+    def inverse(self, a: int, g: int) -> int | None:
         return rings.inverse_modulo(a, g, self.ring)
 
-    def clear(self, row: list, b: Element, inverse: Element, pivot_row: list, g: Element) -> list:
+    def clear(self, row: list, b: int, inverse: int, pivot_row: list, g: int) -> list:
         """row - b * inverse * pivot_row, each entry modulo g."""
         f, ring = b * inverse, self.ring
         return [rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)]
 
 
-def _entry_arithmetic(ring: RingSpec) -> "_ElementArithmetic | quadratic.PairArithmetic":
-    if ring.family is RingFamily.QUADRATIC_INTEGERS:
-        return quadratic.PairArithmetic(ring)
-    return _ElementArithmetic(ring)
+class _PackedArithmetic:
+    """The Bareiss arithmetic over Q[x] (Kronecker substitution): each entry
+    of L * M is packed as one int, its value at x = 2**b, with L and b from
+    :func:`polynomials.kronecker_layout`.  Every value a Bareiss loop computes
+    is a minor of L * M, whose coefficients lie below 2**(b-2), so its value
+    at 2**b is zero exactly when the minor is, and the update runs on ints
+    (:func:`_int_bareiss`): evaluation at 2**b is a ring map from Z[x], so an
+    exact division of minors is an exact division of their values.  A minor
+    of size s of M is unpacked from its value and divided by L**s."""
+
+    one = 1
+    bareiss = staticmethod(_int_bareiss)
+
+    def __init__(self, m: Matrix) -> None:
+        self.scale, self.bits = kronecker_layout(m.entries)
+
+    def load(self, values: Sequence[RatPoly]) -> list:
+        scale, bits = self.scale, self.bits
+        return [kronecker_pack(p, scale, bits) for p in values]
+
+    def elements(self, values: Sequence[int], sizes: Iterable[int]) -> tuple[RatPoly, ...]:
+        scale, bits = self.scale, self.bits
+        return tuple(kronecker_unpack(v, bits, scale**s) for v, s in zip(values, sizes))
+
+
+def _entry_arithmetic(m: Matrix) -> _IntArithmetic | _PackedArithmetic | quadratic.PairArithmetic:
+    """The entry arithmetic of the loops on M: ints over Z, packed ints over
+    Q[x] (fixed per matrix), int pairs over the quadratic rings."""
+    family = m.ring.family
+    if family is RingFamily.QUADRATIC_INTEGERS:
+        return quadratic.PairArithmetic(m.ring)
+    if family is RingFamily.RATIONAL_POLYNOMIALS:
+        return _PackedArithmetic(m)
+    return _IntArithmetic(m.ring)
 
 
 def symmetric_elimination(m: Matrix) -> Elimination:
@@ -319,19 +355,23 @@ def symmetric_elimination(m: Matrix) -> Elimination:
     block before the last pivot (for M = 0, again the empty minor).
 
     The entries are updated by the ring's entry arithmetic
-    (:func:`_entry_arithmetic`): over the quadratic rings on int pairs, with
-    elements built only for the pivots and the minors handed over.
+    (:func:`_entry_arithmetic`): over Q[x] on packed ints and over the
+    quadratic rings on int pairs, with elements built only for the pivots
+    (pivot i a minor of size i + 1) and the minors handed over.
     """
-    arithmetic = _entry_arithmetic(m.ring)
+    arithmetic = _entry_arithmetic(m)
     a = [arithmetic.load(row) for row in m.entries]
     rest = list(range(m.n_rows))
     pivots: list = []
 
     def handed_over(stuck: bool, minors: Sequence = (), order: int = 0) -> Elimination:
         elements = arithmetic.elements
-        return Elimination(elements(pivots), stuck, elements(minors), order)
+        pivot_sizes, minor_sizes = itertools.count(1), itertools.repeat(order)
+        return Elimination(
+            elements(pivots, pivot_sizes), stuck, elements(minors, minor_sizes), order
+        )
 
-    block = cofactors = arithmetic.load([rings.one(m.ring)])
+    block = cofactors = [arithmetic.one]
     while rest:
         k = next((i for i in rest if a[i][i]), None)
         if k is None:
@@ -626,7 +666,7 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
     number u of pivots and B, whose entries are residues modulo G.
     """
     ring = m.ring
-    arithmetic = _entry_arithmetic(ring)
+    arithmetic = _entry_arithmetic(m)
     a = [arithmetic.residues(row, g) for row in m.entries]
     u = 0
     while True:

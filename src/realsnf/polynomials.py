@@ -35,7 +35,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
 
@@ -366,6 +366,48 @@ def row_primitive_scale(row: Iterable[RatPoly]) -> Fraction:
     if not nonzero:
         return Fraction(1)
     return Fraction(math.lcm(*(p._d for p in nonzero)), math.gcd(*(p._n for p in nonzero)))
+
+
+def kronecker_layout(rows: Sequence[Sequence[RatPoly]]) -> tuple[int, int]:
+    """(L, b) for evaluating a matrix M of polynomials at x = 2**b (Kronecker
+    substitution): L is the lcm of the entries' denominators, so L * M has
+    integer coefficients, and b = B.bit_length() + 2 for B, the product over
+    the rows of max(1, the sum of the l1 norms of the row's entries in L * M).
+
+    By the Leibniz sum and ||f * g||_1 <= ||f||_1 * ||g||_1, B bounds the
+    absolute value of every coefficient of every minor of L * M, so a minor
+    is the unique integer polynomial with coefficients in (-2**(b-1),
+    2**(b-1)) that takes its value at 2**b (:func:`kronecker_unpack`), and it
+    is zero exactly when that value is 0.
+    """
+    scale = math.lcm(*(p._d for row in rows for p in row))
+    bound = 1
+    for row in rows:
+        bound *= max(1, sum(p._n * (scale // p._d) * sum(map(abs, p._p)) for p in row))
+    return scale, bound.bit_length() + 2
+
+
+def kronecker_pack(p: RatPoly, scale: int, bits: int) -> int:
+    """scale * p at x = 2**bits, for a positive integer scale that clears p's
+    denominator."""
+    value = 0
+    for c in reversed(p._p):
+        value = (value << bits) + c
+    return value * (p._n * (scale // p._d))
+
+
+def kronecker_unpack(value: int, bits: int, denominator: int) -> RatPoly:
+    """f / denominator for the integer polynomial f with f(2**bits) = value
+    whose coefficients lie in [-2**(bits-1), 2**(bits-1)): its signed base
+    2**bits digits, constant first."""
+    digits, mask, half = [], (1 << bits) - 1, 1 << (bits - 1)
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        digits.append(c)
+        value = (value - c) >> bits
+    return _poly(1, denominator, digits)
 
 
 def _remainder_sequence(a: RatPoly, b: RatPoly) -> list[RatPoly]:

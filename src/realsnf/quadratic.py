@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import UnsupportedRingError, ZeroElementError
 from .ringspec import RingFamily, RingSpec
@@ -334,10 +334,14 @@ def inverse_modulo(a: QuadElem, g: int) -> QuadElem | None:
 
 
 class PairArithmetic:
-    """The entry arithmetic of ``matrices.symmetric_elimination`` and
-    ``matrices._unit_pivots`` over a quadratic ring, on int pairs (x, y) for
-    x + y*w, with 0 for zero.  The loops load their entries as pairs and build
-    QuadElems only for what they hand back (:meth:`elements`)."""
+    """The entry arithmetic of ``matrices.symmetric_elimination``,
+    ``matrices.determinant`` and ``matrices._unit_pivots`` over a quadratic
+    ring, on int pairs (x, y) for x + y*w, with 0 for zero.  The loops load
+    their entries as pairs and build QuadElems only for what they hand back
+    (:meth:`elements`, which does not read the minor sizes); ``one`` is the
+    empty minor."""
+
+    one = (1, 0)
 
     def __init__(self, ring: RingSpec) -> None:
         self.ring = ring
@@ -346,13 +350,13 @@ class PairArithmetic:
     def load(self, values: Sequence[QuadElem]) -> list:
         return [(a.x, a.y) if a.x or a.y else 0 for a in values]
 
-    def elements(self, values: Sequence) -> tuple[QuadElem, ...]:
+    def elements(self, values: Sequence, sizes: Iterable[int] = ()) -> tuple[QuadElem, ...]:
         ring = self.ring
         return tuple(_quad(*(v or (0, 0)), ring) for v in values)
 
     def bareiss(self, p: tuple[int, int], prev: tuple[int, int] | None):
         """The Bareiss round on the pivot p after the pivot prev, as
-        :meth:`matrices._ElementArithmetic.bareiss` runs it.  p, conj(prev) and
+        :func:`matrices._int_bareiss` runs it on ints.  p, conj(prev) and
         each row's b are turned into their :func:`_columns` once, so an entry
         update is integer products and two exact divisions by N(prev), whose
         remainders are checked."""

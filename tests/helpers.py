@@ -1,7 +1,8 @@
 """Shared random-matrix builders, known-answer Smith instances, the elimination
-PSD oracle and the ring-generic references of the elimination loops for the
-test suite."""
+PSD oracle and the ring-generic references of the elimination loops and the
+determinant for the test suite."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -193,8 +194,9 @@ def known_smith_congruence(rng, ring, n, cyclic, rank=None):
 def symmetric_elimination_reference(m):
     """``matrices.symmetric_elimination`` with the ring-generic entry update:
     every product, difference and exact quotient on the ring's own elements
-    (QuadElem arithmetic over the quadratic rings), as the package ran it
-    before the quadratic rings moved to int pairs."""
+    (QuadElem arithmetic over the quadratic rings, RatPoly arithmetic over
+    Q[x]), as the package ran it before those rings moved to int pairs and
+    to packed ints."""
     ring = m.ring
     a = [list(row) for row in m.entries]
     rest = list(range(m.n_rows))
@@ -223,6 +225,20 @@ def symmetric_elimination_reference(m):
                 row[j] = a[j][i] = v
         pivots.append(p)
     return Elimination(tuple(pivots), False, cofactors, len(pivots) - 1)
+
+
+def leibniz_determinant(rows, ring):
+    """The determinant of square rows as the Leibniz sum over permutations,
+    on the ring's own elements: it shares no step with the elimination."""
+    n = len(rows)
+    total = rings.zero(ring)
+    for perm in itertools.permutations(range(n)):
+        term = rings.one(ring)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def unit_pivots_reference(m, g):

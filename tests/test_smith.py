@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, parse_ring, quadratic, quadratic_ring, spectrum
+from realsnf import (
+    INTEGERS,
+    RATIONAL_POLYNOMIALS,
+    parse_ring,
+    polynomials,
+    quadratic,
+    quadratic_ring,
+    spectrum,
+)
 from realsnf.errors import NotSquareError, ShapeMismatchError, SizeLimitError
 from realsnf import matrices
 from realsnf.matrices import (
@@ -25,8 +33,10 @@ from realsnf import rings
 from helpers import (
     classical_xgcd,
     known_smith_congruence,
+    leibniz_determinant,
     rand_matrix,
     random_unimodular,
+    symmetric_elimination_reference,
     totally_positive_non_unit,
 )
 
@@ -611,6 +621,65 @@ class TestPairArithmetic:
         assert len(built) <= rest.n_rows * rest.n_cols
 
 
+class TestPackedArithmetic:
+    """Over Q[x] the elimination loops run on ints, each entry of L * M packed
+    as its value at 2**b, and build RatPolys only for what they hand back."""
+
+    # Coefficients of at most 8 bits over the denominators 2, 3 and 7, whose
+    # minors reach 44 bits: b must come from the minors' bound, not from the
+    # largest entry, and each minor of size s is the unpacked one over L**s.
+    WIDE_MINORS = [
+        ["65*x^2 - 66/7*x - 67", "-123/2*x^2 + 30*x + 55", "-26*x^2 + 3*x - 157/7",
+         "124*x^2 + 27*x - 137/2"],
+        ["-123/2*x^2 + 30*x + 55", "-101*x^2 - 174*x + 88", "110/7*x^2 - 13/7*x + 166/3",
+         "194/3*x^2 + 119*x - 53/7"],
+        ["-26*x^2 + 3*x - 157/7", "110/7*x^2 - 13/7*x + 166/3", "-48*x^2 - 186/7*x - 206",
+         "-40/7*x^2 + 143/3*x + 239/7"],
+        ["124*x^2 + 27*x - 137/2", "194/3*x^2 + 119*x - 53/7", "-40/7*x^2 + 143/3*x + 239/7",
+         "22*x^2 + 18/7*x + 38/3"],
+    ]
+
+    def test_minors_far_wider_than_the_entries_come_back_exactly(self):
+        m = matrices.matrix_from_json(self.WIDE_MINORS, RATIONAL_POLYNOMIALS)
+        got, want = matrices.symmetric_elimination(m), symmetric_elimination_reference(m)
+        assert coefficient_bits(v for row in m.entries for v in row) == 8
+        assert coefficient_bits(want.pivots[-1:]) == 44
+        assert got.pivots == want.pivots
+        assert got.minors == want.minors
+        assert (got.stuck, got.order) == (want.stuck, want.order) == (False, 3)
+        assert determinant(m) == leibniz_determinant(m.entries, m.ring) == want.pivots[-1]
+
+    def test_no_polynomial_arithmetic_inside_the_loops(self, monkeypatch):
+        low = rand_matrix(random.Random(5), RATIONAL_POLYNOMIALS, 5, 5)
+        m = low @ low.transpose()
+        calls, built = [], []
+        for name in ("__mul__", "__divmod__"):
+            original = getattr(RatPoly, name)
+
+            def counting(self, other, original=original, name=name):
+                calls.append(name)
+                return original(self, other)
+
+            monkeypatch.setattr(RatPoly, name, counting)
+        raw, init = polynomials._raw, RatPoly.__init__
+
+        def counting_raw(n, d, p):
+            built.append(p)
+            return raw(n, d, p)
+
+        def counting_init(self, coefficients=()):
+            built.append(coefficients)
+            init(self, coefficients)
+
+        monkeypatch.setattr(polynomials, "_raw", counting_raw)
+        monkeypatch.setattr(RatPoly, "__init__", counting_init)
+        elimination = matrices.symmetric_elimination(m)
+        det = determinant(m)
+        assert calls == []
+        assert len(built) == len(elimination.pivots) + len(elimination.minors) + 1
+        assert elimination.rank == 5 and det == elimination.pivots[-1]
+
+
 class TestDeterminant:
     def test_examples(self):
         assert determinant(Matrix.from_rows([[2, 4], [4, 2]], INTEGERS)) == -12
@@ -648,14 +717,7 @@ class TestDeterminant:
             if trial % 2:
                 for i in range(rng.randint(1, n)):
                     rows[i][0] = rings.zero(ring)
-            expected = rings.zero(ring)
-            for perm in itertools.permutations(range(n)):
-                term = rings.one(ring)
-                for i, j in enumerate(perm):
-                    term = term * rows[i][j]
-                inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
-                expected = expected - term if inversions % 2 else expected + term
-            assert determinant(Matrix.from_rows(rows, ring)) == expected
+            assert determinant(Matrix.from_rows(rows, ring)) == leibniz_determinant(rows, ring)
 
     def test_planted_divisor_divides_determinant(self):
         # p dividing the block {rows 1..r} x {cols r..n} forces p | det

@@ -1,8 +1,11 @@
-"""Properties of ``verify``'s Smith stage over Z and the seven quadratic rings.
+"""Properties of ``verify``'s Smith stage over Z and the seven quadratic
+rings, and of the elimination loops over the quadratic rings and Q[x].
 
 The Smith diagonals it reads off the PSD elimination equal those of the
-plain reduction, and over the quadratic rings the elimination loops, which
-run on int pairs, equal the ring-generic references on QuadElem arithmetic.
+plain reduction.  Over the quadratic rings the elimination loops, which run
+on int pairs, equal the ring-generic references on QuadElem arithmetic; over
+Q[x] the elimination and the determinant, which run on packed ints, equal
+the reference on RatPoly arithmetic and the Leibniz sum.
 
 Inputs are n x n with n <= 4, of four kinds:
 
@@ -18,15 +21,22 @@ Inputs are n x n with n <= 4, of four kinds:
 
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from realsnf import INTEGERS, matrices, parse_ring, rings
-from realsnf.matrices import Matrix, smith_diagonals, symmetric_elimination
+from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, parse_ring, rings
+from realsnf.matrices import Matrix, determinant, smith_diagonals, symmetric_elimination
+from realsnf.polynomials import RatPoly
 from realsnf.quadratic import QuadElem
 
-from helpers import known_smith_congruence, symmetric_elimination_reference, unit_pivots_reference
+from helpers import (
+    known_smith_congruence,
+    leibniz_determinant,
+    symmetric_elimination_reference,
+    unit_pivots_reference,
+)
 
 RING_NAMES = ["Z", "Zsqrt:2", "Zsqrt:3", "Zsqrt:6", "Zsqrt:7", "Zsqrt:11", "Zhalf:5", "Zhalf:13"]
 QUADRATIC_NAMES = RING_NAMES[1:]
@@ -167,3 +177,52 @@ def test_inverse_modulo_is_an_inverse_among_the_residues(name, x, y, g):
     else:
         assert rings.residue(inverse, modulus, ring) == inverse
         assert not rings.residue(a * inverse - rings.one(ring), modulus, ring)
+
+
+@st.composite
+def polynomial_inputs(draw):
+    """Symmetric n x n over Q[x], n = 1 to 6, of four kinds: symmetric with
+    no structure; stuck, as in :func:`quadratic_inputs`; rank < n, N * N^T
+    with N of width k < n; and not PSD, N * N^T with one diagonal entry a,
+    >= 0 on R, replaced by -a - 1.  Entries have degree <= 2 and rational
+    coefficients with denominators 1, 2, 3 or 7 and numerators up to 3 or up
+    to 2**64, so zero, constant entries and negative leading coefficients
+    occur."""
+    ring = RATIONAL_POLYNOMIALS
+    kind = draw(st.sampled_from(["symmetric", "stuck", "rank < n", "not PSD"]))
+    n = draw(st.integers(2 if kind == "stuck" else 1, 6))
+    numerator = st.integers(-3, 3) | st.integers(-(2**64), 2**64)
+    coefficient = st.builds(Fraction, numerator, st.sampled_from([1, 2, 3, 7]))
+    entry = st.builds(RatPoly, st.lists(coefficient, max_size=3))
+    zero = rings.zero(ring)
+    if kind in ("symmetric", "stuck"):
+        upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+        if kind == "stuck":
+            h = draw(st.integers(0, n - 2))
+            for i, j in upper:
+                if i < h <= j or i == j >= h:
+                    upper[i, j] = zero
+            upper[h, h + 1] = draw(entry.filter(bool))
+        return Matrix.from_rows(symmetric(upper, n), ring)
+    k = draw(st.integers(0, n - 1)) if kind == "rank < n" else n
+    if not k:
+        return Matrix.from_rows([[zero] * n for _ in range(n)], ring)
+    low = Matrix.from_rows([[draw(entry) for _ in range(k)] for _ in range(n)], ring)
+    rows = [list(row) for row in (low @ low.transpose()).entries]
+    if kind == "not PSD":
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = -rows[i][i] - 1
+    return Matrix.from_rows(rows, ring)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(polynomial_inputs())
+def test_packed_arithmetic_equals_the_element_reference(m):
+    """symmetric_elimination field by field, and determinant (with row swaps
+    on a stuck input's zero diagonal)."""
+    got, want = symmetric_elimination(m), symmetric_elimination_reference(m)
+    assert got.pivots == want.pivots
+    assert got.stuck == want.stuck
+    assert got.minors == want.minors
+    assert got.order == want.order
+    assert determinant(m) == leibniz_determinant(m.entries, m.ring)
