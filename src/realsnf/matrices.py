@@ -27,7 +27,8 @@ uniqueness of invariant factors is a proof; the exponential
 The Bareiss update of :func:`determinant` and :func:`symmetric_elimination`
 and the Schur update of :func:`_unit_pivots` keep one pivot rule for every
 ring; only their entry arithmetic is a per-family fact
-(:func:`_entry_arithmetic`): ints over Z (:class:`_IntArithmetic`); over Q[x]
+(:func:`_entry_arithmetic`), with the residues and inverses modulo G that
+the Schur update takes: ints over Z (:class:`_IntArithmetic`); over Q[x]
 packed ints, each entry of L * M as its value at x = 2**b, with L clearing
 the denominators and b fixed per matrix by a bound on every minor's
 coefficients (Kronecker substitution; :class:`_PackedArithmetic`), so the
@@ -213,6 +214,8 @@ def determinant(m: Matrix) -> Element:
     diagonal entry is zero."""
     if not m.is_square():
         raise NotSquareError(f"determinant of a {m.n_rows}x{m.n_cols} matrix")
+    if not m.entries:
+        return rings.one(m.ring)  # the empty product
     arithmetic = _entry_arithmetic(m)
     rows = [arithmetic.load(row) for row in m.entries]
     n = len(rows)
@@ -285,9 +288,6 @@ class _IntArithmetic:
     one = 1
     bareiss = staticmethod(_int_bareiss)
 
-    def __init__(self, ring: RingSpec) -> None:
-        self.ring = ring
-
     def load(self, values: Sequence[int]) -> list:
         return list(values)
 
@@ -295,15 +295,20 @@ class _IntArithmetic:
         return tuple(values)
 
     def residues(self, values: Sequence[int], g: int) -> list:
-        return [rings.residue(a, g, self.ring) for a in values]
+        return [a % g for a in values]
 
     def inverse(self, a: int, g: int) -> int | None:
-        return rings.inverse_modulo(a, g, self.ring)
+        """The inverse of a modulo g > 0, in [0, g), or None when a is not a
+        unit modulo g."""
+        try:
+            return pow(a, -1, g)
+        except ValueError:
+            return None
 
     def clear(self, row: list, b: int, inverse: int, pivot_row: list, g: int) -> list:
         """row - b * inverse * pivot_row, each entry modulo g."""
-        f, ring = b * inverse, self.ring
-        return [rings.residue(x - f * y, g, ring) if y else x for x, y in zip(row, pivot_row)]
+        f = b * inverse
+        return [(x - f * y) % g if y else x for x, y in zip(row, pivot_row)]
 
 
 class _PackedArithmetic:
@@ -339,7 +344,7 @@ def _entry_arithmetic(m: Matrix) -> _IntArithmetic | _PackedArithmetic | quadrat
         return quadratic.PairArithmetic(m.ring)
     if family is RingFamily.RATIONAL_POLYNOMIALS:
         return _PackedArithmetic(m)
-    return _IntArithmetic(m.ring)
+    return _IntArithmetic()
 
 
 def symmetric_elimination(m: Matrix) -> Elimination:
@@ -351,7 +356,7 @@ def symmetric_elimination(m: Matrix) -> Elimination:
     every pivot is a principal minor and each update divides exactly by the
     pivot before.  The minors handed over are the distinct entries of a block
     as it stood before a pivot: the 2 x 2 block left with two rows to go when
-    all n pivots ran (for n = 1 the one minor is the empty one, 1), else the
+    all n pivots ran (for n <= 1 the one minor is the empty one, 1), else the
     block before the last pivot (for M = 0, again the empty minor).
 
     The entries are updated by the ring's entry arithmetic
@@ -390,7 +395,7 @@ def symmetric_elimination(m: Matrix) -> Elimination:
             for j in columns:
                 a[j][i] = row[j]
         pivots.append(p)
-    return handed_over(False, cofactors, len(pivots) - 1)
+    return handed_over(False, cofactors, max(len(pivots) - 1, 0))
 
 
 # -- minor ideals -----------------------------------------------------------------
@@ -485,7 +490,7 @@ class _Reduction:
     @property
     def m(self) -> int:
         """The number of columns of D."""
-        return len(self.d[0])
+        return len(self.d[0]) if self.d else 0
 
     def transpose(self) -> None:
         """D <- D^T: the rows of D now pair with the columns of the input."""
@@ -657,7 +662,8 @@ def _unit_pivots(m: Matrix, g: Element) -> tuple[int, Matrix]:
     """Split off the entries of M that are units modulo a rational integer G.
 
     The entries are taken modulo G.  While some entry a, in row t and column
-    s, is a unit modulo G (:func:`rings.inverse_modulo`), row t and column s
+    s, is a unit modulo G (the entry arithmetic's ``inverse``; over a
+    quadratic ring a is one exactly when N(a) is), row t and column s
     are dropped and each other entry b_rc becomes the residue of
     b_rc - b_rs * a^-1 * b_tc: the row operations that clear column s modulo
     G.  The column operations that would then clear row t touch nothing

@@ -564,15 +564,15 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
     sign questions for both.  That pass starts with the Sturm chain of monic
     p, which ends at a multiple of gcd(p, p').  When that end is constant, p
     is square-free, its odd part is monic p, and the chain is the one wanted;
-    otherwise Yun's algorithm goes on from the gcd, and the odd part's chain
-    is the remainder sequence of the odd part and its derivative.
+    otherwise Yun's algorithm goes on from the gcd, and the odd part gets a
+    Sturm chain of its own.
     """
     chain = sturm_chain(p.monic())
     end = chain.chain[-1]
     if not end.is_constant():
         factors = _yun_factors(chain.polynomial, end.monic())
         odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
-        chain = SturmChain(tuple(_remainder_sequence(odd, odd.derivative())))
+        chain = sturm_chain(odd)
     return chain if _roots_on_line(chain) > 0 else None
 
 
@@ -593,54 +593,44 @@ def _shifted(h: list[int]) -> list[int]:
 
 
 def _odd_root_above_zero(h: list[int], depth: int) -> bool | None:
-    """Whether q, with coefficients h highest first and q(0) != 0, has a root
-    of odd multiplicity in (0, oo); None when Descartes' rule cannot tell
-    within ``depth`` bisections.
+    """Whether q, with coefficients h highest first and not all zero, has a
+    root of odd multiplicity in [0, oo); None when Descartes' rule cannot
+    tell within ``depth`` bisections.
 
-    The sign variations V of h bound the roots in (0, oo), counted with
-    multiplicity, and differ from their number by an even count: V = 0
-    means no root, V = 1 one simple root.  Otherwise (0, oo) is split at 1:
-    q(x + 1) holds the roots above 1 and (x + 1)**d * q(1 / (x + 1)) those in
-    (0, 1), both again on (0, oo).  A root at 1 is a root at 0 of both, of
-    the same multiplicity k: odd k is a sign change, and x**k is divided out
-    of both for even k.
+    A root at 0 of multiplicity k is one when k is odd, and x**k is divided
+    out when k is even.  The sign variations V of what is left bound its
+    roots in (0, oo), counted with multiplicity, and differ from their
+    number by an even count: V = 0 means no root, V = 1 one simple root.
+    Otherwise (0, oo) is split at 1: q(x + 1) holds the roots above 1 and
+    (x + 1)**d * q(1 / (x + 1)) those in (0, 1), both again on (0, oo).  A
+    root at 1 is a root at 0 of both, of the same multiplicity.
     """
+    k = 0
+    while not h[-1 - k]:
+        k += 1
+    if k % 2:
+        return True
+    h = h[: len(h) - k]
     v = sign_variations(h)
     if v < 2:
         return v == 1
     if depth == 0:
         return None
-    above = _shifted(h)
-    k = 0
-    while not above[-1 - k]:
-        k += 1
-    if k % 2:
-        return True
-    first = _odd_root_above_zero(above[: len(above) - k], depth - 1)
+    first = _odd_root_above_zero(_shifted(h), depth - 1)
     if first:
         return True
-    below = _shifted(h[::-1])
-    second = _odd_root_above_zero(below[: len(below) - k], depth - 1)
+    second = _odd_root_above_zero(_shifted(h[::-1]), depth - 1)
     if second:
         return True
     return None if first is None or second is None else False
 
 
 def _descartes_sign_change(c: tuple[int, ...]) -> bool | None:
-    """Whether the polynomial with integer coefficients c, constant first and
-    of even degree >= 2, changes sign on R; None when Descartes' rule on
-    p(x) and p(-x) cannot tell (see :func:`_odd_root_above_zero`).
-
-    p changes sign exactly at its real roots of odd multiplicity.  A root at
-    0 of multiplicity k is one when k is odd, and x**k is divided out when k
-    is even.
-    """
-    k = 0
-    while not c[k]:
-        k += 1
-    if k % 2:
-        return True
-    h = list(reversed(c[k:]))
+    """Whether the polynomial p with integer coefficients c, constant first
+    and of even degree >= 2, changes sign on R, that is, has a real root of
+    odd multiplicity; None when Descartes' rule on p(x) and p(-x) cannot
+    tell (see :func:`_odd_root_above_zero`)."""
+    h = c[::-1]
     top = len(h) - 1
     undecided = False
     for q in (h, [-a if (top - i) % 2 else a for i, a in enumerate(h)]):

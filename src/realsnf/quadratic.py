@@ -9,11 +9,11 @@ The fundamental unit is found by an ascending Pell search, and the norm of
 that unit decides whether every sign pattern is realized by units, which in
 turn decides whether every element owns a totally positive associate.
 
-The basis rules on int pairs are written once: the product (:func:`_times`),
-the conjugate with the norm (:func:`_times_conjugate`) and the inverse modulo
-a rational integer (:func:`_inverse_modulo`).  :class:`QuadElem` and
-:func:`inverse_modulo` use them, and so does :class:`PairArithmetic`, the
-entry arithmetic that the elimination loops of ``matrices`` run on pairs.
+The basis rules on int pairs are written once, the product (:func:`_times`)
+and the conjugate with the norm (:func:`_times_conjugate`), and
+:class:`QuadElem` uses them.  So does :class:`PairArithmetic`, the entry
+arithmetic that the elimination loops of ``matrices`` run on pairs, which
+also holds the inverse modulo a rational integer of the unit-pivot pass.
 """
 
 from __future__ import annotations
@@ -82,21 +82,6 @@ def _columns(x: int, y: int, half: bool, w2: int) -> tuple[int, int, int, int]:
     """(x, y, u, v) with a = x + y*w and a * w = u + v*w: multiplying by a is
     the integer map (s, t) -> s*(x, y) + t*(u, v) on pairs."""
     return (x, y, *_times(x, y, 0, 1, half, w2))
-
-
-def _inverse_modulo(x: int, y: int, g: int, half: bool, w2: int) -> tuple[int, int] | None:
-    """The inverse of a = x + y*w modulo a rational integer g > 0, coordinates
-    in [0, g), or None when a is not a unit modulo g.
-
-    a * conj(a) = N(a), so a is a unit modulo g exactly when N(a) is, and
-    conj(a) * N(a)^-1 is then its inverse.
-    """
-    cx, cy, norm = _times_conjugate(1, 0, x, y, half, w2)
-    try:
-        scale = pow(norm, -1, g)
-    except ValueError:
-        return None
-    return cx * scale % g, cy * scale % g
 
 
 # Quotient offsets around the rounded point, tried shell by shell.  Nearest
@@ -325,14 +310,6 @@ def coordinates_modulo(a: QuadElem, g: int) -> QuadElem:
     return a if x == a.x and y == a.y else _quad(x, y, a.ring)
 
 
-def inverse_modulo(a: QuadElem, g: int) -> QuadElem | None:
-    """The inverse of a modulo a rational integer g > 0, coordinates in [0, g);
-    None when N(a) is not coprime to g."""
-    ring = a.ring
-    inverse = _inverse_modulo(a.x, a.y, g, ring.uses_half_basis, ring.w2_rational)
-    return None if inverse is None else _quad(*inverse, ring)
-
-
 class PairArithmetic:
     """The entry arithmetic of ``matrices.symmetric_elimination``,
     ``matrices.determinant`` and ``matrices._unit_pivots`` over a quadratic
@@ -402,7 +379,17 @@ class PairArithmetic:
         return out
 
     def inverse(self, v: tuple[int, int], g: QuadElem) -> tuple[int, int] | None:
-        return _inverse_modulo(v[0], v[1], g.x, self.half, self.w2)
+        """The inverse of v modulo the rational integer g, coordinates in
+        [0, g), or None when v is not a unit modulo g.  v * conj(v) = N(v),
+        so v is a unit modulo g exactly when N(v) is, and conj(v) * N(v)^-1
+        is then its inverse."""
+        g = g.x
+        cx, cy, norm = _times_conjugate(1, 0, v[0], v[1], self.half, self.w2)
+        try:
+            scale = pow(norm, -1, g)
+        except ValueError:
+            return None
+        return cx * scale % g, cy * scale % g
 
     def clear(
         self, row: list, b: tuple[int, int], inverse: tuple[int, int], pivot_row: list, g: QuadElem

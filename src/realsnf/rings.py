@@ -11,20 +11,19 @@ takes elements of the ring as they are.  Only these facts dispatch on the
 exact division, the canonical and the positive associate, the primitive part
 (Q[x] only, in xgcd), a nonzero element G of the ideal some values generate
 (:func:`ideal_element`, the modulus of the Smith stage of ``verify``),
-residues and inverses modulo a rational integer (:func:`residue` and
-:func:`inverse_modulo`, Z and the quadratic rings: over a quadratic ring a is
-a unit modulo g exactly when N(a) is) and pnri.  The rest is derived from
-them for every family: units (1 / a exists), gcd (the canonical xgcd
-generator), association, p-adic valuations by repeated exact division, and
-every yes/no sign question (a is >= 0 at every ordering exactly when
-:func:`positive_associate` gives a).
+residues modulo a rational integer (:func:`residue`, Z and the quadratic
+rings) and pnri.  The rest is derived from them for every family: units
+(1 / a exists), gcd (the canonical xgcd generator), association, p-adic
+valuations by repeated exact division, and every yes/no sign question (a is
+>= 0 at every ordering exactly when :func:`positive_associate` gives a).
 
 One more per-family fact lives beside the loops that use it: the entry
-arithmetic of the elimination loops of :mod:`matrices`, which over the
-quadratic rings runs on int pairs (:class:`quadratic.PairArithmetic`) rather
-than through these functions.  It shares the basis rules of :mod:`quadratic`
-(product, conjugate and norm, inverse modulo g) with :class:`QuadElem` and
-:func:`inverse_modulo`.
+arithmetic of the elimination loops of :mod:`matrices`, ints over Z and int
+pairs over the quadratic rings (:class:`quadratic.PairArithmetic`), rather
+than these functions.  It holds the only inverse modulo a rational integer,
+which the unit-pivot pass of the Smith stage runs, and over the quadratic
+rings it shares the basis rules of :mod:`quadratic` (product, conjugate and
+norm) with :class:`QuadElem`.
 """
 
 from __future__ import annotations
@@ -214,20 +213,6 @@ def residue(a: Element, g: Element, ring: RingSpec) -> Element:
     if ring.family is RingFamily.INTEGERS:
         return a % g
     return quadratic.coordinates_modulo(a, g.x)
-
-
-def inverse_modulo(a: Element, g: Element, ring: RingSpec) -> Element | None:
-    """The inverse of a modulo a rational integer g > 0, over Z or a quadratic
-    ring, as a :func:`residue`; None when a is not a unit modulo g (over a
-    quadratic ring: when N(a) is not coprime to g, see
-    :func:`quadratic.inverse_modulo`).
-    """
-    if ring.family is RingFamily.INTEGERS:
-        try:
-            return pow(a, -1, g)
-        except ValueError:
-            return None
-    return quadratic.inverse_modulo(a, g.x)
 
 
 def are_associated(a: Element, b: Element, ring: RingSpec) -> bool:

@@ -224,7 +224,7 @@ def symmetric_elimination_reference(m):
                         raise ArithmeticError("Bareiss division was not exact")
                 row[j] = a[j][i] = v
         pivots.append(p)
-    return Elimination(tuple(pivots), False, cofactors, len(pivots) - 1)
+    return Elimination(tuple(pivots), False, cofactors, max(len(pivots) - 1, 0))
 
 
 def leibniz_determinant(rows, ring):
@@ -241,10 +241,34 @@ def leibniz_determinant(rows, ring):
     return total
 
 
+def inverse_modulo_reference(a, g, ring):
+    """The inverse of a modulo the rational integer g as a residue, or None
+    when a is not a unit modulo g; it shares no step with the entry
+    arithmetic's inverse.  Over Z it is ``pow``.  Over a quadratic ring
+    conj(x + y*w) is x + y*conj(w), with conj(w) = -w, or 1 - w when
+    w = (1 + sqrt(d))/2, N(a) = a * conj(a) is a QuadElem product, and the
+    inverse is conj(a) * N(a)^-1."""
+    if ring == INTEGERS:
+        try:
+            return pow(a, -1, g)
+        except ValueError:
+            return None
+    conj = QuadElem(a.x + a.y, -a.y, ring) if ring.uses_half_basis else QuadElem(a.x, -a.y, ring)
+    norm = a * conj
+    if norm.y:
+        raise ArithmeticError("a * conj(a) is not a rational integer")
+    try:
+        scale = pow(norm.x, -1, g.x)
+    except ValueError:
+        return None
+    return rings.residue(conj * scale, g, ring)
+
+
 def unit_pivots_reference(m, g):
-    """``matrices._unit_pivots`` on the ring's own elements: (u, B) for the u
-    entries split off as units modulo the rational integer g and the block B
-    left, each entry of which is a residue modulo g."""
+    """``matrices._unit_pivots`` on the ring's own elements, with
+    :func:`inverse_modulo_reference`: (u, B) for the u entries split off as
+    units modulo the rational integer g and the block B left, each entry of
+    which is a residue modulo g."""
     ring = m.ring
     a = [[rings.residue(v, g, ring) for v in row] for row in m.entries]
     u = 0
@@ -254,7 +278,7 @@ def unit_pivots_reference(m, g):
                 (t, s, inverse)
                 for t, row in enumerate(a)
                 for s, v in enumerate(row)
-                if v and (inverse := rings.inverse_modulo(v, g, ring)) is not None
+                if v and (inverse := inverse_modulo_reference(v, g, ring)) is not None
             ),
             None,
         )

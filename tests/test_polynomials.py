@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from realsnf import polynomials
 from realsnf.errors import NotCertifiedIrreducibleError, ParseError, ZeroPolynomialError
@@ -476,6 +478,8 @@ class TestOnePassSignQuestions:
                 assert p(t) < 0
 
     def test_one_decomposition_and_one_chain_per_question(self, monkeypatch):
+        """A question builds the Sturm chain of p once, and a second one, of
+        its odd part, only when p is not square-free."""
         calls = {"squarefree_decomposition": 0, "sturm_chain": 0}
         for name in calls:
             original = getattr(polynomials, name)
@@ -491,11 +495,13 @@ class TestOnePassSignQuestions:
             p = rand_product(rng)
             if p.is_constant():
                 continue
+            chains = 1 if poly_gcd(p, p.derivative()).is_constant() else 2
             for question in (is_nonneg_on_reals, positive_associate, find_negative_point):
                 for name in calls:
                     calls[name] = 0
                 question(p)
-                assert max(calls.values()) <= 1, (question.__name__, str(p), calls)
+                assert calls["squarefree_decomposition"] <= 1, (question.__name__, str(p), calls)
+                assert calls["sturm_chain"] <= chains, (question.__name__, str(p), calls)
             checked += 1
 
 
@@ -628,6 +634,43 @@ class TestSignCertificate:
             assert polynomials._is_constant_times_square(parse_poly(text).int_coefficients())
         for text in ("2*x^2 - 4*x + 1", "x^2 - 4*x + 1", "4*x^4 + 4*x^3 + x^2 + 1", "x^4 + 2*x^2 + 3"):
             assert not polynomials._is_constant_times_square(parse_poly(text).int_coefficients())
+
+
+# The points where Descartes' bisection strips a root: 0, where
+# _odd_root_above_zero is entered, 1 and -1, the first split point of p(x)
+# and of p(-x), and 2 and 1/2, the split points one bisection down.
+SPLIT_ROOTS = (X, X - 1, X + 1, X - 2, 2 * X - 1)
+
+
+@st.composite
+def split_point_polynomials(draw):
+    """A product of linear factors at a nonempty set of SPLIT_ROOTS, each of
+    multiplicity 1 to 4, and up to two random factors of degree <= 2, times
+    one more linear factor when that degree is odd, with a positive lead."""
+    p = RatPoly.constant(1)
+    for i in draw(st.lists(st.integers(0, len(SPLIT_ROOTS) - 1), min_size=1, unique=True)):
+        p = p * SPLIT_ROOTS[i] ** draw(st.integers(1, 4))
+    for coefficients in draw(st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=2)):
+        factor = RatPoly(coefficients)
+        if factor:
+            p = p * factor
+    if p.degree % 2:
+        p = p * (X - draw(st.integers(-3, 3)))
+    return p if p.sign_at_infinity(+1) > 0 else -p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(split_point_polynomials())
+def test_descartes_rule_strips_the_roots_at_split_points(p):
+    """Where Descartes' rule decides, it says whether p changes sign on R as
+    the root count of p's odd part does, and as the witness search does."""
+    found = polynomials._descartes_sign_change(p.int_coefficients())
+    if found is None:
+        return
+    _, factors = squarefree_decomposition(p)
+    odd = math.prod((q for q, m in factors if m % 2), start=RatPoly.constant(1))
+    changes = not odd.is_constant() and count_real_roots(odd) > 0
+    assert found == changes == (find_negative_point(p) is not None), str(p)
 
 
 class TestIrreducibility:

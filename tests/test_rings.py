@@ -14,9 +14,9 @@ from realsnf.errors import (
 )
 from realsnf.matrices import Matrix, symmetric_elimination
 from realsnf.polynomials import RatPoly, parse_poly
-from realsnf.quadratic import QuadElem
+from realsnf.quadratic import PairArithmetic, QuadElem
 from realsnf.ringspec import RingFamily, RingSpec
-from realsnf import polynomials, quadratic, rings
+from realsnf import matrices, polynomials, quadratic, rings
 
 from helpers import RING_NAMES, classical_xgcd, unit_power
 
@@ -367,16 +367,18 @@ def prime_kind(ring, p):
 
 
 class TestInverseModulo:
-    """a * inverse_modulo(a, G) = 1 modulo G, and None exactly when N(a) and G
-    share a factor; the moduli G = 1 to 30 take in even G and, in every ring,
-    a ramified, an inert and a split prime."""
+    """The inverse modulo G of the unit-pivot pass, on ints over Z and on int
+    pairs over the quadratic rings: a * a^-1 = 1 modulo G, and None exactly
+    when N(a) and G share a factor; the moduli G = 1 to 30 take in even G
+    and, in every ring, a ramified, an inert and a split prime."""
 
     MODULI = range(1, 31)
 
     def test_integers(self):
+        arithmetic = matrices._IntArithmetic()
         for g in self.MODULI:
             for a in range(-40, 41):
-                inverse = rings.inverse_modulo(a, g, INTEGERS)
+                inverse = arithmetic.inverse(a, g)
                 if math.gcd(a, g) != 1:
                     assert inverse is None
                 else:
@@ -386,16 +388,17 @@ class TestInverseModulo:
     def test_quadratic(self, ring):
         kinds = {prime_kind(ring, p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)}
         assert kinds == {"inert", "ramified", "split"}
-        one = rings.one(ring)
+        one, arithmetic = rings.one(ring), PairArithmetic(ring)
         for g in self.MODULI:
             modulus = rings.coerce(g, ring)
             for x in range(-6, 7):
                 for y in range(-6, 7):
                     a = QuadElem(x, y, ring)
-                    inverse = rings.inverse_modulo(a, modulus, ring)
+                    inverse = arithmetic.inverse((x, y), modulus)
                     if math.gcd(a.norm(), g) != 1:
                         assert inverse is None
                     else:
+                        inverse = QuadElem(*inverse, ring)
                         assert rings.residue(inverse, modulus, ring) == inverse
                         assert not rings.residue(a * inverse - one, modulus, ring)
 

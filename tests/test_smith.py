@@ -28,6 +28,7 @@ from realsnf.matrices import (
 from realsnf.polynomials import RatPoly, parse_poly
 from realsnf.quadratic import QuadElem
 from realsnf.ringspec import RingFamily
+from realsnf.verify import Conclusion, verify_main_theorem
 from realsnf import rings
 
 from helpers import (
@@ -108,6 +109,23 @@ class TestFixedInstances:
         result = smith_normal_form(m)
         assert result.diagonals == ()
         assert verify_snf(m, result)
+
+    @pytest.mark.parametrize("name", ["Z", "Q[x]", "Zsqrt:2"])
+    def test_empty_matrix(self, name):
+        # the block _unit_pivots leaves when every row is a unit pivot
+        ring = parse_ring(name)
+        m = Matrix((), ring)
+        assert determinant(m) == rings.one(ring)  # the empty product
+        elimination = matrices.symmetric_elimination(m)
+        assert (elimination.rank, elimination.order) == (0, 0)
+        assert elimination == symmetric_elimination_reference(m)
+        assert smith_diagonals(m, elimination) == ()
+        result = smith_normal_form(m)
+        assert [t.entries for t in (result.P, result.D, result.Q)] == [(), (), ()]
+        assert verify_snf(m, result)
+        report = verify_main_theorem(m)
+        assert report.snf_diagonals == ()
+        assert report.conclusion is Conclusion.THEOREM_HOLDS
 
 
 class TestMatrixFromJson:

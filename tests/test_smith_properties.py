@@ -3,9 +3,10 @@ rings, and of the elimination loops over the quadratic rings and Q[x].
 
 The Smith diagonals it reads off the PSD elimination equal those of the
 plain reduction.  Over the quadratic rings the elimination loops, which run
-on int pairs, equal the ring-generic references on QuadElem arithmetic; over
-Q[x] the elimination and the determinant, which run on packed ints, equal
-the reference on RatPoly arithmetic and the Leibniz sum.
+on int pairs, equal the ring-generic references on QuadElem arithmetic, and
+so does the unit-pivot pass over Z, whose reference has its own inverse
+modulo G; over Q[x] the elimination and the determinant, which run on
+packed ints, equal the reference on RatPoly arithmetic and the Leibniz sum.
 
 Inputs are n x n with n <= 4, of four kinds:
 
@@ -23,13 +24,13 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, parse_ring, rings
 from realsnf.matrices import Matrix, determinant, smith_diagonals, symmetric_elimination
 from realsnf.polynomials import RatPoly
-from realsnf.quadratic import QuadElem
+from realsnf.quadratic import PairArithmetic, QuadElem
 
 from helpers import (
     known_smith_congruence,
@@ -143,11 +144,27 @@ def quadratic_inputs(draw):
     return Matrix.from_rows(rows, ring)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(quadratic_inputs(), st.integers(2, 30))
+@st.composite
+def integer_inputs(draw):
+    """Symmetric n x n over Z, n = 1 to 8, entries in [-6, 6], every diagonal
+    entry times 6: modulo a G that shares a factor with 6, as most of the
+    moduli 2 to 30 do, no diagonal entry is a unit, so the first unit, if
+    any, is off the diagonal."""
+    n = draw(st.integers(1, 8))
+    upper = {
+        (i, j): draw(st.integers(-6, 6)) * (6 if i == j else 1) for i in range(n) for j in range(i, n)
+    }
+    return Matrix.from_rows(symmetric(upper, n), INTEGERS)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@example(Matrix.from_rows([[4, -2, -2], [-2, 4, -5], [-2, -5, -2]], INTEGERS), 30)
+@given(quadratic_inputs() | integer_inputs(), st.integers(2, 30))
 def test_pair_arithmetic_equals_the_element_reference(m, modulus):
     """symmetric_elimination field by field, and _unit_pivots (u and the block
-    left) modulo the drawn modulus and the G of the minors handed over."""
+    left) modulo the drawn modulus and the G of the minors handed over, over
+    the quadratic rings on int pairs and over Z on ints.  The example has
+    G = 12, whose first unit is the off-diagonal -5."""
     got, want = symmetric_elimination(m), symmetric_elimination_reference(m)
     assert got.pivots == want.pivots
     assert got.stuck == want.stuck
@@ -155,7 +172,8 @@ def test_pair_arithmetic_equals_the_element_reference(m, modulus):
     assert got.order == want.order
     moduli = {modulus}
     if not got.stuck:
-        moduli.add(rings.ideal_element(got.minors, m.ring).x)
+        g = rings.ideal_element(got.minors, m.ring)
+        moduli.add(g if m.ring == INTEGERS else g.x)
     for g in sorted(moduli):
         g = rings.coerce(g, m.ring)
         assert matrices._unit_pivots(m, g) == unit_pivots_reference(m, g)
@@ -166,15 +184,16 @@ def test_pair_arithmetic_equals_the_element_reference(m, modulus):
     st.sampled_from(QUADRATIC_NAMES), st.integers(-40, 40), st.integers(-40, 40), st.integers(1, 60)
 )
 def test_inverse_modulo_is_an_inverse_among_the_residues(name, x, y, g):
-    """The inverse modulo G that _unit_pivots and rings.inverse_modulo share:
-    a residue with a * a^-1 = 1 modulo G, and None exactly when N(a) and G
-    share a factor."""
+    """The inverse modulo G that _unit_pivots runs over a quadratic ring, on
+    int pairs: a residue with a * a^-1 = 1 modulo G, and None exactly when
+    N(a) and G share a factor."""
     ring = parse_ring(name)
     a, modulus = QuadElem(x, y, ring), rings.coerce(g, ring)
-    inverse = rings.inverse_modulo(a, modulus, ring)
+    inverse = PairArithmetic(ring).inverse((x, y), modulus)
     if math.gcd(a.norm(), g) != 1:
         assert inverse is None
     else:
+        inverse = QuadElem(*inverse, ring)
         assert rings.residue(inverse, modulus, ring) == inverse
         assert not rings.residue(a * inverse - rings.one(ring), modulus, ring)
 
