@@ -19,9 +19,9 @@ holds a modulus G that d_1 * ... * d_k divides (:func:`rings.ideal_element`).
 otherwise, over Z and the quadratic rings, it splits off the entries that
 are units modulo G by Schur complements modulo G, each a diagonal 1, and
 reduces a nonzero block left modulo G; it reduces M from scratch over Q[x]
-or when the elimination got stuck.  :func:`verify_snf` certifies a result
-from M = P*D*Q, unimodular P and Q and the divisibility chain, which by
-uniqueness of invariant factors is a proof; the exponential
+or when G = 0, which is when the elimination got stuck.  :func:`verify_snf`
+certifies a result from M = P*D*Q, unimodular P and Q and the divisibility
+chain, which by uniqueness of invariant factors is a proof; the exponential
 :func:`minor_gcd_profile` is kept as an independent oracle for the tests.
 
 The Bareiss update of :func:`determinant` and :func:`symmetric_elimination`
@@ -627,7 +627,10 @@ def _reduce(
     """Bring M to Smith form D, with P and Q when ``transforms`` is set; also
     return d_1, ..., d_rank.
 
-    With a ``modulus`` G (a rational integer, over Z or a quadratic ring,
+    Without a modulus it reduces M from scratch: with transforms for
+    :func:`smith_normal_form`, without them for :func:`smith_diagonals` when
+    G = 0 (a stuck elimination) or, over Q[x], G is not a unit.  With a
+    ``modulus`` G (a rational integer, over Z or a quadratic ring,
     without transforms) M must hold residues modulo G, as the block
     :func:`_unit_pivots` leaves does, and every entry but the current pivot
     is kept reduced modulo G.  That reduces some M' congruent to M modulo G
@@ -704,7 +707,9 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
     ``elimination`` is M's :func:`symmetric_elimination`.  Its minors of
     order k lie in the ideal of all k x k minors, generated by D_k = d_1 *
     ... * d_k, so the element G of their ideal that :func:`rings.ideal_element`
-    returns is a multiple of every d_i, i <= k.  Three routes follow:
+    returns is a multiple of every d_i, i <= k.  A stuck elimination hands
+    over no minors, and every other one at least one nonzero minor, so G = 0
+    exactly when the elimination got stuck.  Three routes follow:
 
     - G a unit: d_1 = ... = d_k = 1 and M is not reduced.
     - Otherwise, over Z and the quadratic rings, where G is a rational
@@ -713,20 +718,17 @@ def smith_diagonals(m: Matrix, elimination: Elimination) -> tuple[Element, ...]:
       reduced modulo G (see :func:`_reduce`), and d_(u+i) is the canonical
       gcd(e_i, G).  The rest up to d_k are G, and at full rank u can be n,
       past k: the diagonals are cut to k.
-    - Over Q[x] with G not a unit, and for a stuck elimination: the plain
-      reduction of M.
+    - G = 0, or over Q[x] G not a unit: the plain reduction of M.
 
     At full rank k = n - 1 and d_n = det M / (d_1 * ... * d_{n-1}); at rank
     k < n the k diagonals are all.
     """
     ring = m.ring
-    if elimination.stuck:
-        return _reduce(m, transforms=False)[1]
     k = elimination.order
     g = rings.ideal_element(elimination.minors, ring)
     if rings.is_unit(g, ring):
         head = (rings.one(ring),) * k
-    elif ring.family is RingFamily.RATIONAL_POLYNOMIALS:
+    elif not g or ring.family is RingFamily.RATIONAL_POLYNOMIALS:
         return _reduce(m, transforms=False)[1]
     else:
         u, rest = _unit_pivots(m, g)

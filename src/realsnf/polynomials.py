@@ -18,8 +18,9 @@ before cannot tell:
 3. one Sturm pass, starting from the Sturm chain of monic p.  When that
    chain ends in a constant, p is square-free and the chain says whether p
    changes sign.  Only when it ends in a nonconstant gcd does Yun's
-   square-free decomposition run, from that gcd, to split off the
-   odd-multiplicity part, whose one Sturm chain answers instead.
+   square-free decomposition (:func:`squarefree_decomposition`) run, to
+   split off the odd-multiplicity part, whose one Sturm chain answers
+   instead.
 
 Only a printed negative point, the bisection that the same chain guides,
 needs a root bound.  Over Z/p, for one word prime p, a gcd test shows
@@ -527,17 +528,8 @@ def squarefree_decomposition(p: RatPoly) -> tuple[Fraction, list[tuple[RatPoly, 
     """Yun decomposition p = c * prod(q_i ** m_i), q_i monic square-free, coprime."""
     if not p:
         raise ZeroPolynomialError("decomposition of the zero polynomial")
-    if p.degree == 0:
-        return p.leading, []
     work = p.monic()
     g = poly_gcd(work, work.derivative())
-    if g.is_constant():
-        return p.leading, [(work, 1)]
-    return p.leading, _yun_factors(work, g)
-
-
-def _yun_factors(work: RatPoly, g: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's loop for a monic work, from its monic g = gcd(work, work') of degree >= 1."""
     factors: list[tuple[RatPoly, int]] = []
     c = work // g
     d = work.derivative() // g - c.derivative()
@@ -549,7 +541,7 @@ def _yun_factors(work: RatPoly, g: RatPoly) -> list[tuple[RatPoly, int]]:
         c = c // q
         d = d // q - c.derivative()
         i += 1
-    return factors
+    return p.leading, factors
 
 
 # -- positivity on the real line ------------------------------------------------
@@ -564,13 +556,12 @@ def _sign_change_chain(p: RatPoly) -> SturmChain | None:
     sign questions for both.  That pass starts with the Sturm chain of monic
     p, which ends at a multiple of gcd(p, p').  When that end is constant, p
     is square-free, its odd part is monic p, and the chain is the one wanted;
-    otherwise Yun's algorithm goes on from the gcd, and the odd part gets a
-    Sturm chain of its own.
+    otherwise :func:`squarefree_decomposition` splits off the odd part, and
+    it gets a Sturm chain of its own.
     """
     chain = sturm_chain(p.monic())
-    end = chain.chain[-1]
-    if not end.is_constant():
-        factors = _yun_factors(chain.polynomial, end.monic())
+    if not chain.chain[-1].is_constant():
+        factors = squarefree_decomposition(p)[1]
         odd = math.prod((q for q, m in factors if m % 2 == 1), start=RatPoly.constant(1))
         chain = sturm_chain(odd)
     return chain if _roots_on_line(chain) > 0 else None
@@ -787,14 +778,14 @@ def _rational_roots_exist(p: RatPoly) -> bool:
     With c the primitive integer coefficients of p and n its degree, y = c_n * t
     maps the rational roots of p onto the integer roots of the monic integer
     polynomial q(y) = c_n^(n-1) * p(y / c_n).  Those lie inside (-B, B) for
-    B = |c_n| + max |c_i| (c_n times the Cauchy bound of p).  The intervals of
-    (-B, B] that hold a root of q are halved, testing each integer midpoint
-    exactly, until their width is 1.
+    B = |c_n| times the Cauchy bound of p, the integer |c_n| + max |c_i|.  The
+    intervals of (-B, B] that hold a root of q are halved, testing each
+    integer midpoint exactly, until their width is 1.
     """
     c = p.int_coefficients()
     q = RatPoly([ci * c[-1] ** (len(c) - 2 - i) for i, ci in enumerate(c[:-1])] + [1])
     chain = [r.int_coefficients() for r in sturm_chain(q).chain]
-    bound = abs(c[-1]) + max(abs(ci) for ci in c[:-1])
+    bound = int(abs(c[-1]) * cauchy_root_bound(p))
     intervals = [(-bound, bound)]  # endpoints are never roots of q
     while intervals:
         lo, hi = intervals.pop()

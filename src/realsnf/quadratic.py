@@ -18,6 +18,7 @@ also holds the inverse modulo a rational integer of the unit-pivot pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
@@ -84,32 +85,21 @@ def _columns(x: int, y: int, half: bool, w2: int) -> tuple[int, int, int, int]:
     return (x, y, *_times(x, y, 0, 1, half, w2))
 
 
-# Quotient offsets around the rounded point, tried shell by shell.  Nearest
-# rounding alone does not satisfy the Euclidean bound for d in {6, 7, 11}
-# (the norm form is an indefinite hyperbola, so the good lattice point can
-# sit several steps away along it); the expanding search stays deterministic
-# and returns the plain rounded quotient whenever that one is valid.
-# Dense sweeps over fractional parts show the worst case per d: 0 for
-# d in {2, 3, 5, 13}, 1 for {6, 7}, 5 for 11 (near (0, 1/2)); the cap
-# leaves a wide margin.
-_MAX_OFFSET_SHELL = 12
-
-
-def _offset_shells(limit: int) -> list[list[tuple[int, int]]]:
-    shells: list[list[tuple[int, int]]] = [[(0, 0)]]
-    for radius in range(1, limit + 1):
-        shell = [
-            (dx, dy)
-            for dx in range(-radius, radius + 1)
-            for dy in range(-radius, radius + 1)
-            if max(abs(dx), abs(dy)) == radius
-        ]
-        shell.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0], p[1]))
-        shells.append(shell)
-    return shells
-
-
-_QUOTIENT_SHELLS = _offset_shells(_MAX_OFFSET_SHELL)
+# Quotient offsets around the rounded point, tried shell by shell (by
+# max(|dx|, |dy|)), and within a shell by |dx| + |dy|, then dx, then dy.
+# Nearest rounding alone does not satisfy the Euclidean bound for d in
+# {6, 7, 11} (the norm form is an indefinite hyperbola, so the good lattice
+# point can sit several steps away along it); the expanding search stays
+# deterministic and returns the plain rounded quotient whenever that one is
+# valid.  Dense sweeps over fractional parts show the worst shell per d: 0
+# for d in {2, 3, 5, 13}, 1 for {6, 7}, 5 for 11 (near (0, 1/2)); the cap of
+# 12 leaves a wide margin.
+_QUOTIENT_OFFSETS = tuple(
+    sorted(
+        itertools.product(range(-12, 13), repeat=2),
+        key=lambda o: (max(abs(o[0]), abs(o[1])), abs(o[0]) + abs(o[1]), o[0], o[1]),
+    )
+)
 
 
 @dataclass(frozen=True)
@@ -271,12 +261,11 @@ class QuadElem:
         rx0 = ax - x0 * bx - y0 * wx
         ry0 = ay - x0 * by - y0 * wy
         bound = abs(nb)
-        for shell in _QUOTIENT_SHELLS:
-            for dx, dy in shell:
-                rx = rx0 - dx * bx - dy * wx
-                ry = ry0 - dx * by - dy * wy
-                if abs(_times_conjugate(1, 0, rx, ry, half, w2)[2]) < bound:  # N(0) = 0 < bound
-                    return _quad(x0 + dx, y0 + dy, ring), _quad(rx, ry, ring)
+        for dx, dy in _QUOTIENT_OFFSETS:
+            rx = rx0 - dx * bx - dy * wx
+            ry = ry0 - dx * by - dy * wy
+            if abs(_times_conjugate(1, 0, rx, ry, half, w2)[2]) < bound:  # N(0) = 0 < bound
+                return _quad(x0 + dx, y0 + dy, ring), _quad(rx, ry, ring)
         raise ArithmeticError(
             f"no Euclidean quotient found in {ring}; d outside the verified range?"
         )

@@ -180,8 +180,8 @@ def xgcd(
 
 
 def ideal_element(values: Sequence[Element], ring: RingSpec) -> Element:
-    """A nonzero element G of the ideal the values generate, found without xgcd;
-    the values must not all be zero.
+    """An element G of the ideal the values generate, found without xgcd; it
+    is nonzero when some value is, and 0 for no values.
 
     Over Z it is their gcd (``math.gcd``).  Over Q[x] it is 1 when their
     images modulo the word prime 2**31 - 1 show them coprime

@@ -33,6 +33,11 @@ from .rings import Element
 from .ringspec import RingFamily, RingSpec
 
 PSD_SIZE_LIMIT = 8
+# The Q[x] caps of psd_decision.  The Sturm chain that may decide a pivot's
+# sign takes roughly degree^4 * bits^2.5; the README gives the times
+# measured at the caps.
+PSD_DEGREE_LIMIT = 176
+PSD_PIVOT_COST_LIMIT = 10**6
 
 
 def negative_ordering(a: Element, ring: RingSpec) -> dict:
@@ -117,12 +122,34 @@ def psd_decision(m: Matrix) -> tuple[bool, Elimination]:
     which is exponential, and ``verify``'s Smith stage on the inputs it
     still reduces from scratch, stuck ones and Q[x] ones whose modulus G is
     not a unit (an N * N^T input at n = 40 over Zsqrt:2 once took over 150 s).
+    Over Q[x] an input is refused past PSD_DEGREE_LIMIT, or when a pivot
+    of degree d with b-bit primitive coefficients has d^2 * b past
+    PSD_PIVOT_COST_LIMIT: an 8 x 8 N * N^T input with pivots of degree about
+    400 ran for minutes in the Sturm chain of one pivot.
     """
     if not m.is_symmetric():
         raise NotSymmetricError("the matrix is not symmetric")
-    if m.n_rows > PSD_SIZE_LIMIT:
+    n = m.n_rows
+    if n > PSD_SIZE_LIMIT:
         raise SizeLimitError(f"PSD test is capped at {PSD_SIZE_LIMIT}x{PSD_SIZE_LIMIT}")
+    q_x = m.ring.family is RingFamily.RATIONAL_POLYNOMIALS
+    if q_x:
+        degree = max((e.degree for row in m.entries for e in row), default=0)
+        if n * degree > PSD_DEGREE_LIMIT:
+            raise SizeLimitError(
+                f"Q[x] PSD test is capped at n * (max entry degree) = {PSD_DEGREE_LIMIT};"
+                f" this input has {n} * {degree} = {n * degree}"
+            )
     elimination = symmetric_elimination(m)
+    if q_x:
+        for i, p in enumerate(elimination.pivots, 1):
+            bits = max(map(abs, p.int_coefficients()), default=0).bit_length()
+            if p.degree**2 * bits > PSD_PIVOT_COST_LIMIT:
+                raise SizeLimitError(
+                    "Q[x] PSD test is capped at degree^2 * (coefficient bits)"
+                    f" = {PSD_PIVOT_COST_LIMIT} per pivot; pivot {i} of this input has"
+                    f" {p.degree}^2 * {bits} = {p.degree**2 * bits}"
+                )
     psd = not elimination.stuck and all(element_is_nonneg(p, m.ring) for p in elimination.pivots)
     return psd, elimination
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS
 from realsnf.matrices import Elimination, Matrix, determinant
 from realsnf.polynomials import RatPoly
-from realsnf.quadratic import _QUOTIENT_SHELLS, QuadElem, exact_divide, fundamental_unit
+from realsnf.quadratic import QuadElem, exact_divide, fundamental_unit
 from realsnf import rings
 
 # Every supported ring, by its ring string.
@@ -29,6 +29,25 @@ def _nearest_ties_to_zero(t):
     if t - low != Fraction(1, 2):
         return math.floor(t + Fraction(1, 2))
     return low if low >= 0 else low + 1
+
+
+def _offset_shells(limit):
+    """The quotient offsets of radius 0, 1, ..., limit (max(|dx|, |dy|)), one
+    list per radius, each in order of |dx| + |dy|, then dx, then dy."""
+    shells = [[(0, 0)]]
+    for radius in range(1, limit + 1):
+        shell = [
+            (dx, dy)
+            for dx in range(-radius, radius + 1)
+            for dy in range(-radius, radius + 1)
+            if max(abs(dx), abs(dy)) == radius
+        ]
+        shell.sort(key=lambda p: (abs(p[0]) + abs(p[1]), p[0], p[1]))
+        shells.append(shell)
+    return shells
+
+
+_QUOTIENT_SHELLS = _offset_shells(12)
 
 
 def quad_divmod_oracle(a, b):

@@ -35,6 +35,13 @@ def run_golden(capsys, command, case):
     assert out == json.dumps(case["output"]) + "\n"
 
 
+def unit_diagonal(first):
+    """The 8 x 8 identity with its first entry replaced."""
+    m = [[str(int(i == j)) for j in range(8)] for i in range(8)]
+    m[0][0] = first
+    return m
+
+
 GOLDEN_SNF = load_golden("snf")
 GOLDEN_PSD = load_golden("psd")
 GOLDEN_VERIFY = load_golden("verify")
@@ -159,6 +166,30 @@ class TestPsdAndVerify:
         code, out, err = run(capsys, command, "--ring", "Z", "--input", json.dumps(identity))
         assert code == 2
         assert out == "" and "capped at 8x8" in err
+
+    @pytest.mark.parametrize("command", ["psd", "verify"])
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (unit_diagonal("x^22"), None),
+            (unit_diagonal("x^23"), "n * (max entry degree) = 176; this input has 8 * 23 = 184"),
+            ([["x^176 + 2147483648"]], None),
+            (
+                [["x^176 + 8589934592"]],
+                "degree^2 * (coefficient bits) = 1000000 per pivot;"
+                " pivot 1 of this input has 176^2 * 34 = 1053184",
+            ),
+        ],
+        ids=["degree-at-cap", "degree-past-cap", "pivot-at-cap", "pivot-past-cap"],
+    )
+    def test_past_the_q_x_caps_is_input_error(self, capsys, command, m, message):
+        """A Q[x] input inside both caps passes; past either it exits 2, naming it."""
+        code, out, err = run(capsys, command, "--ring", "Q[x]", "--input", json.dumps(m))
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2 and out == ""
+            assert err == f"error: Q[x] PSD test is capped at {message}\n"
 
     def test_not_symmetric_is_input_error(self, capsys):
         code, _, err = run(capsys, "verify", "--ring", "Z", "--input", "[[1,2],[3,4]]")
@@ -431,6 +462,24 @@ class TestInputErrors:
                 ["snf", "--ring", "Zsqrt:2", "--input", "[[[1,2]]]"],
                 "field 'entries[0][0]': bad quadratic element [1, 2]",
             ),
+            (["snf", "--ring", "Z", "--input", "[[1.5]]"], "field 'entries[0][0]': bad integer"),
+            (["snf", "--ring", "Z", "--input", "[[[1]]]"], "field 'entries[0][0]': bad integer"),
+            (
+                ["snf", "--ring", "Zsqrt:2", "--input", '[[{"x": 1}]]'],
+                "field 'entries[0][0]': bad quadratic element {'x': 1}: 'y'",
+            ),
+            (
+                ["snf", "--ring", "Zsqrt:2", "--input", '[[{"x": "1.5", "y": 0}]]'],
+                ("field 'entries[0][0]': bad quadratic element", "invalid literal"),
+            ),
+            (
+                ["snf", "--ring", "Q[x]", "--input", "[[1.5]]"],
+                "field 'entries[0][0]': polynomial must be a string or coefficient array",
+            ),
+            (
+                ["snf", "--ring", "Q[x]", "--input", "[[{}]]"],
+                "field 'entries[0][0]': polynomial must be a string or coefficient array",
+            ),
         ],
         ids=[
             "row-is-string",
@@ -484,6 +533,12 @@ class TestInputErrors:
             "polynomial-is-bool",
             "quadratic-element-is-float",
             "quadratic-element-is-array",
+            "integer-is-float",
+            "integer-is-array",
+            "quadratic-object-without-y",
+            "quadratic-object-decimal-x",
+            "polynomial-is-float",
+            "polynomial-is-object",
         ],
     )
     def test_bad_input_names_field(self, capsys, tmp_path, argv, field):
