@@ -34,7 +34,10 @@ the denominators and b fixed per matrix by a bound on every minor's
 coefficients (Kronecker substitution; :class:`_PackedArithmetic`), so the
 same integer update runs; over the quadratic rings int pairs
 (:class:`quadratic.PairArithmetic`).  Elements are built only for the
-pivots, the minors handed over, the determinant and the block left.
+pivots, the minors handed over, the determinant and the block left.  The
+product test of :func:`verify_snf` runs one loop on the same arithmetic
+(:func:`_reproduces`), over Q[x] at a b bounded by the coefficients of both
+sides, so that equal values prove equal entries; it builds no element.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import quadratic, rings
@@ -54,10 +58,12 @@ from .errors import (
 )
 from .polynomials import (
     RatPoly,
+    denominator_lcm,
     kronecker_layout,
     kronecker_pack,
     kronecker_unpack,
     row_primitive_scale,
+    scaled_norm,
 )
 from .rings import Element
 from .ringspec import RingFamily, RingSpec, parse_ring
@@ -283,10 +289,14 @@ class _IntArithmetic:
     """The entry arithmetic of the loops over Z: ints as they are.  ``load``
     brings elements into a loop and ``elements`` gives them back (``sizes``,
     the minor size of each value, is read over Q[x] only); ``one`` is the
-    empty minor."""
+    empty minor.  ``product_operands`` and ``dot`` serve :func:`_reproduces`."""
 
     one = 1
     bareiss = staticmethod(_int_bareiss)
+
+    @staticmethod
+    def dot(row: Sequence[int], column: Sequence[int]) -> int:
+        return sum(map(mul, row, column))
 
     def load(self, values: Sequence[int]) -> list:
         return list(values)
@@ -310,8 +320,12 @@ class _IntArithmetic:
         f = b * inverse
         return [(x - f * y) % g if y else x for x, y in zip(row, pivot_row)]
 
+    def product_operands(self, p_rows, diag, q_rows, m_rows) -> tuple[list, list, Sequence]:
+        """The rows of P * diag(d), the columns of Q, and M."""
+        return [[a * d for a, d in zip(row, diag)] for row in p_rows], list(zip(*q_rows)), m_rows
 
-class _PackedArithmetic:
+
+class _PackedArithmetic(_IntArithmetic):
     """The Bareiss arithmetic over Q[x] (Kronecker substitution): each entry
     of L * M is packed as one int, its value at x = 2**b, with L and b from
     :func:`polynomials.kronecker_layout`.  Every value a Bareiss loop computes
@@ -319,10 +333,9 @@ class _PackedArithmetic:
     at 2**b is zero exactly when the minor is, and the update runs on ints
     (:func:`_int_bareiss`): evaluation at 2**b is a ring map from Z[x], so an
     exact division of minors is an exact division of their values.  A minor
-    of size s of M is unpacked from its value and divided by L**s."""
-
-    one = 1
-    bareiss = staticmethod(_int_bareiss)
+    of size s of M is unpacked from its value and divided by L**s.  The
+    update and ``dot`` are those on ints; the product test packs at a b of
+    its own."""
 
     def __init__(self, m: Matrix) -> None:
         self.scale, self.bits = kronecker_layout(m.entries)
@@ -334,6 +347,31 @@ class _PackedArithmetic:
     def elements(self, values: Sequence[int], sizes: Iterable[int]) -> tuple[RatPoly, ...]:
         scale, bits = self.scale, self.bits
         return tuple(kronecker_unpack(v, bits, scale**s) for v, s in zip(values, sizes))
+
+    def product_operands(self, p_rows, diag, q_rows, m_rows) -> tuple[list, list, list] | None:
+        """The product test's operands at x = 2**b (see :func:`verify_snf`):
+        each (L_i * P_ik) * (S * d_k), the columns of R * Q, each
+        L_i * S * R * M_ij; None when L_i * S * R leaves M_ij a denominator."""
+        scales = [denominator_lcm(row) for row in p_rows]
+        s, r = denominator_lcm(diag), denominator_lcm(itertools.chain.from_iterable(q_rows))
+        d_norms = [scaled_norm(d, s) for d in diag]
+        q_norm = max((scaled_norm(v, r) for row in q_rows for v in row), default=0)
+        bound = 0
+        for row, scale, m_row in zip(p_rows, scales, m_rows):
+            m_norms = [scaled_norm(v, scale * s * r) for v in m_row]
+            if None in m_norms:
+                return None
+            product = sum(scaled_norm(a, scale) * e for a, e in zip(row, d_norms)) * q_norm
+            bound = max(bound, product, *m_norms)
+        bits = bound.bit_length() + 2
+
+        def pack(rows, scales):
+            return [[kronecker_pack(v, c, bits) for v in row] for row, c in zip(rows, scales)]
+
+        d_values = pack([diag], [s])[0]
+        left = [[a * v for a, v in zip(row, d_values)] for row in pack(p_rows, scales)]
+        columns = list(zip(*pack(q_rows, itertools.repeat(r))))
+        return left, columns, pack(m_rows, [scale * s * r for scale in scales])
 
 
 def _entry_arithmetic(m: Matrix) -> _IntArithmetic | _PackedArithmetic | quadratic.PairArithmetic:
@@ -808,6 +846,23 @@ class SnfCheck:
         return not self.failures
 
 
+def _reproduces(m: Matrix, result: SnfResult, diag: Sequence[Element]) -> bool:
+    """Whether P * diag(d) * Q = M for D's diagonal d, by one loop on the
+    ring's entry arithmetic: row i of P * D times column j of Q's first
+    len(d) rows.  No element is multiplied."""
+    arithmetic = _entry_arithmetic(m)
+    q_head = result.Q.entries[: len(diag)]
+    operands = arithmetic.product_operands(result.P.entries, diag, q_head, m.entries)
+    if operands is None:
+        return False
+    left, columns, target = operands
+    return all(
+        arithmetic.dot(row, column) == v
+        for row, target_row in zip(left, target)
+        for column, v in zip(columns, target_row)
+    )
+
+
 def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
     """Check M = P*D*Q, unimodular P and Q, and D diagonal, zeros last, d_k | d_{k+1}.
 
@@ -815,6 +870,16 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
     proves that D is the Smith form of M.  Every check is polynomial-time.
     A P, D or Q whose shape, read off its rows, does not fit M raises
     ShapeMismatchError.
+
+    M = P*D*Q is tested on D's diagonal on ints or int pairs
+    (:func:`_reproduces`).  Over Q[x] both sides of entry (i, j) are scaled
+    to integer polynomials, L_i*S*R*M_ij and sum_k (L_i*P_ik)(S*d_k)(R*Q_kj),
+    and compared at x = 2**b, b = B.bit_length() + 2, where B bounds every
+    coefficient of either side by l1 norms of the P, D, Q and M passed in, so
+    a forged certificate is judged by its own entries.  Two integer
+    polynomials with coefficients below 2**(b-2) agree at 2**b only when they
+    are equal, so the test is a proof.  An M_ij that L_i*S*R leaves a
+    denominator differs from the product, which that scale clears.
     """
     ring = m.ring
     failures: list[str] = []
@@ -822,11 +887,8 @@ def verify_snf(m: Matrix, result: SnfResult) -> SnfCheck:
     if shapes != [(m.n_rows, m.n_rows), (m.n_rows, m.n_cols), (m.n_cols, m.n_cols)]:
         raise ShapeMismatchError("transform shapes do not match the input matrix")
 
-    # With D diagonal, P*D*Q = (P's columns scaled by D's diagonal) * (Q's matching rows).
     diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
-    pd = tuple(tuple(p * d for p, d in zip(row, diag)) for row in result.P.entries)
-    q_head = Matrix(result.Q.entries[: len(diag)], ring)
-    if (Matrix(pd, ring) @ q_head).entries != m.entries:
+    if not _reproduces(m, result, diag):
         failures.append("P*D*Q does not reproduce the input")
     if not result.D.is_diagonal():
         failures.append("D is not diagonal")

@@ -388,6 +388,17 @@ def kronecker_layout(rows: Sequence[Sequence[RatPoly]]) -> tuple[int, int]:
     return scale, bound.bit_length() + 2
 
 
+def denominator_lcm(polys: Iterable[RatPoly]) -> int:
+    """The least positive integer L with every L * p in Z[x]."""
+    return math.lcm(*(p._d for p in polys))
+
+
+def scaled_norm(p: RatPoly, scale: int) -> int | None:
+    """The l1 norm of scale * p, or None when scale leaves p a denominator."""
+    q, r = divmod(scale, p._d)
+    return None if r else p._n * q * sum(map(abs, p._p))
+
+
 def kronecker_pack(p: RatPoly, scale: int, bits: int) -> int:
     """scale * p at x = 2**bits, for a positive integer scale that clears p's
     denominator."""
@@ -858,25 +869,28 @@ def is_real_irreducible(p: RatPoly) -> bool:
 
 
 def format_poly(p: RatPoly) -> str:
-    """Render like "3/2*x^2 - x + 1", highest power first."""
+    """Render like "3/2*x^2 - x + 1", highest power first.  Coefficient i is
+    n * c_i / d for the stored (n/d) * P, reduced by gcd(c_i, d) alone since
+    gcd(n, d) = 1: no Fraction is built."""
     if not p:
         return "0"
+    n, d = p._n, p._d
     parts: list[str] = []
     for i in range(p.degree, -1, -1):
-        c = p[i]
-        if c == 0:
+        c = p._p[i]
+        if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
+        g = math.gcd(c, d)
+        mag = f"{n * (abs(c) // g)}" + ("" if g == d else f"/{d // g}")
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             xpow = "x" if i == 1 else f"x^{i}"
-            body = xpow if mag == 1 else f"{mag}*{xpow}"
+            body = xpow if mag == "1" else f"{mag}*{xpow}"
         if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+            parts.append(body if c > 0 else f"-{body}")
         else:
-            parts.append(f"{sign} {body}")
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
     return " ".join(parts)
 
 

@@ -357,6 +357,24 @@ class PairArithmetic:
 
         return update
 
+    def product_operands(self, p_rows, diag, q_rows, m_rows) -> tuple[list, list, list]:
+        """For ``matrices._reproduces``: each entry P_ik * d_k of P * diag(d)
+        as the :func:`_columns` of multiplication by it; Q's columns and M
+        as pairs."""
+        half, w2 = self.half, self.w2
+        pd = [[_times(a.x, a.y, d.x, d.y, half, w2) for a, d in zip(row, diag)] for row in p_rows]
+        left = [[_columns(x, y, half, w2) for x, y in row] for row in pd]
+        columns = [[(b.x, b.y) for b in column] for column in zip(*q_rows)]
+        return left, columns, [[(a.x, a.y) for a in row] for row in m_rows]
+
+    @staticmethod
+    def dot(row: Sequence[tuple], column: Sequence[tuple[int, int]]) -> tuple[int, int]:
+        """sum_k a_k * b_k, each a_k given by its :func:`_columns` and b_k as a pair."""
+        x = y = 0
+        for (ax, ay, ux, uy), (bx, by) in zip(row, column):
+            x, y = x + ax * bx + ux * by, y + ay * bx + uy * by
+        return x, y
+
     def residues(self, values: Sequence[QuadElem], g: QuadElem) -> list:
         """The values modulo the rational integer g, as :func:`coordinates_modulo`
         takes them."""

@@ -486,3 +486,41 @@ def certify_irreducible_by_divisors(p):
         if coeffs[-1] % q and not any(c % q for c in coeffs[:-1]) and coeffs[0] % (q * q):
             return True
     return None
+
+
+def format_poly_reference(p):
+    """format_poly by one Fraction per coefficient, highest power first.
+
+    It checks ``polynomials.format_poly``, which reads the stored integers,
+    and shares none of its code: each coefficient is read as ``p[i]``, a
+    Fraction, whose own ``str`` gives the magnitude.
+    """
+    if not p:
+        return "0"
+    parts = []
+    for i in range(p.degree, -1, -1):
+        c = p[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            xpow = "x" if i == 1 else f"x^{i}"
+            body = xpow if mag == 1 else f"{mag}*{xpow}"
+        if not parts:
+            parts.append(body if sign == "+" else f"-{body}")
+        else:
+            parts.append(f"{sign} {body}")
+    return " ".join(parts)
+
+
+def element_product_reproduces(m, result):
+    """Whether (P * diag D) @ Q_head == M on element arithmetic, for D's
+    diagonal and the first len(diag) rows of Q: the product test that
+    ``matrices.verify_snf`` runs on ints, int pairs and packed ints."""
+    diag = [result.D[k, k] for k in range(min(m.n_rows, m.n_cols))]
+    pd = tuple(tuple(p * d for p, d in zip(row, diag)) for row in result.P.entries)
+    q_head = Matrix(result.Q.entries[: len(diag)], m.ring)
+    return (Matrix(pd, m.ring) @ q_head).entries == m.entries

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realsnf import polynomials
@@ -31,6 +31,7 @@ from helpers import (
     certify_irreducible_by_divisors,
     classical_sturm_chain,
     count_real_roots,
+    format_poly_reference,
     poly_divmod_oracle,
     poly_product_oracle,
     poly_sum_oracle,
@@ -780,6 +781,27 @@ class TestTextForms:
         assert format_poly(RatPoly([])) == "0"
         assert format_poly(RatPoly([0, -1])) == "-x"
         assert format_poly(RatPoly([2, 0, 0, 1])) == "x^3 + 2"
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.sampled_from([0, 0, 1, -1])
+            | st.builds(Fraction, st.sampled_from([1, -1]), st.integers(2, 60))
+            | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+            | st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+            max_size=8,
+        )
+    )
+    @example([Fraction(7, 3)])
+    @example([1, 0, 0, Fraction(-1, 5)])
+    @example([Fraction(-(10**40) + 1, 10**39), 0, Fraction(6, 4), -1])
+    def test_format_matches_the_fraction_reference(self, coefficients):
+        """The text read off the stored ints is the text of the Fractions:
+        +-1 and +-1/d, zero gaps, constants, a leading coefficient of either
+        sign and numerators and denominators of 130 bits; and it parses back."""
+        p = RatPoly(coefficients)
+        assert format_poly(p) == format_poly_reference(p)
+        assert parse_poly(format_poly(p)) == p
 
     def test_parse_variants(self):
         assert parse_poly("x") == X

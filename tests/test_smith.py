@@ -698,6 +698,43 @@ class TestPackedArithmetic:
         assert elimination.rank == 5 and det == elimination.pivots[-1]
 
 
+class TestProductTest:
+    """verify_snf's test of M = P * D * Q runs on the entry arithmetic: ints
+    packed at x = 2**b over Q[x], int pairs over the quadratic rings, and
+    multiplies no element."""
+
+    @pytest.mark.parametrize(
+        "ring, n_rows, n_cols",
+        [(RATIONAL_POLYNOMIALS, 6, 6), (parse_ring("Zhalf:13"), 5, 7)],
+        ids=["Q[x] 6x6", "Zhalf:13 5x7"],
+    )
+    def test_no_element_arithmetic(self, monkeypatch, ring, n_rows, n_cols):
+        m = rand_matrix(random.Random(11), ring, n_rows, n_cols, height=3)
+        result = smith_normal_form(m)
+        assert verify_snf(m, result)
+        diag = [result.D[k, k] for k in range(min(n_rows, n_cols))]
+        products, built = [], []
+        multiply, build, raw = RatPoly.__mul__, quadratic._quad, polynomials._raw
+
+        def counting_mul(self, other):
+            products.append(other)
+            return multiply(self, other)
+
+        def counting_quad(x, y, r):
+            built.append((x, y))
+            return build(x, y, r)
+
+        def counting_raw(n, d, p):
+            built.append(p)
+            return raw(n, d, p)
+
+        monkeypatch.setattr(RatPoly, "__mul__", counting_mul)
+        monkeypatch.setattr(quadratic, "_quad", counting_quad)
+        monkeypatch.setattr(polynomials, "_raw", counting_raw)
+        assert matrices._reproduces(m, result, diag)
+        assert products == [] and built == []
+
+
 class TestDeterminant:
     def test_examples(self):
         assert determinant(Matrix.from_rows([[2, 4], [4, 2]], INTEGERS)) == -12

@@ -18,21 +18,36 @@ Inputs are n x n with n <= 4, of four kinds:
   elimination hands over are multiples of p, since det(p * A) = p^2 * det A,
   but M is invertible modulo p when det B is not a multiple of p: often
   every pivot is a unit modulo G, four of them for k = 3.
+
+``verify_snf``'s test of M = P * D * Q, which runs on ints, int pairs and
+ints packed at x = 2**b, agrees with the element product on all nine rings,
+for honest certificates and forged ones.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from realsnf import INTEGERS, RATIONAL_POLYNOMIALS, matrices, parse_ring, rings
-from realsnf.matrices import Matrix, determinant, smith_diagonals, symmetric_elimination
+from realsnf.matrices import (
+    Matrix,
+    SnfResult,
+    determinant,
+    smith_diagonals,
+    smith_normal_form,
+    symmetric_elimination,
+    verify_snf,
+)
 from realsnf.polynomials import RatPoly
 from realsnf.quadratic import PairArithmetic, QuadElem
 
 from helpers import (
+    RING_NAMES as ALL_RING_NAMES,
+    element_product_reproduces,
     known_smith_congruence,
     leibniz_determinant,
     symmetric_elimination_reference,
@@ -245,3 +260,133 @@ def test_packed_arithmetic_equals_the_element_reference(m):
     assert got.minors == want.minors
     assert got.order == want.order
     assert determinant(m) == leibniz_determinant(m.entries, m.ring)
+
+
+def _lcm_of_denominators(polys):
+    return math.lcm(*(c.denominator for p in polys for c in p.coefficients))
+
+
+def _l1(p, scale):
+    return sum(abs(c * scale) for c in p.coefficients)
+
+
+def product_test_scales(result):
+    """L_i for each row of P, S and R over Q[x]: the lcms of the
+    denominators of P's row i, of D's diagonal and of Q's first k rows."""
+    d = result.D
+    k = min(d.n_rows, d.n_cols)
+    diag = [d[i, i] for i in range(k)]
+    rows = [_lcm_of_denominators(row) for row in result.P.entries]
+    return rows, _lcm_of_denominators(diag), _lcm_of_denominators(sum(result.Q.entries[:k], ()))
+
+
+def product_test_bounds(m, result):
+    """The two parts of B in the product test over Q[x], from Fractions:
+    max_i sum_k ||L_i P_ik|| * ||S d_k|| * max ||R Q_kj|| and
+    max ||L_i S R M_ij||, in l1 norms; b = B.bit_length() + 2."""
+    rows, s, r = product_test_scales(result)
+    k = min(m.n_rows, m.n_cols)
+    diag = [result.D[i, i] for i in range(k)]
+    q_norm = max(_l1(v, r) for v in sum(result.Q.entries[:k], ()))
+    left = max(
+        sum(_l1(a, scale) * _l1(e, s) for a, e in zip(row, diag)) * q_norm
+        for row, scale in zip(result.P.entries, rows)
+    )
+    target = max(
+        _l1(v, scale * s * r) for row, scale in zip(m.entries, rows) for v in row
+    )
+    return int(left), int(target)
+
+
+def _replaced(t, i, j, value):
+    rows = [list(row) for row in t.entries]
+    rows[i][j] = value
+    return Matrix(tuple(map(tuple, rows)), t.ring)
+
+
+def _entry(draw, ring):
+    if ring == INTEGERS:
+        return draw(st.integers(-6, 6))
+    if ring == RATIONAL_POLYNOMIALS:
+        coefficient = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3, 7]))
+        return RatPoly(draw(st.lists(coefficient, max_size=3)))
+    return QuadElem(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)), ring)
+
+
+def _off_by_one(draw, v, ring):
+    """v with one coefficient (over Q[x]) or coordinate moved by 1."""
+    if ring == INTEGERS:
+        return v + 1
+    if ring == RATIONAL_POLYNOMIALS:
+        return v + RatPoly([0] * draw(st.integers(0, v.degree + 1)) + [1])
+    return v + draw(st.sampled_from([QuadElem(1, 0, ring), QuadElem(0, 1, ring)]))
+
+
+@st.composite
+def certificates(draw, ring):
+    """(M, P, D, Q) over the ring: the smith_normal_form of a random M of up
+    to 3 x 3, as it is or forged in one of five ways, or, over
+    Q[x], a forgery whose product differs from M by x - 2**t:
+
+    - one coefficient of an entry of P or Q off by 1;
+    - one entry of Q times 2**k, over Q[x] with k within 3 of the b of the
+      honest certificate;
+    - over Q[x], one entry of Q plus x - 2**k, with k within 1 of the b that
+      the bound on M's side alone would give: the product then moves by a
+      multiple of x - 2**k, which the b of the whole bound, above k, sees;
+    - over Q[x], an entry of M plus 1 / (2 * L_i * S * R), a denominator the
+      scales leave;
+    - two diagonals of D swapped;
+    - P = D = I, Q = I but Q_00 = 2**(t-1), and M = I but M_00 = x -
+      2**(t-1): the difference is 2**t - x, which vanishes at x = 2**t,
+      while B = 2**(t-1) + 1, so the b of the bound lies above t.
+    """
+    qx = ring == RATIONAL_POLYNOMIALS
+    kinds = ["honest", "off by one", "scaled", "swapped"]
+    kinds += ["shifted", "uncleared", "collision"] if qx else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "collision":
+        n, t = draw(st.integers(1, 3)), draw(st.integers(1, 200))
+        one = Matrix.identity(n, ring)
+        q = _replaced(one, 0, 0, RatPoly([2 ** (t - 1)]))
+        return _replaced(one, 0, 0, RatPoly([-(2 ** (t - 1)), 1])), SnfResult(one, one, q)
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = Matrix.from_rows([[_entry(draw, ring) for _ in range(n_cols)] for _ in range(n_rows)], ring)
+    result = smith_normal_form(m)
+    p, d, q = result.P, result.D, result.Q
+    if kind == "off by one":
+        name = draw(st.sampled_from(["P", "Q"]))
+        t = p if name == "P" else q
+        i, j = draw(st.integers(0, t.n_rows - 1)), draw(st.integers(0, t.n_cols - 1))
+        t = _replaced(t, i, j, _off_by_one(draw, t[i, j], ring))
+        result = SnfResult(t, d, q) if name == "P" else SnfResult(p, d, t)
+    elif kind in ("scaled", "shifted"):
+        # k near the b of the whole bound (scaled) or of M's side alone (shifted)
+        left, target = product_test_bounds(m, result) if qx else (2**33, 0)
+        near = (max(left, target) if kind == "scaled" else target).bit_length() + 2
+        spread = [0, -1, 1, -2, 2, -3, 3][: 7 if kind == "scaled" else 3]
+        k = max(1, near + draw(st.sampled_from(spread)))
+        i, j = draw(st.integers(0, n_cols - 1)), draw(st.integers(0, n_cols - 1))
+        v = q[i, j] * 2**k if kind == "scaled" else q[i, j] + RatPoly([-(2**k), 1])
+        result = SnfResult(p, d, _replaced(q, i, j, v))
+    elif kind == "uncleared":
+        rows, s, r = product_test_scales(result)
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        m = _replaced(m, i, j, m[i, j] + RatPoly([Fraction(1, 2 * rows[i] * s * r)]))
+    elif kind == "swapped" and min(n_rows, n_cols) >= 2:
+        index = st.integers(0, min(n_rows, n_cols) - 1)
+        a, b = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        d = _replaced(_replaced(d, a, a, d[b, b]), b, b, d[a, a])
+        result = SnfResult(p, d, q)
+    return m, result
+
+
+@pytest.mark.parametrize("name", ALL_RING_NAMES)
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_test_agrees_with_the_element_product(name, data):
+    """verify_snf reports that P * D * Q does not reproduce M exactly when
+    (P * diag D) @ Q_head, on element arithmetic, differs from M."""
+    m, result = data.draw(certificates(parse_ring(name)))
+    failed = "P*D*Q does not reproduce the input" in verify_snf(m, result).failures
+    assert failed == (not element_product_reproduces(m, result))
